@@ -1,4 +1,4 @@
-"""Parallel branch-and-bound and concurrent-sweep benchmarks.
+"""Parallel branch-and-bound benchmark.
 
 The key claims measured (and persisted to ``BENCH_solvers.json``):
 
@@ -11,12 +11,6 @@ The key claims measured (and persisted to ``BENCH_solvers.json``):
   exhibit parallel speedup, only measure its overhead), and the measured
   ratio is recorded either way so the perf trajectory captures both
   worlds.
-* With ``deterministic=False`` (work-stealing fast mode) the objective
-  and proven bound still equal the serial run's, and at >= 4 cores the
-  wall clock is at least 2x better than serial — the floor the perf gate
-  (``check_regression.py``) holds the fast mode to.
-* The concurrent Pareto sweep returns a front identical to the serial
-  sweep on Example 1.
 
 Speedup ratios are only recorded on machines with at least as many cores
 as requested workers; a smaller box records wall seconds and context
@@ -33,7 +27,6 @@ learns across subtrees and only guarantees identical objectives).
 
 import os
 import random
-import time
 
 import pytest
 
@@ -42,9 +35,6 @@ from repro.milp.expr import VarType
 from repro.milp.model import Model
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
-from repro.synthesis.synthesizer import Synthesizer
-from repro.system.examples import example1_library
-from repro.taskgraph.examples import example1
 
 #: The serial tree of this instance has >1500 nodes (asserted below).
 BENCH_INSTANCE = (3, 16, 0)
@@ -70,14 +60,14 @@ def market_split(rows: int, binaries: int, seed: int) -> Model:
     return model
 
 
-def _options(workers: int, deterministic: bool = True) -> SolverOptions:
+def _options(workers: int) -> SolverOptions:
     # clamp_workers=False: the bench measures the requested pool even on
     # boxes with fewer cores (the clamp would silently serialize it).
     # cuts="off": these benches measure dispatch over a *fixed* big-tree
     # workload; root cuts shrinking the tree would change what is timed.
     return SolverOptions(
         workers=workers, branching="most_fractional", clamp_workers=False,
-        deterministic=deterministic, cuts="off",
+        cuts="off",
     )
 
 
@@ -149,98 +139,4 @@ def bench_parallel_bnb_identity_and_speedup(benchmark):
                     f"(identity assertions passed; speedup not recorded)")
     assert speedup >= 2.0, (
         f"workers=4 must be >= 2x faster than serial, got {speedup:.2f}x"
-    )
-
-
-def bench_parallel_bnb_fast_mode(benchmark):
-    """deterministic=False, workers=4: identical objective, >= 2x faster.
-
-    The fast mode's reason to exist is wall clock: work stealing keeps all
-    workers busy instead of waiting out the longest subtree.  The
-    objective-equality assertions always run; the speedup floor (>= 2.0 at
-    4 cores, same bar as the deterministic mode aims for) is asserted only
-    on machines with >= 4 cores and *recorded* only there too.
-    """
-    model = market_split(*BENCH_INSTANCE)
-
-    serial = BozoSolver(_options(workers=1)).solve(model)
-    serial_seconds = serial.solve_seconds
-
-    def solve_fast():
-        return BozoSolver(_options(workers=4, deterministic=False)).solve(model)
-
-    fast = run_once(benchmark, solve_fast)
-    fast_seconds = fast.solve_seconds
-
-    # The fast-mode contract: same status, same optimal objective, same
-    # proven bound.  (The vertex may be any alternative optimum and node
-    # counts vary, so neither is asserted.)
-    assert fast.status == serial.status
-    assert abs(fast.objective - serial.objective) <= 1e-9
-    assert abs(fast.best_bound - serial.best_bound) <= 1e-9
-
-    cores = os.cpu_count() or 1
-    speedup = _record_parallel(
-        "parallel_bnb_market_split_3x16_fast",
-        serial, fast, serial_seconds, fast_seconds,
-        deterministic=False,
-        subtrees_stolen=fast.stats.subtrees_stolen,
-        worker_idle_waits=fast.stats.worker_idle_waits,
-    )
-    print(f"\nserial {serial_seconds:.3f}s | fast workers=4 "
-          f"{fast_seconds:.3f}s ({fast.stats.subtrees_stolen} stolen) | "
-          f"speedup {speedup:.2f}x on {cores} cores")
-    if cores < 4:
-        pytest.skip(f"fast-mode speedup needs >= 4 cores, have {cores} "
-                    f"(objective equality passed; speedup not recorded)")
-    assert speedup >= 2.0, (
-        f"fast mode must be >= 2x faster than serial at 4 cores, "
-        f"got {speedup:.2f}x"
-    )
-
-
-def bench_parallel_sweep_identity(benchmark):
-    """Concurrent Pareto sweep reproduces the serial front on Example 1."""
-
-    def strip(front):
-        rows = []
-        for design in front:
-            row = design.to_dict()
-            row.pop("solve_seconds")  # wall clock differs run to run
-            rows.append(row)
-        return rows
-
-    start = time.monotonic()
-    serial_front = Synthesizer(
-        example1(), example1_library(), solver="highs"
-    ).pareto_sweep()
-    serial_seconds = time.monotonic() - start
-
-    timing = {}
-
-    def sweep_parallel():
-        t0 = time.monotonic()
-        front = Synthesizer(
-            example1(), example1_library(), solver="highs"
-        ).pareto_sweep(workers=4)
-        timing["wall"] = time.monotonic() - t0
-        return front
-
-    parallel_front = run_once(benchmark, sweep_parallel)
-    parallel_seconds = timing["wall"]
-
-    assert strip(parallel_front) == strip(serial_front)
-    print(f"\nserial sweep {serial_seconds:.3f}s | "
-          f"workers=4 sweep {parallel_seconds:.3f}s | "
-          f"{len(serial_front)} designs")
-    record_bench(
-        "parallel_sweep_example1",
-        serial_wall_seconds=serial_seconds,
-        parallel_wall_seconds=parallel_seconds,
-        designs=len(serial_front),
-        front=[(design.cost, design.makespan) for design in serial_front],
-        workers_requested=4,
-        workers=4,
-        cpu_count=os.cpu_count() or 1,
-        front_identical=True,
     )

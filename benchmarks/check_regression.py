@@ -79,7 +79,7 @@ BASELINE_RATE_FLOORS = {
 
 #: Absolute kernel floors/ceilings on the current results, enforced only
 #: on machines with at least FLOOR_MIN_CORES cores (underpowered runners
-#: skip with a one-line reason, same convention as FLOORS).  The pivot
+#: skip with a one-line reason, never silently).  The pivot
 #: floor catches a kernel that has fallen back to per-iteration dense
 #: algebra; the wall ceiling catches a pathological example1 solve.
 KERNEL_FLOORS = {
@@ -89,17 +89,7 @@ KERNEL_CEILINGS = {
     "kernel_example1_vs_highs": {"bozo_wall_seconds": 0.25},
 }
 
-#: Absolute floors gated per benchmark entry: field -> minimum value.
-#: Checked against the *current* results only (no baseline needed) and
-#: skipped when the entry, the field, or the cores to measure it are
-#: absent — the benches deliberately omit speedup fields on machines with
-#: fewer cores than requested workers, and an omitted field must read as
-#: "not measurable here", never as a pass or a fail.
-FLOORS = {
-    "parallel_bnb_market_split_3x16_fast": {"speedup_vs_serial": 2.0},
-}
-
-#: Cores needed before a FLOORS entry is enforced.
+#: Cores needed before the kernel floors are enforced.
 FLOOR_MIN_CORES = 4
 
 TOLERANCE = 0.20
@@ -349,35 +339,6 @@ def check(baseline: dict, current: dict) -> tuple:
                     f"{bench}.{field}: {value:g} exceeds the kernel "
                     f"ceiling {limit:g}"
                 )
-    for bench, floors in FLOORS.items():
-        entry = current.get(bench)
-        if entry is None:
-            skipped.append(f"{bench}: SKIPPED (bench did not run)")
-            continue
-        cores = entry.get("cpu_count")
-        if cores is None:
-            machine = entry.get("machine")
-            if isinstance(machine, dict):
-                cores = machine.get("cpu_count")
-        if cores is not None and cores < FLOOR_MIN_CORES:
-            skipped.append(
-                f"{bench}: SKIPPED (cpu_count={cores} below the "
-                f"{FLOOR_MIN_CORES}-core floor threshold)"
-            )
-            continue
-        for field, minimum in floors.items():
-            value = entry.get(field)
-            if value is None:
-                skipped.append(
-                    f"{bench}.{field}: SKIPPED (not measurable on this box; "
-                    f"cpu_count={cores})"
-                )
-                continue
-            if value < minimum:
-                problems.append(
-                    f"{bench}.{field}: {value:.2f} is below the required "
-                    f"floor {minimum:.2f}"
-                )
     return problems, skipped
 
 
@@ -457,7 +418,7 @@ def main(argv=None) -> int:
             print(f"  {problem}", file=sys.stderr)
         return 1
     gated = ", ".join(dict.fromkeys(
-        [*GATED, *SAME_RUN, *BASELINE_RATE_FLOORS, *KERNEL_FLOORS, *FLOORS]
+        [*GATED, *SAME_RUN, *BASELINE_RATE_FLOORS, *KERNEL_FLOORS]
     ))
     print(f"perf gate OK ({gated}; tolerance {TOLERANCE:.0%})")
     return 0

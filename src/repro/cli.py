@@ -75,19 +75,16 @@ def _solver_options(args: argparse.Namespace, sink, workers: int = 1):
 
     ``sink`` is an open trace sink (or ``None``); it is referenced by the
     returned options, so the caller owns closing it after the solve.
-    ``workers`` is the branch-and-bound worker count (sweep-level
-    parallelism is a separate knob passed to ``pareto_sweep`` instead).
-    ``--fast`` opts into the nondeterministic work-stealing mode: same
-    objectives, unordered exploration.
+    ``workers`` is the branch-and-bound worker count; the result is
+    identical to the serial solve.
     """
     progress = getattr(args, "progress", False)
-    fast = getattr(args, "fast", False)
     cuts = getattr(args, "cuts", "auto")
     cut_rounds = getattr(args, "cut_rounds", 5)
     strong_branching = getattr(args, "strong_branching", 8)
     pricing = getattr(args, "pricing", "devex")
     non_default_cuts = cuts != "auto" or cut_rounds != 5 or strong_branching != 8
-    if (workers <= 1 and sink is None and not progress and not fast
+    if (workers <= 1 and sink is None and not progress
             and not non_default_cuts and pricing == "devex"):
         return None
     from repro.obs.progress import print_progress
@@ -95,7 +92,6 @@ def _solver_options(args: argparse.Namespace, sink, workers: int = 1):
 
     return SolverOptions(
         workers=workers,
-        deterministic=not fast,
         cuts=cuts,
         cut_rounds=cut_rounds,
         strong_branching=strong_branching,
@@ -154,12 +150,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         synth = Synthesizer(
             graph, library, style=_style(args.style), solver=args.solver,
-            solver_options=_solver_options(args, sink),
+            solver_options=_solver_options(args, sink, workers=args.workers),
             incremental=args.incremental,
         )
-        front = synth.pareto_sweep(
-            max_designs=args.max_designs, workers=args.workers
-        )
+        front = synth.pareto_sweep(max_designs=args.max_designs)
     finally:
         if sink is not None:
             sink.close()
@@ -661,10 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--workers", type=int, default=1,
                          help="parallel branch-and-bound workers (bozo solver); "
                          "the result is identical to the serial solve")
-    p_synth.add_argument("--fast", action="store_true",
-                         help="with --workers N: work-stealing mode — same "
-                         "optimal objective, but exploration order (and the "
-                         "returned vertex among ties) may vary run to run")
     p_synth.add_argument("--trace", metavar="FILE", default=None,
                          help="stream structured solve events to this JSONL file "
                          "(inspect it with 'sos trace FILE')")
@@ -700,12 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--telemetry", action="store_true",
                          help="print solver statistics aggregated over the sweep")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="solve cost caps concurrently on this many processes; "
-                         "the front is identical to the serial sweep")
-    p_sweep.add_argument("--fast", action="store_true",
-                         help="with --workers N: keep probe designs instead of "
-                         "re-solving canonically — same front costs/makespans, "
-                         "schedules may be any alternative optimum")
+                         help="parallel branch-and-bound workers per cost cap "
+                         "(bozo solver); the front is identical to the serial sweep")
     p_sweep.add_argument("--trace", metavar="FILE", default=None,
                          help="stream structured sweep/solve events to this JSONL file")
     p_sweep.add_argument("--progress", action="store_true",

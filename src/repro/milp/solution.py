@@ -64,12 +64,10 @@ class SolveStats:
             records keep the maximum).  ``workers < workers_requested``
             means the clamp engaged.
         subtrees_dispatched: Branch-and-bound subtrees handed to workers.
-        subtrees_stolen: Spilled subtree nodes picked up by a worker other
-            than the one that spilled them (fast parallel mode only; the
-            deterministic oracle mode never steals).
         worker_idle_waits: Times a pool worker found the shared node queue
-            empty while the solve was still running (fast mode's
-            starvation signal — spilling is triggered by it).
+            empty while other subtrees were still running — the parallel
+            solve's load imbalance.  Timing-dependent, so it may vary
+            run to run even though the Solution does not.
         incumbent_broadcasts: Times a worker lowered the shared incumbent
             objective that every other worker prunes against.
         seeded_incumbent: 1 when a caller-supplied incumbent seed was
@@ -114,7 +112,6 @@ class SolveStats:
     workers: int = 0
     workers_requested: int = 0
     subtrees_dispatched: int = 0
-    subtrees_stolen: int = 0
     worker_idle_waits: int = 0
     incumbent_broadcasts: int = 0
     seeded_incumbent: int = 0
@@ -151,7 +148,6 @@ class SolveStats:
         self.workers = max(self.workers, other.workers)
         self.workers_requested = max(self.workers_requested, other.workers_requested)
         self.subtrees_dispatched += other.subtrees_dispatched
-        self.subtrees_stolen += other.subtrees_stolen
         self.worker_idle_waits += other.worker_idle_waits
         self.incumbent_broadcasts += other.incumbent_broadcasts
         self.seeded_incumbent += other.seeded_incumbent
@@ -180,7 +176,6 @@ class SolveStats:
             "workers": self.workers,
             "workers_requested": self.workers_requested,
             "subtrees_dispatched": self.subtrees_dispatched,
-            "subtrees_stolen": self.subtrees_stolen,
             "worker_idle_waits": self.worker_idle_waits,
             "incumbent_broadcasts": self.incumbent_broadcasts,
             "seeded_incumbent": self.seeded_incumbent,
@@ -207,7 +202,7 @@ class SolveStats:
         for name in (
             "nodes", "lp_solves", "lp_pivots", "warm_starts",
             "warm_start_hits", "fallbacks", "workers", "workers_requested",
-            "subtrees_dispatched", "subtrees_stolen", "worker_idle_waits",
+            "subtrees_dispatched", "worker_idle_waits",
             "incumbent_broadcasts", "seeded_incumbent", "rc_fixed_bounds",
             "cuts_added", "cut_rounds", "strong_branch_probes",
             "bound_flips", "devex_resets", "ftran_sparsity",
@@ -252,8 +247,6 @@ class SolveStats:
                 f" subtrees={self.subtrees_dispatched}"
                 f" broadcasts={self.incumbent_broadcasts}"
             )
-        if self.subtrees_stolen:
-            parts.append(f"stolen={self.subtrees_stolen}")
         if self.worker_idle_waits:
             parts.append(f"idle_waits={self.worker_idle_waits}")
         if self.workers_requested > max(self.workers, 1):

@@ -48,15 +48,12 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "strong_branch": frozenset({"node", "candidates", "probes", "chosen"}),
     # The parallel driver shipped one subtree to a worker.
     "subtree_dispatched": frozenset({"subtree", "node", "bound"}),
-    # A spilled subtree node was picked up by a worker other than the one
-    # that spilled it (fast parallel mode only).
-    "subtree_stolen": frozenset({"node", "bound", "thief"}),
-    # A pool worker found the shared node queue empty mid-solve (fast
-    # parallel mode's starvation signal; ``slot`` is the idle worker).
+    # A pool worker found the shared node queue empty while other subtrees
+    # were still running (load imbalance; ``slot`` is the idle worker).
     "worker_idle": frozenset({"slot"}),
     # A worker lowered the shared incumbent objective bound.
     "incumbent_broadcast": frozenset({"objective"}),
-    # One step of a Pareto sweep finished (canonical, probe, or floor).
+    # One step of a Pareto sweep finished (canonical or batched).
     "sweep_step": frozenset({"index", "kind", "feasible"}),
     # Wall-clock attribution for a named non-LP phase (presolve, search, ...).
     "phase": frozenset({"name", "seconds"}),

@@ -97,8 +97,6 @@ def _counters_for_worker(events: List[TraceEvent]) -> SolveStats:
             stats.add_phase(str(event.data["name"]), float(event.data["seconds"]))
         elif event.type == "subtree_dispatched":
             stats.subtrees_dispatched += 1
-        elif event.type == "subtree_stolen":
-            stats.subtrees_stolen += 1
         elif event.type == "worker_idle":
             stats.worker_idle_waits += 1
         elif event.type == "incumbent_found":

@@ -46,11 +46,7 @@ FINGERPRINT_VERSION = 1
 #: which alternative optimum the tree visits first (and a *wrong* seed is
 #: rejected, but a tie-valued one can win the adoption tie-break), and
 #: reduced-cost fixing changes pruning order the same way, so cached
-#: vertices may legitimately differ.  ``deterministic`` is result-relevant
-#: for the same reason: fast mode guarantees the optimal *objective* but
-#: may return a different vertex among alternative optima, so a fast
-#: result must never be served from (or poison) a deterministic cache
-#: entry.
+#: vertices may legitimately differ.
 _SOLVER_FIELDS = (
     "time_limit",
     "gap_tolerance",
@@ -58,8 +54,6 @@ _SOLVER_FIELDS = (
     "node_limit",
     "node_selection",
     "branching",
-    "deterministic",
-    "cutoff",
     "incumbent",
     # Cuts and strong branching are optimum-preserving but, like
     # rc_fixing, change exploration order — a different alternative

@@ -40,32 +40,16 @@ class SolverOptions:
             keeps the serial search; ``N > 1`` ramps the tree serially
             until a frontier of open subtrees exists, then dispatches the
             subtrees to a persistent worker pool with a shared incumbent
-            bound (see ``deterministic`` for the merge contract).
-            Requires ``best_first`` node selection — depth-first searches
-            fall back to the serial path.
-        deterministic: Parallel merge contract (Bozo only; ignored when
-            ``workers == 1``).  ``True`` (default) is the *oracle* mode:
-            subtrees are dispatched in deterministic key order, solved
-            independently, and merged by replaying incumbents in that
-            order — the Solution (status, objective, values, best bound)
-            is byte-identical to the ``workers=1`` run.  ``False`` is the
-            *fast* mode: frontier nodes go onto a shared queue, any worker
-            takes any node, and busy workers spill half their open list
-            for idle workers to steal.  The optimal objective and best
-            bound are still identical to serial (pruning stays
-            provability-conservative), but exploration order is
-            nondeterministic, so among alternative optima a different
-            vertex may be returned and node counts vary run to run.
+            bound.  Subtrees are dispatched in deterministic key order,
+            solved independently, and merged by replaying incumbents in
+            that order, so the Solution (status, objective, values, best
+            bound) is byte-identical to the ``workers=1`` run.  Requires
+            ``best_first`` node selection — depth-first searches fall
+            back to the serial path.
         frontier_target: Open-node count at which the parallel ramp stops
             and dispatches subtrees (``0`` = automatic,
             ``max(4 * workers, 8)``).  Exposed mainly so tests can force
             partitioning on tiny trees.
-        cutoff: Known valid upper bound on the optimal objective (e.g.
-            from a neighboring Pareto point).  Nodes whose LP bound
-            exceeds it are pruned before any incumbent exists, which can
-            only discard provably non-improving subtrees; the optimal
-            objective value is unchanged, though tie-broken alternative
-            optima may differ from an unseeded run.  ``None`` disables.
         incumbent: Optional warm incumbent: a mapping of variable *names*
             to values describing a known feasible integral point (e.g. a
             heuristic schedule from :mod:`repro.baselines`).  Bozo
@@ -73,8 +57,8 @@ class SolverOptions:
             checks out, adopts it before the root node so best-first
             search prunes from node 0.  An infeasible or incomplete seed
             is silently ignored — it can slow the search down but never
-            change the optimal objective; like ``cutoff``, tie-broken
-            alternative optima may differ from an unseeded run.
+            change the optimal objective, though tie-broken alternative
+            optima may differ from an unseeded run.
         cuts: Root-node cutting-plane mode (Bozo only).  ``"auto"``
             (default) runs a bounded separation loop at the root: Gomory
             mixed-integer cuts from the simplex tableau plus knapsack
@@ -167,9 +151,7 @@ class SolverOptions:
     presolve: bool = True
     warm_start: bool = True
     workers: int = 1
-    deterministic: bool = True
     frontier_target: int = 0
-    cutoff: Optional[float] = None
     incumbent: Optional[Mapping[str, float]] = None
     cuts: str = "auto"
     cut_rounds: int = 5

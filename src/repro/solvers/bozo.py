@@ -21,12 +21,8 @@ Features (all selectable through :class:`~repro.solvers.base.SolverOptions`):
 * wall-clock and node limits with a FEASIBLE (incumbent, gap > 0) result,
 * parallel tree search (``workers=N``): a serial ramp opens a frontier of
   subtrees that are dispatched to a persistent shared-memory worker pool
-  with a shared incumbent bound (:mod:`repro.solvers.parallel`), either
-  merged deterministically (``deterministic=True``, byte-identical to
-  serial) or explored with work stealing (``deterministic=False``,
-  identical objectives, unordered exploration),
-* an optional objective ``cutoff`` for sweep-style callers that already
-  know a valid upper bound,
+  with a shared incumbent bound (:mod:`repro.solvers.parallel`) and
+  merged deterministically, byte-identical to serial,
 * full :class:`~repro.milp.solution.SolveStats` telemetry on every result.
 
 Determinism: nodes are ordered by ``(parent LP bound, path id)`` where the
@@ -348,7 +344,6 @@ class _TreeSearch:
         reporter: Optional[ProgressReporter] = None,
         root_lp: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
         fixed_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        spill=None,
     ) -> None:
         self.options = options
         self.form = form
@@ -373,12 +368,6 @@ class _TreeSearch:
         #: relaxation is the original rows plus exactly these.
         self.applied_cuts: List[Tuple[np.ndarray, float]] = []
         self.treat_root_unbounded = treat_root_unbounded
-        # Fast-parallel-mode hook: called with the open heap every few
-        # nodes so a busy worker can donate open subtrees to idle peers.
-        # The callback owns the policy (when and how much); it mutates the
-        # heap in place and must leave it a valid heap.
-        self.spill = spill
-        self._last_spill_at = 0
         self.node_budget = node_budget if node_budget else options.node_limit
         self.nodes_processed = 0
         # Reduced-cost fixing state.  ``root_lp`` ships a ramp's root LP
@@ -433,7 +422,6 @@ class _TreeSearch:
         out = _SearchOutcome()
         tol = options.integrality_tolerance
         form = self.form
-        cutoff = options.cutoff
         should_stop = options.should_stop
         while True:
             if should_stop is not None and should_stop():
@@ -448,15 +436,6 @@ class _TreeSearch:
             ):
                 out.open_nodes = heap
                 break
-            if (
-                self.spill is not None
-                and not depth_first
-                and len(heap) >= 4
-                and self.nodes_processed % 16 == 0
-                and self.nodes_processed != self._last_spill_at
-            ):
-                self._last_spill_at = self.nodes_processed
-                self.spill(heap)
             node = pop_node()
             if node is None:
                 break
@@ -464,8 +443,6 @@ class _TreeSearch:
                 1.0, abs(self.incumbent_obj)
             ):
                 continue  # pruned by own incumbent
-            if cutoff is not None and node.bound > cutoff + 1e-9 * max(1.0, abs(cutoff)):
-                continue  # pruned by the caller-supplied valid upper bound
             if self.foreign_best is not None:
                 foreign = self.foreign_best()
                 if node.bound > foreign + 1e-9 * max(1.0, abs(foreign)):
@@ -562,8 +539,6 @@ class _TreeSearch:
             if lp_obj >= self.incumbent_obj - options.gap_tolerance * max(
                 1.0, abs(self.incumbent_obj)
             ):
-                continue
-            if cutoff is not None and lp_obj > cutoff + 1e-9 * max(1.0, abs(cutoff)):
                 continue
 
             xi = result.x[self.integral]

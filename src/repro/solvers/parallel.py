@@ -14,26 +14,18 @@ dispatch*:
    reused across solves.
 3. **Dispatch** — the open nodes, sorted by their deterministic
    ``(bound, path id)`` heap key, go onto the pool's shared node queue
-   encoded as bound deltas.  Any worker takes any node.  In *fast* mode
-   (``SolverOptions(deterministic=False)``) busy workers also spill half
-   their open list back onto the queue whenever the shared idle counter
-   shows a starving peer — idle workers steal instead of waiting for the
-   longest subtree.
+   encoded as bound deltas.  Any worker takes any node and solves its
+   subtree whole.
 4. **Broadcast** — whenever a worker improves on its local incumbent it
    publishes the objective into a shared value; other workers prune nodes
    whose LP bound is *strictly worse* than the broadcast.  Strictness
    matters: conservative cross-worker pruning can only remove provably
    non-improving subtrees, so each lease's result is independent of
    broadcast timing.
-5. **Merge** — in *deterministic* mode (the default, and the oracle the
-   fast mode is tested against) subtree incumbents are replayed in their
+5. **Merge** — subtree incumbents are replayed in their
    ``(bound, path id)`` key order with the serial adoption rule, which
    reproduces the serial incumbent — the merged Solution is
-   byte-identical to the ``workers=1`` run.  In fast mode incumbents are
-   merged best-objective-first: the optimal *objective* and best bound
-   still equal the serial run's (pruning is conservative in both modes),
-   but among alternative optima a different vertex may be returned and
-   node counts vary run to run.
+   byte-identical to the ``workers=1`` run.
 
 Cancellation reaches workers through the pool's shared event: the driver
 polls ``options.should_stop`` while leases are in flight and sets the
@@ -51,7 +43,7 @@ import math
 import os
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import CancelledError
 from repro.milp.model import Model
@@ -107,12 +99,9 @@ def _solve_epoch_inline(
 ) -> EpochReport:
     """Fallback: solve every lease in dispatch order, polling cancellation.
 
-    No stealing happens inline (there is nobody to steal), so fast mode
-    degrades to the deterministic dispatch order — which satisfies the
-    fast-mode contract trivially.  The leases run in the driver process,
-    so the caller's ``should_stop`` closure is wired straight into each
-    lease: cancellation is observed within one node here too, not merely
-    between subtrees.
+    The leases run in the driver process, so the caller's ``should_stop``
+    closure is wired straight into each lease: cancellation is observed
+    within one node here too, not merely between subtrees.
     """
     lease_options = worker_options
     if options.should_stop is not None:
@@ -126,14 +115,13 @@ def _solve_epoch_inline(
             )
         outcome, stats, events, cancelled = solve_lease(
             form, sf, lease_options, start, ramp_obj, root_lp, fixed_bounds,
-            node, worker_tag=lease_id,
+            node, lease_id=lease_id,
             foreign_best=shared.foreign_best, publish=shared.publish,
             trace_enabled=options.trace is not None,
         )
         leases.append(LeaseResult(
-            slot=0, lease_id=lease_id,
-            node_key=(node.tiebreak, node.bound), stolen=False,
-            outcome=outcome, stats=stats, events=events, cancelled=cancelled,
+            lease_id=lease_id, outcome=outcome, stats=stats, events=events,
+            cancelled=cancelled,
         ))
         if cancelled:
             return EpochReport(
@@ -158,7 +146,6 @@ def solve_parallel(
     """
     options = solver.options
     effective = workers if workers is not None else options.workers
-    deterministic = options.deterministic
     start = time.monotonic()
     stats = SolveStats()
     stats.workers_requested = options.workers
@@ -262,13 +249,12 @@ def solve_parallel(
                     subtrees=subtrees,
                     root_lb=form.lb,
                     root_ub=form.ub,
-                    deterministic=deterministic,
                     trace_enabled=options.trace is not None,
                     should_stop=options.should_stop,
                 )
         except PoolBrokenError:
             # Partial results are discarded wholesale: re-solving every
-            # subtree inline from the ramp state is correct in both modes.
+            # subtree inline from the ramp state reproduces them exactly.
             report = None
     if report is None:
         report = _solve_epoch_inline(
@@ -280,38 +266,18 @@ def solve_parallel(
             "parallel solve cancelled while subtrees were in flight"
         )
 
-    # Forward buffered worker events into the parent sink.  Deterministic
-    # mode groups by dispatch index in dispatch order (the serial layout);
-    # fast mode groups by worker slot in slot order, arrival order within
-    # a slot — replay folds per-worker groups in ascending id either way.
-    if deterministic:
-        ordered = sorted(report.leases, key=lambda lease: lease.lease_id)
-        groups = [[lease] for lease in ordered]
-    else:
-        by_slot: Dict[int, List[LeaseResult]] = {}
-        for lease in report.leases:
-            by_slot.setdefault(lease.slot, []).append(lease)
-        groups = [by_slot[slot] for slot in sorted(by_slot)]
+    # Forward buffered worker events into the parent sink in dispatch
+    # order (the serial layout); replay folds them per lease id.
+    leases = sorted(report.leases, key=lambda lease: lease.lease_id)
     if tracer is not None:
-        for group in groups:
-            for lease in group:
-                for event in lease.events:
-                    tracer.sink.emit(event)
-        for lease in report.leases:
-            if lease.stolen:
-                tracer.emit(
-                    "subtree_stolen",
-                    node=lease.node_key[0],
-                    bound=lease.node_key[1],
-                    thief=lease.slot,
-                )
+        for lease in leases:
+            for event in lease.events:
+                tracer.sink.emit(event)
         for slot in report.idle_slots:
             tracer.emit("worker_idle", slot=slot)
 
-    # Merge subtree incumbents into the ramp state.  Deterministic mode
-    # replays them in discovery-key order with the serial adoption rule
-    # (byte-identity); fast mode adopts best-objective-first with the
-    # same key as a stable tie-break (objective identity).
+    # Merge subtree incumbents into the ramp state, replaying them in
+    # discovery-key order with the serial adoption rule (byte-identity).
     merged = _SearchOutcome(
         incumbent_x=outcome.incumbent_x,
         incumbent_obj=outcome.incumbent_obj,
@@ -319,14 +285,14 @@ def solve_parallel(
         nodes=outcome.nodes,
         root_unbounded=outcome.root_unbounded,
     )
-    candidates = [
-        lease.outcome for lease in report.leases
-        if lease.outcome is not None and lease.outcome.incumbent_x is not None
-    ]
-    if deterministic:
-        candidates.sort(key=lambda res: res.incumbent_key)
-    else:
-        candidates.sort(key=lambda res: (res.incumbent_obj, res.incumbent_key))
+    candidates = sorted(
+        (
+            lease.outcome for lease in leases
+            if lease.outcome is not None
+            and lease.outcome.incumbent_x is not None
+        ),
+        key=lambda res: res.incumbent_key,
+    )
     for res in candidates:
         if res.incumbent_obj < merged.incumbent_obj - 1e-12:
             merged.incumbent_x = res.incumbent_x
@@ -341,7 +307,7 @@ def solve_parallel(
                 )
 
     open_bounds: List[float] = []
-    for lease in report.leases:
+    for lease in leases:
         res = lease.outcome
         if res is None:
             continue
@@ -353,17 +319,11 @@ def solve_parallel(
     if merged.hit_limit:
         merged.best_open_bound = min(open_bounds) if open_bounds else -math.inf
 
-    stats.subtrees_stolen = sum(1 for lease in report.leases if lease.stolen)
     stats.worker_idle_waits = len(report.idle_slots)
     solver.last_ramp_stats = dataclasses.replace(
         stats, phase_seconds=dict(stats.phase_seconds)
     )
-    worker_stats: List[SolveStats] = []
-    for group in groups:
-        group_stats = SolveStats()
-        for lease in group:
-            group_stats.merge(lease.stats)
-        worker_stats.append(group_stats)
+    worker_stats = [lease.stats for lease in leases]
     solver.last_worker_stats = worker_stats
     for wstats in worker_stats:
         stats.merge(wstats)

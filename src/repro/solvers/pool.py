@@ -8,21 +8,15 @@ the process-spawn cost once instead of per solve.  Each solve is an
 
 1. The driver publishes the solve's matrices once through shared memory
    (:mod:`repro.solvers.shm`), resets the pool-lifetime shared primitives
-   (incumbent bound, broadcast counter, cancel event, idle counter), and
-   broadcasts an epoch descriptor over each worker's control queue.
+   (incumbent bound, broadcast counter, cancel event), and broadcasts an
+   epoch descriptor over each worker's control queue.
 2. Frontier nodes, encoded as bound deltas against the root bounds
    (:func:`encode_node`), go onto one shared node queue.  Any worker takes
-   any node — the queue *is* the work-stealing deque.  In fast mode
-   (``SolverOptions(deterministic=False)``) busy workers additionally
-   spill half their open list back onto the queue whenever the shared
-   idle counter shows a starving peer; in deterministic mode each initial
-   subtree is solved whole and never split.
-3. Workers report one result message per lease; a shared lease ledger
-   (``outstanding``) tracks how many leases are queued or in flight.  A
-   donor increments it *before* its spilled nodes become visible on the
-   node queue and the driver decrements it per completed lease, so the
-   count can only reach zero once every node — original or donated — has
-   been reported, regardless of which worker finishes first.
+   any node; each subtree is solved whole and never split.
+3. Workers report one result message per lease, and the driver counts
+   them down: the epoch is complete once every dispatched node has been
+   reported.  A worker that finds the queue empty while the epoch is
+   still open reports itself idle once, which shows load imbalance.
 
 Cancellation is a pool-lifetime ``multiprocessing.Event``: the driver
 sets it when the caller's ``should_stop`` fires, every worker polls it
@@ -70,19 +64,12 @@ class PoolBrokenError(OSError):
 
 
 # -- node wire encoding ------------------------------------------------------
-def encode_node(
-    node: _Node,
-    root_lb: np.ndarray,
-    root_ub: np.ndarray,
-    spilled_by: Optional[int] = None,
-) -> Tuple:
+def encode_node(node: _Node, root_lb: np.ndarray, root_ub: np.ndarray) -> Tuple:
     """Encode a node as a bound delta against the root bounds.
 
     Only the entries of ``lb``/``ub`` that differ from the root bounds
     travel, plus the warm-start basis and branching metadata — never a
-    matrix and never full bound vectors.  ``spilled_by`` tags mid-search
-    donations with the donating worker slot so the driver can tell a
-    *stolen* lease (picked up by a different worker) from a re-pick.
+    matrix and never full bound vectors.
     """
     lb_idx = np.nonzero(node.lb != root_lb)[0].astype(np.int32)
     ub_idx = np.nonzero(node.ub != root_ub)[0].astype(np.int32)
@@ -94,17 +81,16 @@ def encode_node(
         lb_idx, np.ascontiguousarray(node.lb[lb_idx]),
         ub_idx, np.ascontiguousarray(node.ub[ub_idx]),
         basis, int(node.branch_var), node.branch_dir,
-        float(node.branch_fraction), spilled_by,
+        float(node.branch_fraction),
     )
 
 
 def decode_node(
     payload: Tuple, root_lb: np.ndarray, root_ub: np.ndarray
-) -> Tuple[_Node, Optional[int]]:
+) -> _Node:
     """Inverse of :func:`encode_node` against the receiver's root bounds."""
     (bound, tiebreak, depth, lb_idx, lb_val, ub_idx, ub_val,
-     basis_payload, branch_var, branch_dir, branch_fraction,
-     spilled_by) = payload
+     basis_payload, branch_var, branch_dir, branch_fraction) = payload
     lb = np.array(root_lb, dtype=float)
     lb[lb_idx] = lb_val
     ub = np.array(root_ub, dtype=float)
@@ -112,12 +98,11 @@ def decode_node(
     basis = None
     if basis_payload is not None:
         basis = Basis(basis_payload[0], basis_payload[1])
-    node = _Node(
+    return _Node(
         bound, tiebreak, lb, ub, depth, basis=basis,
         branch_var=branch_var, branch_dir=branch_dir,
         branch_fraction=branch_fraction,
     )
-    return node, spilled_by
 
 
 # -- one lease, shared by pool workers and the inline fallback ---------------
@@ -130,28 +115,27 @@ def solve_lease(
     root_lp,
     fixed_bounds,
     node: _Node,
-    worker_tag: int,
+    lease_id: int,
     foreign_best,
     publish,
     trace_enabled: bool,
-    spill=None,
 ) -> Tuple[Optional[_SearchOutcome], SolveStats, List[TraceEvent], bool]:
     """Exhaust one subtree lease; returns (outcome, stats, events, cancelled).
 
     The lease is solved with dives disabled and a local adoption rule
     seeded with the ramp incumbent: what it reports is a function of the
     subtree alone (broadcasts only prune provably non-improving nodes),
-    which is what makes the deterministic merge possible.  ``worker_tag``
-    stamps the trace events — the dispatch index in deterministic mode,
-    the worker slot in fast mode.  A cooperative cancellation mid-search
-    returns ``(None, stats, events, True)``; partial work is discarded.
+    which is what makes the deterministic merge possible.  ``lease_id``
+    (the dispatch index) stamps the trace events as their worker id.  A
+    cooperative cancellation mid-search returns
+    ``(None, stats, events, True)``; partial work is discarded.
     """
     stats = SolveStats()
     buffer: Optional[MemoryTraceSink] = None
     tracer: Optional[Tracer] = None
     if trace_enabled:
         buffer = MemoryTraceSink()
-        tracer = Tracer(buffer, worker=worker_tag)
+        tracer = Tracer(buffer, worker=lease_id)
     lp = _LPBackend(
         form, options.warm_start, stats, sf=sf, tracer=tracer,
         pricing_block_size=options.pricing_block_size,
@@ -179,7 +163,6 @@ def solve_lease(
         tracer=tracer,
         root_lp=root_lp,
         fixed_bounds=fixed,
-        spill=spill,
     )
     try:
         outcome = engine.run([node])
@@ -201,7 +184,7 @@ def _attach_epoch(msg, previous: Optional[AttachedForm]):
     simply waits for the next one).
     """
     (_, eid, spec, options, start, ramp_obj, root_lp, fixed_bounds,
-     deterministic, trace_enabled) = msg
+     trace_enabled) = msg
     try:
         attached = AttachedForm(spec)
     except (FileNotFoundError, OSError):
@@ -217,7 +200,6 @@ def _attach_epoch(msg, previous: Optional[AttachedForm]):
         "ramp_obj": ramp_obj,
         "root_lp": root_lp,
         "fixed_bounds": fixed_bounds,
-        "deterministic": deterministic,
         "trace_enabled": trace_enabled,
     }
     return ctx, attached
@@ -250,93 +232,44 @@ def _worker_main(slot: int, ctl_q, node_q, result_q, shared) -> None:
 
 
 def _serve_epoch(slot: int, ctx, node_q, result_q, shared) -> str:
-    """Consume one epoch's node queue; returns ``"done"`` or ``"reenter"``."""
+    """Consume one epoch's node queue; returns ``"done"`` or ``"reenter"``.
+
+    A worker that finds the queue empty while its epoch is still open
+    reports ``("idle", ...)`` once, and again only after it has run
+    another lease: the driver's count of these is the load imbalance.
+    """
     eid = ctx["epoch"]
     options = replace(
         ctx["options"], should_stop=lambda: shared.cancel.is_set()
     )
-    fast = not ctx["deterministic"]
-    idle_flagged = False
-
-    # The idle count is per-epoch state (run_epoch zeroes it before each
-    # epoch), so both transitions check — under the counter's lock — that
-    # this worker's epoch is still the current one.  Without the check, a
-    # worker waking up late from epoch N would decrement epoch N+1's
-    # freshly reset counter below zero and silently suppress work
-    # stealing for the rest of the pool's life.
-    def clear_idle() -> None:
-        nonlocal idle_flagged
-        if idle_flagged:
-            idle_flagged = False
-            with shared.idle.get_lock():
-                if shared.epoch.value == eid:
-                    shared.idle.value -= 1
-
-    try:
-        while True:
-            try:
-                msg = node_q.get(timeout=_POLL)
-            except Empty:
-                if shared.epoch.value != eid:
-                    return "done"
-                if fast and not idle_flagged:
-                    with shared.idle.get_lock():
-                        if shared.epoch.value == eid:
-                            idle_flagged = True
-                            shared.idle.value += 1
-                    if idle_flagged:
-                        result_q.put(("idle", eid, slot))
-                continue
-            m_eid = msg[1]
-            if m_eid < eid:
-                continue  # stale leftover of a finished epoch: drop
-            if m_eid > eid:
-                node_q.put(msg)  # not ours yet: requeue, switch epochs first
-                return "reenter"
-            clear_idle()
-            result_q.put(_run_lease(slot, ctx, options, msg, node_q, shared))
-    finally:
-        clear_idle()
+    idle = False
+    while True:
+        try:
+            msg = node_q.get(timeout=_POLL)
+        except Empty:
+            if shared.epoch.value != eid:
+                return "done"
+            if not idle:
+                idle = True
+                result_q.put(("idle", eid, slot))
+            continue
+        m_eid = msg[1]
+        if m_eid < eid:
+            continue  # stale leftover of a finished epoch: drop
+        if m_eid > eid:
+            node_q.put(msg)  # not ours yet: requeue, switch epochs first
+            return "reenter"
+        idle = False
+        result_q.put(_run_lease(ctx, options, msg, shared))
 
 
-def _run_lease(slot: int, ctx, options, msg, node_q, shared) -> Tuple:
+def _run_lease(ctx, options, msg, shared) -> Tuple:
     """Process one ``("node", ...)`` message into a ``("done", ...)`` reply."""
     _, eid, lease_id, payload = msg
     form = ctx["form"]
-    node, spilled_by = decode_node(payload, form.lb, form.ub)
-    stolen = spilled_by is not None and spilled_by != slot
-    node_key = (node.tiebreak, node.bound)
-    worker_tag = lease_id if ctx["deterministic"] else slot
+    node = decode_node(payload, form.lb, form.ub)
     if shared.cancel.is_set():
-        return ("done", eid, slot, lease_id, node_key, stolen,
-                None, SolveStats(), [], 0, True)
-
-    spilled = [0]
-    spill_fn = None
-    if not ctx["deterministic"]:
-        def spill_fn(heap) -> None:
-            import heapq
-
-            if shared.idle.value <= 0 or shared.cancel.is_set():
-                return
-            ordered = sorted(heap)
-            give = ordered[1::2]  # donate every other node, keep the best
-            if not give:
-                return
-            heap[:] = ordered[0::2]
-            heapq.heapify(heap)
-            # Credit the ledger BEFORE the donated nodes become visible:
-            # a thief can only pick a node up after the increment, so its
-            # completion can never drive ``outstanding`` to zero while the
-            # donor's lease (or another donated node) is still open.
-            with shared.outstanding.get_lock():
-                shared.outstanding.value += len(give)
-            for donated in give:
-                node_q.put((
-                    "node", eid, None,
-                    encode_node(donated, form.lb, form.ub, spilled_by=slot),
-                ))
-            spilled[0] += len(give)
+        return ("done", eid, lease_id, None, SolveStats(), [], True)
 
     def foreign_best() -> float:
         return shared.incumbent.value
@@ -352,11 +285,10 @@ def _run_lease(slot: int, ctx, options, msg, node_q, shared) -> Tuple:
     outcome, stats, events, cancelled = solve_lease(
         form, ctx["sf"], options, ctx["start"], ctx["ramp_obj"],
         ctx["root_lp"], ctx["fixed_bounds"], node,
-        worker_tag=worker_tag, foreign_best=foreign_best, publish=publish,
-        trace_enabled=ctx["trace_enabled"], spill=spill_fn,
+        lease_id=lease_id, foreign_best=foreign_best, publish=publish,
+        trace_enabled=ctx["trace_enabled"],
     )
-    return ("done", eid, slot, lease_id, node_key, stolen,
-            outcome, stats, events, spilled[0], cancelled)
+    return ("done", eid, lease_id, outcome, stats, events, cancelled)
 
 
 # -- driver side -------------------------------------------------------------
@@ -364,10 +296,7 @@ def _run_lease(slot: int, ctx, options, msg, node_q, shared) -> Tuple:
 class LeaseResult:
     """One lease's report back to the driver."""
 
-    slot: int
-    lease_id: Optional[int]
-    node_key: Tuple[int, float]
-    stolen: bool
+    lease_id: int
     outcome: Optional[_SearchOutcome]
     stats: SolveStats
     events: List[TraceEvent]
@@ -404,8 +333,6 @@ class WorkerPool:
         self.incumbent = ctx.Value("d", float("inf"))
         self.broadcasts = ctx.Value("l", 0)
         self.epoch = ctx.Value("l", 0)
-        self.idle = ctx.Value("l", 0)
-        self.outstanding = ctx.Value("l", 0)
         self.cancel = ctx.Event()
         self.node_q = ctx.Queue()
         self.result_q = ctx.Queue()
@@ -436,8 +363,6 @@ class WorkerPool:
             "incumbent": self.incumbent,
             "broadcasts": self.broadcasts,
             "epoch": self.epoch,
-            "idle": self.idle,
-            "outstanding": self.outstanding,
             "cancel": self.cancel,
         }
 
@@ -472,17 +397,12 @@ class WorkerPool:
         subtrees: List[_Node],
         root_lb: np.ndarray,
         root_ub: np.ndarray,
-        deterministic: bool,
         trace_enabled: bool,
         should_stop=None,
     ) -> EpochReport:
         """Dispatch ``subtrees`` as one epoch and collect every lease.
 
-        Blocks until the shared lease ledger drains: the ledger starts at
-        ``len(subtrees)``, spilling workers credit it before their donated
-        nodes hit the queue, and the driver debits one per completed
-        lease, so zero means every node has been reported — no thief can
-        race the epoch shut while a donor is still running.
+        Blocks until every dispatched subtree has been reported.
         ``should_stop`` is polled while waiting (including while queued
         behind another epoch for the pool lock — a cancellation observed
         there raises :class:`~repro.errors.CancelledError` without
@@ -506,14 +426,10 @@ class WorkerPool:
             with self.incumbent.get_lock():
                 self.incumbent.value = ramp_obj
                 self.broadcasts.value = 0
-            with self.idle.get_lock():
-                self.idle.value = 0
-            with self.outstanding.get_lock():
-                self.outstanding.value = len(subtrees)
             self._drain_results()
             self.epoch.value = eid
             msg = ("epoch", eid, spec, options, start, ramp_obj,
-                   root_lp, fixed_bounds, deterministic, trace_enabled)
+                   root_lp, fixed_bounds, trace_enabled)
             try:
                 for ctl in self._ctl_queues:
                     ctl.put(msg)
@@ -522,7 +438,7 @@ class WorkerPool:
                         "node", eid, lease_id,
                         encode_node(node, root_lb, root_ub),
                     ))
-                return self._collect(eid, should_stop)
+                return self._collect(eid, len(subtrees), should_stop)
             except PoolBrokenError:
                 self.cancel.set()
                 self.shutdown()
@@ -532,7 +448,7 @@ class WorkerPool:
         finally:
             self._lock.release()
 
-    def _collect(self, eid: int, should_stop) -> EpochReport:
+    def _collect(self, eid: int, remaining: int, should_stop) -> EpochReport:
         leases: List[LeaseResult] = []
         idle_slots: List[int] = []
         cancelled = False
@@ -543,7 +459,7 @@ class WorkerPool:
                 cancelled = True
                 self.cancel.set()
 
-        while self.outstanding.value > 0:
+        while remaining > 0:
             poll_cancel()
             try:
                 msg = self.result_q.get(timeout=_POLL)
@@ -555,15 +471,12 @@ class WorkerPool:
             if msg[0] == "idle":
                 idle_slots.append(msg[2])
                 continue
-            (_, _, slot, lease_id, node_key, stolen,
-             outcome, stats, events, spilled, lease_cancelled) = msg
+            _, _, lease_id, outcome, stats, events, lease_cancelled = msg
             leases.append(LeaseResult(
-                slot=slot, lease_id=lease_id, node_key=node_key,
-                stolen=stolen, outcome=outcome, stats=stats, events=events,
-                cancelled=lease_cancelled,
+                lease_id=lease_id, outcome=outcome, stats=stats,
+                events=events, cancelled=lease_cancelled,
             ))
-            with self.outstanding.get_lock():
-                self.outstanding.value -= 1
+            remaining -= 1
         return EpochReport(
             leases=leases,
             broadcasts=int(self.broadcasts.value),

@@ -33,9 +33,8 @@ class ParetoFront(Sequence):
             :meth:`~repro.synthesis.synthesizer.Synthesizer.pareto_sweep_by_deadline`;
             ``None`` marks the unconstrained first solve.  Same length as
             ``designs``.
-        stats: Solver telemetry merged over every solve of this sweep
-            (probes included for the parallel sweep); ``None`` when the
-            producer did not track it.
+        stats: Solver telemetry merged over every solve of this sweep;
+            ``None`` when the producer did not track it.
     """
 
     def __init__(

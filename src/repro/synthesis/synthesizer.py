@@ -9,6 +9,7 @@ completion time to enumerate the non-inferior (Pareto) designs of §4.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from typing import List, Optional
 
 from repro.core.formulation import SosModel, SosModelBuilder
@@ -108,7 +109,6 @@ class Synthesizer:
         minimize_secondary: bool = True,
         validate: bool = True,
         cache: Optional["ResultCache"] = None,
-        _primary_cutoff: Optional[float] = None,
     ) -> Design:
         """Produce one optimal design.
 
@@ -132,10 +132,6 @@ class Synthesizer:
                 stored design without building or solving any model, a
                 miss solves normally and stores the result.  The same
                 keys are used by the job service, so entries are shared.
-            _primary_cutoff: Known valid upper bound on the primary
-                objective, forwarded to the backend for the primary solve
-                only (the parallel sweep seeds speculative solves with it).
-                Never changes the optimal objective value.
 
         Raises:
             InfeasibleError: When no system satisfies the constraints.
@@ -156,7 +152,7 @@ class Synthesizer:
             deadline=deadline,
             objective=objective,
         )
-        built, solution = self._solve(options, cutoff=_primary_cutoff)
+        built, solution = self._solve(options)
         primary_seconds = solution.solve_seconds
         primary_stats = solution.stats
 
@@ -277,14 +273,10 @@ class Synthesizer:
             self.constraints.apply(built)
         return built
 
-    def _solve(self, options: FormulationOptions, cutoff: Optional[float] = None):
+    def _solve(self, options: FormulationOptions):
         built = self._built_for(options)
         self.last_model = built
         solver_options = self.solver_options
-        if cutoff is not None:
-            solver_options = dataclasses.replace(
-                solver_options or SolverOptions(), cutoff=cutoff
-            )
         if self.seed_incumbent:
             from repro.core.seeding import heuristic_incumbent
 
@@ -342,11 +334,11 @@ class Synthesizer:
             cost_step: How far below the previous cost the next cap sits
                 (any value smaller than the cost granularity is exact).
             validate: Independently validate every design.
-            workers: Solve cost caps concurrently on ``workers`` processes
-                (:mod:`repro.synthesis.parallel_sweep`).  The front is
-                identical to the serial sweep — the returned designs come
-                from hint-free solves at exactly the serial caps —
-                speculative probe solves only shorten the critical path.
+            workers: Deprecated; pass ``SolverOptions(workers=N)`` as
+                ``solver_options`` instead.  ``workers > 1`` warns and runs
+                the sweep with parallel branch and bound inside each solve
+                (``dataclasses.replace(solver_options, workers=N)``), so
+                the front is identical to the serial sweep.
             cache: Optional :class:`~repro.service.cache.ResultCache`.
                 A hit returns the stored front without solving anything; a
                 miss sweeps normally and stores the whole front under the
@@ -358,6 +350,24 @@ class Synthesizer:
             return, and additionally carries the per-design cost caps and
             the sweep's merged solver telemetry.
         """
+        if workers > 1:
+            warnings.warn(
+                "pareto_sweep(workers=N) is deprecated; pass "
+                "solver_options=SolverOptions(workers=N) to the Synthesizer",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            saved = self.solver_options
+            self.solver_options = dataclasses.replace(
+                saved or SolverOptions(), workers=workers
+            )
+            try:
+                return self.pareto_sweep(
+                    max_designs=max_designs, cost_step=cost_step,
+                    validate=validate, cache=cache,
+                )
+            finally:
+                self.solver_options = saved
         cache_key: Optional[str] = None
         if cache is not None:
             cache_key = self._fingerprint(
@@ -366,15 +376,6 @@ class Synthesizer:
             hit = cache.get_front(cache_key, self.graph, self.library)
             if hit is not None:
                 return hit
-        if workers > 1:
-            from repro.synthesis.parallel_sweep import parallel_pareto_sweep
-
-            front = parallel_pareto_sweep(
-                self, max_designs, cost_step, validate, workers
-            )
-            if cache is not None and cache_key is not None:
-                cache.put_front(cache_key, front)
-            return front
         tracer = self._sweep_tracer()
         sweep_stats = SolveStats()
         front: List[Design] = []

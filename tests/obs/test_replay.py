@@ -43,6 +43,34 @@ class TestReplayExactness:
         assert replayed == solution.stats
         assert replayed.phase_seconds == solution.stats.phase_seconds
 
+    def test_workers2_replay_reproduces_idle_waits(self):
+        # Idle reports are timing-dependent, so the count itself may vary
+        # run to run; the replayed count must match the returned one.
+        sink = MemoryTraceSink()
+        options = SolverOptions(
+            workers=2, branching="most_fractional", trace=sink,
+            clamp_workers=False, frontier_target=2,
+        )
+        solution = BozoSolver(options).solve(market_split(3, 16, 3))
+        idle_events = [e for e in sink.events if e.type == "worker_idle"]
+        replayed = replay_stats(sink.events)
+        assert replayed.worker_idle_waits == solution.stats.worker_idle_waits
+        assert replayed.worker_idle_waits == len(idle_events)
+        assert replayed == solution.stats
+
+    def test_surplus_worker_reports_idle(self):
+        # frontier_target=2 dispatches exactly two subtrees, so the third
+        # worker waits out the whole epoch: load imbalance by construction.
+        sink = MemoryTraceSink()
+        options = SolverOptions(
+            workers=3, branching="most_fractional", trace=sink,
+            clamp_workers=False, frontier_target=2,
+        )
+        solution = BozoSolver(options).solve(market_split(3, 16, 0))
+        assert solution.stats.subtrees_dispatched == 2
+        assert solution.stats.worker_idle_waits >= 1
+        assert replay_stats(sink.events) == solution.stats
+
     def test_seeded_rc_fixing_replay_matches_stats(self):
         """seeded_incumbent / rc_fixed_bounds derive from incumbent_found
         and bounds_fixed events; a seeded solve must replay exactly."""

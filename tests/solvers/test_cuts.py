@@ -73,16 +73,15 @@ class TestParallelIdentity:
         assert parallel.stats.cut_rounds == serial.stats.cut_rounds
         assert parallel.stats.cuts_added == serial.stats.cuts_added
 
-    def test_fast_mode_objective_identity_with_cuts(self):
+    def test_pseudocost_workers4_objective_identity_with_cuts(self):
         model = market_split(3, 13, 1)
         serial = _solve(model, cuts="auto")
-        fast = _solve(
+        parallel = _solve(
             model, cuts="auto", workers=4, clamp_workers=False,
-            deterministic=False,
         )
-        assert fast.status == serial.status
-        assert abs(fast.objective - serial.objective) <= 1e-9
-        assert abs(fast.best_bound - serial.best_bound) <= 1e-9
+        assert parallel.status == serial.status
+        assert abs(parallel.objective - serial.objective) <= 1e-9
+        assert abs(parallel.best_bound - serial.best_bound) <= 1e-9
 
     def test_workers_never_separate_cuts(self):
         sink = MemoryTraceSink()

@@ -161,8 +161,7 @@ class TestNodeEncoding:
         node = _Node(1.5, 6, lb.copy(), ub.copy(), depth=2,
                      branch_var=17, branch_dir="up", branch_fraction=0.4)
         payload = encode_node(node, root_lb, root_ub)
-        restored, spilled_by = decode_node(payload, root_lb, root_ub)
-        assert spilled_by is None
+        restored = decode_node(payload, root_lb, root_ub)
         assert np.array_equal(restored.lb, lb)
         assert np.array_equal(restored.ub, ub)
         assert restored.bound == node.bound
@@ -180,13 +179,6 @@ class TestNodeEncoding:
         delta_bytes = pickle.dumps(encode_node(node, root_lb, root_ub))
         dense_bytes = pickle.dumps(node)
         assert len(delta_bytes) < len(dense_bytes) / 2
-
-    def test_spilled_by_tag_survives_the_wire(self):
-        _, form = self._form()
-        node = _Node(0.0, 5, form.lb.copy(), form.ub.copy())
-        payload = encode_node(node, form.lb, form.ub, spilled_by=3)
-        _, spilled_by = decode_node(payload, form.lb, form.ub)
-        assert spilled_by == 3
 
 
 class TestSharedMemory:
@@ -239,13 +231,6 @@ class TestEdgeCases:
         model.minimize(x)
         solution = BozoSolver(_mf(4)).solve(model)
         assert not solution.status.has_solution
-
-    def test_cutoff_does_not_change_optimum(self):
-        model = market_split(3, 12, 3)
-        plain = BozoSolver(_mf(1)).solve(model)
-        seeded = BozoSolver(_mf(1, cutoff=plain.objective)).solve(model)
-        assert seeded.objective == pytest.approx(plain.objective, abs=1e-9)
-        assert seeded.stats.nodes <= plain.stats.nodes
 
     def test_registry_exposes_parallel_solver(self):
         solver = get_solver("bozo-parallel")

@@ -1,4 +1,4 @@
-"""Persistent pool: fast-mode contract, spawn attach, cancellation, leaks."""
+"""Persistent pool: epoch reuse, spawn attach, cancellation, leaks."""
 
 import threading
 import time
@@ -12,7 +12,7 @@ from repro.solvers.bozo import BozoSolver
 from repro.solvers import parallel as parallel_mod
 from repro.solvers.pool import WorkerPool, get_pool, shutdown_pool
 from repro.solvers.shm import live_segments
-from tests.solvers.test_parallel import market_split, sos_model
+from tests.solvers.test_parallel import market_split
 
 
 def _opts(workers, **kwargs):
@@ -21,70 +21,23 @@ def _opts(workers, **kwargs):
     return SolverOptions(workers=workers, **kwargs)
 
 
-class TestFastModeContract:
-    """deterministic=False: identical objectives, any optimal vertex."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_market_split_objective_matches_serial(self, seed):
-        model = market_split(3, 13, seed)
-        serial = BozoSolver(_opts(1)).solve(model)
-        fast = BozoSolver(_opts(3, deterministic=False)).solve(model)
-        assert fast.status == serial.status
-        assert fast.objective == pytest.approx(serial.objective, abs=1e-9)
-        assert fast.best_bound == pytest.approx(serial.best_bound, abs=1e-9)
-        # The vertex is a *valid* solution even if it is a different
-        # alternative optimum than the serial one.
-        for var, value in fast.values.items():
-            assert var in serial.values
-
-    @pytest.mark.parametrize("seed", [1, 3])
-    def test_random_sos_objective_matches_serial(self, seed):
-        built = sos_model(num_tasks=4, layers=2, seed=seed)
-        serial = BozoSolver(_opts(1)).solve(built.model)
-        fast = BozoSolver(
-            _opts(2, deterministic=False, frontier_target=2)
-        ).solve(built.model)
-        assert fast.status == serial.status
-        assert fast.objective == pytest.approx(serial.objective, abs=1e-9)
-
-    def test_fast_mode_changes_fingerprint(self):
-        from repro.service.fingerprint import _SOLVER_FIELDS
-
-        assert "deterministic" in _SOLVER_FIELDS
-
-    def test_infeasible_model_fast_mode(self):
-        from repro.milp.expr import VarType
-        from repro.milp.model import Model
-
-        model = Model("infeasible")
-        x = model.add_var("x", vtype=VarType.BINARY)
-        model.add(x >= 0.4, name="lo")
-        model.add(x <= 0.6, name="hi")
-        model.minimize(x)
-        solution = BozoSolver(_opts(3, deterministic=False)).solve(model)
-        assert not solution.status.has_solution
-
-
 class TestSharedLedgers:
     """The per-epoch shared counters must survive pool reuse unscathed."""
 
     def test_counters_consistent_across_reused_epochs(self):
-        # Back-to-back fast solves on one pool: the lease ledger must
-        # drain to exactly zero each epoch (a thief finishing a stolen
-        # node before its donor reports must not close the epoch early
-        # and drop leases), and the idle counter must never be driven
-        # negative by workers waking up late from the previous epoch
-        # (which would silently suppress work stealing on reuse).
+        # Back-to-back solves on one pool: every epoch must collect every
+        # lease (none dropped, none carried over from the previous epoch)
+        # and restart the shared incumbent and broadcast counter from its
+        # own ramp, so each reused epoch reproduces the serial Solution.
         model = market_split(3, 13, 0)
         serial = BozoSolver(_opts(1)).solve(model)
         for _ in range(3):
-            fast = BozoSolver(_opts(3, deterministic=False)).solve(model)
-            assert fast.status == serial.status
-            assert fast.objective == pytest.approx(serial.objective, abs=1e-9)
-            assert fast.best_bound == pytest.approx(serial.best_bound, abs=1e-9)
+            parallel = BozoSolver(_opts(3)).solve(model)
+            assert parallel.values == serial.values
+            assert parallel.best_bound == serial.best_bound
             pool = get_pool(3)
-            assert pool.outstanding.value == 0
-            assert pool.idle.value >= 0
+            assert pool.epoch.value == 0  # no epoch left open
+            assert pool.incumbent.value >= serial.objective - 1e-9
 
 
 class TestPoolLifecycle:
@@ -170,7 +123,7 @@ class TestPoolLifecycle:
 class TestNoLeaks:
     def test_no_segments_after_solves(self):
         BozoSolver(_opts(2)).solve(market_split(3, 12, 0))
-        BozoSolver(_opts(2, deterministic=False)).solve(market_split(3, 12, 1))
+        BozoSolver(_opts(2)).solve(market_split(3, 12, 1))
         assert live_segments() == ()
 
     def test_no_segments_after_cancellation(self):
@@ -230,7 +183,7 @@ class TestCancellation:
                     spec={}, options=SolverOptions(), start=0.0,
                     ramp_obj=float("inf"), root_lp=None, fixed_bounds=None,
                     subtrees=[], root_lb=np.zeros(1), root_ub=np.ones(1),
-                    deterministic=True, trace_enabled=False,
+                    trace_enabled=False,
                     should_stop=lambda: True,
                 )
             assert time.monotonic() < deadline

@@ -144,3 +144,15 @@ class TestSolveStatsRoundTrip:
     def test_unknown_keys_ignored(self):
         document = dict(SolveStats().as_dict(), mystery_counter=7)
         assert "mystery_counter" not in SolveStats.from_dict(document).as_dict()
+
+    def test_loads_document_with_retired_stolen_counter(self):
+        # Cached documents written before the work-stealing mode was
+        # removed still carry its counter; they must keep loading.
+        document = dict(
+            SolveStats(nodes=5, worker_idle_waits=2).as_dict(),
+            subtrees_stolen=3,
+        )
+        restored = SolveStats.from_dict(document)
+        assert restored.nodes == 5
+        assert restored.worker_idle_waits == 2
+        assert "subtrees_stolen" not in restored.as_dict()

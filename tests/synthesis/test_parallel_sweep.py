@@ -1,4 +1,4 @@
-"""Concurrent Pareto sweep: front identity with the serial sweep."""
+"""Deprecated ``pareto_sweep(workers=N)``: warns, returns the serial front."""
 
 import pytest
 
@@ -23,13 +23,12 @@ def test_example1_front_identical_to_serial():
     serial = Synthesizer(
         example1(), example1_library(), solver="highs"
     ).pareto_sweep()
-    parallel = Synthesizer(
-        example1(), example1_library(), solver="highs"
-    ).pareto_sweep(workers=3)
+    synth = Synthesizer(example1(), example1_library(), solver="highs")
+    with pytest.warns(DeprecationWarning, match="workers"):
+        parallel = synth.pareto_sweep(workers=3)
     assert front_key(parallel) == front_key(serial)
-    assert [d.cost for d in serial] == sorted(
-        {d.cost for d in serial}, reverse=True
-    )
+    # The keyword maps onto SolverOptions(workers=N) for this sweep only.
+    assert synth.solver_options is None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -41,7 +40,10 @@ def test_random_sos_graph_front_identical(seed):
         instances_per_type=2, remote_delay=0.5,
     )
     serial = Synthesizer(graph, library, solver="highs").pareto_sweep()
-    parallel = Synthesizer(graph, library, solver="highs").pareto_sweep(workers=4)
+    with pytest.warns(DeprecationWarning):
+        parallel = Synthesizer(
+            graph, library, solver="highs"
+        ).pareto_sweep(workers=4)
     assert front_key(parallel) == front_key(serial)
 
 
@@ -49,51 +51,9 @@ def test_max_designs_truncates_like_serial():
     serial = Synthesizer(
         example1(), example1_library(), solver="highs"
     ).pareto_sweep(max_designs=2)
-    parallel = Synthesizer(
-        example1(), example1_library(), solver="highs"
-    ).pareto_sweep(max_designs=2, workers=3)
+    with pytest.warns(DeprecationWarning):
+        parallel = Synthesizer(
+            example1(), example1_library(), solver="highs"
+        ).pareto_sweep(max_designs=2, workers=3)
     assert len(parallel) == len(serial) == 2
     assert front_key(parallel) == front_key(serial)
-
-
-def test_sweep_records_worker_telemetry():
-    synth = Synthesizer(example1(), example1_library(), solver="highs")
-    synth.pareto_sweep(workers=3)
-    assert synth.total_stats.workers == 3
-    assert synth.total_solve_seconds > 0.0
-
-
-class TestFastSweep:
-    """deterministic=False: same front coordinates, any optimal schedules."""
-
-    def _coords(self, front):
-        return [(d.cost, pytest.approx(d.makespan, abs=1e-9)) for d in front]
-
-    def test_fast_front_coordinates_match_serial(self):
-        from repro.solvers.base import SolverOptions
-
-        serial = Synthesizer(
-            example1(), example1_library(), solver="highs"
-        ).pareto_sweep()
-        fast = Synthesizer(
-            example1(), example1_library(), solver="highs",
-            solver_options=SolverOptions(deterministic=False),
-        ).pareto_sweep(workers=3)
-        assert self._coords(fast) == self._coords(serial)
-
-    @pytest.mark.parametrize("seed", [0, 2])
-    def test_fast_front_coordinates_random_graph(self, seed):
-        from repro.solvers.base import SolverOptions
-
-        graph = layered_random(5, 2, seed=seed)
-        library = make_library(
-            {"fast": (8, {t: 1 for t in graph.subtask_names}),
-             "slow": (3, {t: 3 for t in graph.subtask_names})},
-            instances_per_type=2, remote_delay=0.5,
-        )
-        serial = Synthesizer(graph, library, solver="highs").pareto_sweep()
-        fast = Synthesizer(
-            graph, library, solver="highs",
-            solver_options=SolverOptions(deterministic=False),
-        ).pareto_sweep(workers=4)
-        assert self._coords(fast) == self._coords(serial)

@@ -74,6 +74,28 @@ class TestCommands:
         assert code == 0
         assert "14" in output and "2.5" in output
 
+    def test_sweep_workers_prints_serial_front(self, capsys, tmp_path):
+        # --workers runs parallel branch and bound inside each cost-capped
+        # solve, so the front matches the serial sweep row for row.
+        def front(name, *flags):
+            out = tmp_path / f"{name}.csv"
+            code = main(["sweep", "example1", *flags, "--csv", str(out)])
+            capsys.readouterr()
+            assert code == 0
+            # Drop the wall-clock column; every other field must match.
+            return [line.rsplit(",", 1)[0]
+                    for line in out.read_text().splitlines()]
+
+        parallel = front("parallel", "--solver", "bozo", "--workers", "2")
+        serial = front("serial", "--solver", "highs")
+        assert parallel == serial
+        assert parallel[1].startswith("1,14,2.5")
+
+    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
+    def test_fast_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "example1", "--fast"])
+
     def test_synthesize_trace_then_trace_command(self, capsys, tmp_path):
         trace = tmp_path / "solve.jsonl"
         code = main(["synthesize", "example1", "--trace", str(trace)])
