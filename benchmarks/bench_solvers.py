@@ -60,40 +60,6 @@ def bench_bozo_example1(benchmark):
     )
 
 
-def bench_bozo_example1_cold(benchmark):
-    """The same seeded model with warm starts disabled: refactor per node.
-
-    Together with :func:`bench_bozo_example1` this quantifies what the
-    incremental revised-simplex pipeline buys; the warm path must never
-    take more total simplex pivots for the identical optimum.
-    """
-
-    def solve():
-        built = _example1_model()
-        return get_solver(
-            "bozo",
-            SolverOptions(warm_start=False, incumbent=heuristic_incumbent(built)),
-        ).solve(built.model)
-
-    cold = benchmark(solve)
-    assert cold.objective == pytest.approx(2.5)
-    built = _example1_model()
-    warm = get_solver(
-        "bozo", SolverOptions(incumbent=heuristic_incumbent(built))
-    ).solve(built.model)
-    assert warm.objective == pytest.approx(cold.objective)
-    print(f"\ncold pivots: {cold.stats.lp_pivots}, warm pivots: {warm.stats.lp_pivots}")
-    record_bench(
-        "bozo_example1_cold_vs_warm",
-        cold_wall_seconds=cold.solve_seconds,
-        warm_wall_seconds=warm.solve_seconds,
-        cold_pivots=cold.stats.lp_pivots,
-        warm_pivots=warm.stats.lp_pivots,
-        pivot_ratio=cold.stats.lp_pivots / max(warm.stats.lp_pivots, 1),
-    )
-    assert warm.stats.lp_pivots <= cold.stats.lp_pivots
-
-
 def _market_split_seed(rows, binaries, seed):
     """Deterministic near-optimal incumbent for the market-split family.
 

@@ -34,7 +34,6 @@ DSE_RESULTS = REPO_ROOT / "BENCH_dse.json"
 #: effort (never wall seconds).  Adding an entry here makes it load-bearing.
 GATED = {
     "bozo_example1": ("nodes", "lp_pivots"),
-    "bozo_example1_cold_vs_warm": ("cold_pivots", "warm_pivots"),
     "bozo_example1_cuts": ("nodes_on",),
     "market_split_3x16_cuts": ("nodes_on", "cuts_added"),
     "kernel_market_split_3x16": ("nodes",),

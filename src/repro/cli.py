@@ -82,10 +82,8 @@ def _solver_options(args: argparse.Namespace, sink, workers: int = 1):
     cuts = getattr(args, "cuts", "auto")
     cut_rounds = getattr(args, "cut_rounds", 5)
     strong_branching = getattr(args, "strong_branching", 8)
-    pricing = getattr(args, "pricing", "devex")
     non_default_cuts = cuts != "auto" or cut_rounds != 5 or strong_branching != 8
-    if (workers <= 1 and sink is None and not progress
-            and not non_default_cuts and pricing == "devex"):
+    if workers <= 1 and sink is None and not progress and not non_default_cuts:
         return None
     from repro.obs.progress import print_progress
     from repro.solvers.base import SolverOptions
@@ -95,7 +93,6 @@ def _solver_options(args: argparse.Namespace, sink, workers: int = 1):
         cuts=cuts,
         cut_rounds=cut_rounds,
         strong_branching=strong_branching,
-        pricing=pricing,
         trace=sink,
         on_progress=print_progress if progress else None,
     )
@@ -563,7 +560,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cProfile artifact of the hot path for ``pstats``/``snakeviz``.
     """
     from repro.core.formulation import SosModelBuilder
-    from repro.solvers.base import SolverOptions
     from repro.solvers.registry import get_solver
 
     def _market_split(rows: int, binaries: int, seed: int):
@@ -593,12 +589,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             example1(), example1_library()).build().model),
         ("market_split_3x16", lambda: _market_split(3, 16, 0)),
     ]
-    pricing = getattr(args, "pricing", "devex")
 
     def run() -> None:
         for name, build in instances:
             model = build()
-            solver = get_solver("bozo", SolverOptions(pricing=pricing))
+            solver = get_solver("bozo")
             start = time.monotonic()
             solution = solver.solve(model)
             wall = time.monotonic() - start
@@ -675,10 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="probe the K most fractional root candidates with "
                          "budgeted dual simplex before the first branch; 0 "
                          "disables (default: 8)")
-    p_synth.add_argument("--pricing", choices=("devex", "dantzig"), default="devex",
-                         help="revised-simplex pricing rule (bozo solver): "
-                         "'devex' reference-framework weights (default, fast) "
-                         "or 'dantzig' legacy block pricing")
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_sweep = sub.add_parser("sweep", help="enumerate all non-inferior designs")
@@ -705,9 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="strong_branching", metavar="K",
                          help="root strong-branching candidate limit; 0 disables "
                          "(default: 8)")
-    p_sweep.add_argument("--pricing", choices=("devex", "dantzig"), default="devex",
-                         help="revised-simplex pricing rule (bozo solver); "
-                         "see 'synthesize --pricing'")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_paper = sub.add_parser("paper", help="regenerate a paper table/figure")
@@ -765,9 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="quick kernel benchmark (pivots/sec, wall) on the "
         "standard models"
     )
-    p_bench.add_argument("--pricing", choices=("devex", "dantzig"),
-                         default="devex",
-                         help="revised-simplex pricing rule to benchmark")
     p_bench.add_argument("--profile", metavar="FILE", default=None,
                          help="capture the run under cProfile and dump the "
                          "stats artifact here (inspect with python -m pstats)")

@@ -5,21 +5,19 @@ satisfies the constraints, and two-pass optimization adds an epsilon of
 deadline slack.  This module canonicalizes a solution: with every binary
 variable fixed to its solved value, the remaining problem is a pure LP, and
 minimizing the *sum of all timing variables* yields the unique earliest
-("left-shifted") schedule for the chosen configuration.  The result is
+("left-shifted") schedule for the chosen configuration.  The LP is solved
+with HiGHS through :func:`scipy.optimize.linprog`.  The result is
 deterministic, epsilon-free, and matches how the paper draws Figure 2.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
+from scipy.optimize import linprog
 
 from repro.core.formulation import SosModel
 from repro.errors import SolverError
-from repro.milp.solution import Solution, SolveStatus
-from repro.solvers.simplex import LPStatus, solve_lp
+from repro.milp.solution import Solution
 
 
 def left_shift(built: SosModel, solution: Solution) -> Solution:
@@ -73,25 +71,16 @@ def left_shift(built: SosModel, solution: Solution) -> Solution:
 
 
 def _solve_polish_lp(c: np.ndarray, form, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Solve the polish LP with scipy when available, else the built-in simplex."""
-    try:
-        from scipy.optimize import linprog
-
-        result = linprog(
-            c,
-            A_ub=form.a_ub if form.a_ub.size else None,
-            b_ub=form.b_ub if form.b_ub.size else None,
-            A_eq=form.a_eq if form.a_eq.size else None,
-            b_eq=form.b_eq if form.b_eq.size else None,
-            bounds=list(zip(lb, ub)),
-            method="highs",
-        )
-        if result.status == 0:
-            return np.asarray(result.x, dtype=float)
+    """Solve the polish LP with HiGHS."""
+    result = linprog(
+        c,
+        A_ub=form.a_ub if form.a_ub.size else None,
+        b_ub=form.b_ub if form.b_ub.size else None,
+        A_eq=form.a_eq if form.a_eq.size else None,
+        b_eq=form.b_eq if form.b_eq.size else None,
+        bounds=list(zip(lb, ub)),
+        method="highs",
+    )
+    if result.status != 0:
         raise SolverError(f"left-shift LP failed: scipy status {result.status}")
-    except ImportError:
-        pass
-    result = solve_lp(c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, lb, ub)
-    if result.status is not LPStatus.OPTIMAL or result.x is None:
-        raise SolverError(f"left-shift LP failed: {result.status.value}")
-    return result.x
+    return np.asarray(result.x, dtype=float)

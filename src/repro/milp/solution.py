@@ -85,7 +85,7 @@ class SolveStats:
             (dual ratio-test flips plus primal full-box steps) that
             avoided a pivot, summed over every LP solve.
         devex_resets: Devex reference-framework resets across every LP
-            solve (zero under ``pricing="dantzig"``).
+            solve.
         ftran_sparsity: Entering-column FTRAN results whose nonzero count
             stayed at or below half the basis rows — the hypersparse
             regime — summed over every LP solve.

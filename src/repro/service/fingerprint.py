@@ -38,7 +38,7 @@ from repro.taskgraph.serialization import graph_to_dict
 
 #: Bump when the canonical document's schema changes so stale on-disk
 #: cache entries can never be misread as current ones.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: SolverOptions fields that can change the *returned solution* (bounds,
 #: limits, tie-breaking).  ``incumbent`` and ``rc_fixing`` are listed even
@@ -62,18 +62,14 @@ _SOLVER_FIELDS = (
     "cut_rounds",
     "strong_branching",
     "rc_fixing",
-    # The pricing rule is optimum-preserving but steers the simplex to a
-    # different vertex among alternative LP optima, which cascades into
-    # branching and the returned solution.
-    "pricing",
     "seed",
 )
 
 #: SolverOptions fields that provably cannot change the returned solution
 #: — ``workers``/``frontier_target``/``clamp_workers`` (documented
 #: byte-identical scheduling), ``trace``/``on_progress``/``verbose``/
-#: ``progress_interval`` (observation only), ``presolve``/``warm_start``/
-#: ``pricing_block_size`` (optimum-preserving numerics), ``should_stop``
+#: ``progress_interval`` (observation only), ``presolve``
+#: (optimum-preserving numerics), ``should_stop``
 #: (external cancellation, surfaces as an *aborted* result that is never
 #: cached).  Left out of the digest so equivalent requests share cache
 #: entries.  Together with ``_SOLVER_FIELDS`` this partitions every
@@ -81,7 +77,6 @@ _SOLVER_FIELDS = (
 #: fields must be classified explicitly.
 RESULT_INVARIANT_SOLVER_FIELDS = (
     "presolve",
-    "warm_start",
     "workers",
     "frontier_target",
     "verbose",
@@ -89,7 +84,6 @@ RESULT_INVARIANT_SOLVER_FIELDS = (
     "on_progress",
     "progress_interval",
     "should_stop",
-    "pricing_block_size",
     "clamp_workers",
 )
 

@@ -1,4 +1,4 @@
-"""Common solver interface shared by the from-scratch and scipy backends."""
+"""Common solver interface shared by the from-scratch and HiGHS backends."""
 
 from __future__ import annotations
 
@@ -31,11 +31,6 @@ class SolverOptions:
             most-fractional branching gambles on the vertex it is handed.
         presolve: Run bound-propagation presolve before branch and bound
             (Bozo only; HiGHS presolves internally).
-        warm_start: Solve LP relaxations with the incremental revised
-            simplex, warm-starting each branch-and-bound child from its
-            parent's optimal basis (Bozo only).  ``False`` reproduces the
-            original cold-start behavior: a dense two-phase tableau solve
-            per node.
         workers: Parallel branch-and-bound workers (Bozo only).  ``1``
             keeps the serial search; ``N > 1`` ramps the tree serially
             until a frontier of open subtrees exists, then dispatches the
@@ -69,9 +64,7 @@ class SolverOptions:
             published to the workers' shared-memory form, so serial and
             parallel searches branch on the same strengthened LP.
             ``"off"`` disables separation.  Cuts are valid for every
-            integral point, so the optimal objective never changes; they
-            require the incremental engine (``warm_start=True``) and are
-            skipped silently without it.
+            integral point, so the optimal objective never changes.
         cut_rounds: Maximum root separation rounds when ``cuts="auto"``
             (each round separates, appends at most a pool-capped batch,
             and re-solves).  The loop also stops early when no violated
@@ -119,19 +112,6 @@ class SolverOptions:
             Like ``trace``/``on_progress`` it never crosses a process
             boundary: parallel subtree workers run with it stripped, and
             the driving process polls it between pool operations.
-        pricing: Revised-simplex pricing rule (Bozo only).  ``"devex"``
-            (default) maintains deterministic devex reference-framework
-            weights — the fast path; ``"dantzig"`` restores the legacy
-            partial-Dantzig block pricing for byte-identity against
-            pre-devex oracles.  Both rules are deterministic, so
-            serial/parallel identity holds under either; the optimum
-            never changes.
-        pricing_block_size: Partial-pricing block width for the revised
-            simplex (Bozo only, ``pricing="dantzig"``).  ``0`` picks
-            automatically: one block (classic full Dantzig pricing) for
-            small models, fixed blocks of 256 columns above 512 columns.
-            Pricing is deterministic for any block size; the optimum
-            never changes.
         clamp_workers: Cap effective ``workers`` at ``os.cpu_count()``
             (default on).  Requesting more processes than cores makes
             parallel tree search *slower* than serial — the clamp falls
@@ -149,7 +129,6 @@ class SolverOptions:
     node_selection: str = "best_first"
     branching: str = "pseudocost"
     presolve: bool = True
-    warm_start: bool = True
     workers: int = 1
     frontier_target: int = 0
     incumbent: Optional[Mapping[str, float]] = None
@@ -163,8 +142,6 @@ class SolverOptions:
     on_progress: Optional[Callable[[ProgressUpdate], None]] = None
     progress_interval: float = 1.0
     should_stop: Optional[Callable[[], bool]] = None
-    pricing: str = "devex"
-    pricing_block_size: int = 0
     clamp_workers: bool = True
 
 

@@ -8,15 +8,14 @@ incremental LP pipeline.  The standard form is built **once** at the root
 the branched variable bound in place and warm-starts the revised simplex
 from its parent's optimal basis, falling back to the dense two-phase
 tableau (:mod:`repro.solvers.simplex`) whenever the incremental path
-signals trouble.
+signals trouble.  That warm revised simplex is the only LP path; the
+dense tableau is never selected directly.
 
 Features (all selectable through :class:`~repro.solvers.base.SolverOptions`):
 
 * best-first (default) or depth-first node selection,
 * most-fractional or pseudocost branching (pseudocosts learn from the
   *observed* parent-to-child LP objective degradation),
-* warm-started LP relaxations (``warm_start=False`` restores the original
-  cold dense solve per node),
 * incumbent rounding/repair for near-integral LP solutions,
 * wall-clock and node limits with a FEASIBLE (incumbent, gap > 0) result,
 * parallel tree search (``workers=N``): a serial ramp opens a frontier of
@@ -60,7 +59,7 @@ from repro.solvers.revised import (
     solve_revised,
     solve_with_fallback,
 )
-from repro.solvers.simplex import LPResult, LPStatus, solve_lp
+from repro.solvers.simplex import LPResult, LPStatus
 
 #: Dual-simplex pivot budget of one strong-branching probe.  Probes that
 #: exhaust it are simply not recorded — a budgeted probe must never be
@@ -149,22 +148,14 @@ class _LPBackend:
     def __init__(
         self,
         form: MatrixForm,
-        warm_start: bool,
         stats: SolveStats,
         sf: Optional[StandardFormLP] = None,
         tracer: Optional[Tracer] = None,
-        pricing_block_size: int = 0,
-        pricing: str = "devex",
     ) -> None:
         self.form = form
         self.stats = stats
         self.tracer = tracer
-        self.pricing_block_size = pricing_block_size
-        self.pricing = pricing
-        if sf is not None:
-            self.sf: Optional[StandardFormLP] = sf
-        else:
-            self.sf = StandardFormLP.from_matrix_form(form) if warm_start else None
+        self.sf = sf if sf is not None else StandardFormLP.from_matrix_form(form)
 
     def _absorb_counters(self, counters) -> None:
         """Fold one solve's kernel counters into the run's SolveStats."""
@@ -203,27 +194,11 @@ class _LPBackend:
         """Solve the relaxation under ``lb``/``ub``; returns (result, basis)."""
         start = time.monotonic()
         self.stats.lp_solves += 1
-        form = self.form
-        if self.sf is None:
-            result = solve_lp(
-                form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
-                lb, ub, c0=form.c0,
-            )
-            self.stats.lp_pivots += result.iterations
-            self._absorb_counters(result.counters)
-            elapsed = time.monotonic() - start
-            self.stats.add_phase("lp", elapsed)
-            self._trace_lp(result, warm=False, fallback=False, seconds=elapsed)
-            return result, None
         self.sf.set_bounds(lb, ub)
         if basis is not None:
             self.stats.warm_starts += 1
         result, final_basis, fell_back = solve_with_fallback(
-            self.sf,
-            basis,
-            pricing_block_size=self.pricing_block_size,
-            want_reduced_costs=want_reduced_costs,
-            pricing=self.pricing,
+            self.sf, basis, want_reduced_costs=want_reduced_costs
         )
         self.stats.lp_pivots += result.iterations
         self._absorb_counters(result.counters)
@@ -256,18 +231,13 @@ class _LPBackend:
         """
         start = time.monotonic()
         self.stats.lp_solves += 1
-        assert self.sf is not None
         self.sf.set_bounds(lb, ub)
         if basis is not None:
             self.stats.warm_starts += 1
             # A probe can't fall back, so every warm attempt is a "hit" in
             # the sense the replay derives from the event stream.
             self.stats.warm_start_hits += 1
-        revised = solve_revised(
-            self.sf, basis, max_iterations=max_iterations,
-            pricing_block_size=self.pricing_block_size,
-            pricing=self.pricing,
-        )
+        revised = solve_revised(self.sf, basis, max_iterations=max_iterations)
         self.stats.lp_pivots += revised.iterations
         self._absorb_counters(revised.counters)
         elapsed = time.monotonic() - start
@@ -499,7 +469,6 @@ class _TreeSearch:
                 node.tiebreak == 1
                 and self.allow_cuts
                 and options.cuts == "auto"
-                and self.lp.sf is not None
             ):
                 result, node_basis = self._root_cut_loop(
                     node, result, node_basis, want_rc
@@ -561,7 +530,6 @@ class _TreeSearch:
                 node.tiebreak == 1
                 and options.branching == "pseudocost"
                 and options.strong_branching > 0
-                and self.lp.sf is not None
                 and node_basis is not None
                 and len(fractional) > 1
             ):
@@ -740,7 +708,6 @@ class _TreeSearch:
         """
         options = self.options
         sf = self.lp.sf
-        assert sf is not None
         tol = options.integrality_tolerance
         pool = CutPool()
         first_bound = 0.0
@@ -1040,11 +1007,7 @@ class BozoSolver(Solver):
             _emit_solve_done(tracer, prepared)
             return prepared
         form = prepared
-        lp = _LPBackend(
-            form, self.options.warm_start, stats, tracer=tracer,
-            pricing_block_size=self.options.pricing_block_size,
-            pricing=self.options.pricing,
-        )
+        lp = _LPBackend(form, stats, tracer=tracer)
         engine = _TreeSearch(
             self.options, form, lp, start=start, tracer=tracer, reporter=reporter
         )

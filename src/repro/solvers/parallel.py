@@ -167,11 +167,7 @@ def solve_parallel(
         return prepared
     form = prepared
 
-    lp = _LPBackend(
-        form, options.warm_start, stats, tracer=tracer,
-        pricing_block_size=options.pricing_block_size,
-        pricing=options.pricing,
-    )
+    lp = _LPBackend(form, stats, tracer=tracer)
     ramp = _TreeSearch(
         options, form, lp, start=start, tracer=tracer, reporter=reporter
     )

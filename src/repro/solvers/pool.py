@@ -136,11 +136,7 @@ def solve_lease(
     if trace_enabled:
         buffer = MemoryTraceSink()
         tracer = Tracer(buffer, worker=lease_id)
-    lp = _LPBackend(
-        form, options.warm_start, stats, sf=sf, tracer=tracer,
-        pricing_block_size=options.pricing_block_size,
-        pricing=options.pricing,
-    )
+    lp = _LPBackend(form, stats, sf=sf, tracer=tracer)
     # Each lease re-tightens reduced-cost bounds from its own incumbents
     # only, starting from the bounds the ramp derived — copied, so no
     # cross-lease mutation.

@@ -1,8 +1,7 @@
 """Solver registry: look up backends by name.
 
-``"auto"`` picks HiGHS when available (it always is in this environment,
-via scipy) and falls back to the from-scratch Bozo solver otherwise, so
-the library keeps working with no scipy installed.
+``"auto"`` picks HiGHS (via :func:`scipy.optimize.milp`) whenever it is
+registered, and the from-scratch Bozo solver otherwise.
 """
 
 from __future__ import annotations
@@ -75,10 +74,9 @@ def _register_builtins() -> None:
         return ParallelBozoSolver(options)
 
     register_solver("bozo-parallel", _parallel)
-    try:
-        from repro.solvers.highs import HighsSolver
-    except ImportError:  # scipy absent: from-scratch solver only
-        return
+
+    from repro.solvers.highs import HighsSolver
+
     register_solver("highs", lambda options: HighsSolver(options))
 
 

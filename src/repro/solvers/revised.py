@@ -35,8 +35,7 @@ scratch on every call; this module instead keeps one
   dominate branch-and-bound node throughput — use the explicit dense
   inverse (:class:`_DenseFactor`), which both factorizes and solves
   several times faster below roughly a hundred rows and answers BTRANs of
-  unit vectors by a plain row read.  When SciPy is unavailable every size
-  runs on the dense kernel.
+  unit vectors by a plain row read.
 * **Refactorization policy** — instead of a fixed pivot cadence, the
   sparse kernel refactorizes when the eta file's accumulated fill
   (:data:`ETA_FILL_FACTOR` nonzeros per row) or length
@@ -44,18 +43,16 @@ scratch on every call; this module instead keeps one
   factorization, and either kernel refactorizes immediately when the
   pivot element seen from the row (BTRAN) and column (FTRAN) sides
   drifts — a direct numerical-error signal.
-* **Pricing** — the default rule is devex reference-framework pricing
-  (``SolverOptions.pricing="devex"``): the dual loop picks the leaving
-  row by weighted violation and the primal loop maintains the full
-  reduced-cost vector incrementally, choosing the entering column by
-  ``d^2 / weight`` with deterministic (lowest-index) tie-breaks.  Weight
-  updates use only quantities the pivot already computes.  The previous
-  partial-Dantzig block pricing is retained under ``pricing="dantzig"``:
-  entering columns are priced over fixed, index-ordered column blocks
-  scanned from a rotating block pointer (models at or below
-  :data:`PRICING_SINGLE_BLOCK` columns use one block, which is exactly
-  classic full Dantzig pricing).  Both rules are deterministic, so
-  serial/parallel byte-identity holds under either.
+* **Pricing** — devex reference-framework pricing: the dual loop picks
+  the leaving row by weighted violation and the primal loop maintains
+  the full reduced-cost vector incrementally, choosing the entering
+  column by ``d^2 / weight`` with deterministic (lowest-index)
+  tie-breaks.  Weight updates use only quantities the pivot already
+  computes.  Primal phase 1, whose gradient changes every pivot,
+  reprices from scratch over fixed, index-ordered column blocks scanned
+  from a rotating block pointer (models at or below
+  :data:`PRICING_SINGLE_BLOCK` columns use one block).  Every rule is
+  deterministic, so serial/parallel byte-identity holds.
 * **Bound-flipping dual ratio test** — the dual loop walks the sorted
   ratio-test breakpoints and *flips* every boxed candidate whose flip
   keeps the dual slope positive, entering only at the blocking
@@ -75,15 +72,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by every solve
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
-
-    HAVE_SPARSE = True
-except ImportError:  # pragma: no cover - exercised on scipy-less installs
-    _csc_matrix = None
-    _splu = None
-    HAVE_SPARSE = False
+from scipy.sparse import csc_matrix as _csc_matrix
+from scipy.sparse.linalg import splu as _splu
 
 from repro.milp.model import MatrixForm
 from repro.solvers.simplex import LPResult, LPStatus, solve_lp
@@ -99,11 +89,11 @@ PIVOT_TOL = 1e-8
 REFACTOR_EVERY = 64
 #: Consecutive non-improving pivots before switching to Bland's rule.
 STALL_LIMIT = 64
-#: Column counts up to this threshold are priced as one block in dantzig
-#: mode (classic full Dantzig pricing); larger models default to blocks
-#: of :data:`PRICING_BLOCK` columns.
+#: Column counts up to this threshold are priced as one block by the
+#: phase-1 pricer; larger models are priced in blocks of
+#: :data:`PRICING_BLOCK` columns.
 PRICING_SINGLE_BLOCK = 512
-#: Default pricing block width for models above the single-block cutoff.
+#: Phase-1 pricing block width for models above the single-block cutoff.
 PRICING_BLOCK = 256
 #: Bases at or below this many rows use the explicit dense inverse; the
 #: crossover where ``splu`` beats ``np.linalg.inv`` (and LU solves beat
@@ -188,8 +178,7 @@ class PivotCounters:
         bound_flips: Nonbasic bound-to-bound moves (dual ratio-test flips
             plus primal/phase-1 full-box steps) that avoided a pivot.
         devex_resets: Devex reference-framework resets, counting the
-            initialization of each loop's weights (zero under dantzig
-            pricing).
+            initialization of each loop's weights.
         ftran_sparsity: Entering-column FTRAN results whose nonzero count
             stayed at or below half the row count — the hypersparse
             regime where eta updates touch only a slice of the basis.
@@ -299,11 +288,8 @@ class StandardFormLP:
         The sparse LU kernel slices basis columns out of this; everything
         row-oriented (pricing products, single-column fetches) stays on
         the dense ``a``, which profiling shows is faster at SOS model
-        sizes.  Raises ``RuntimeError`` when SciPy is unavailable —
-        callers gate on :data:`HAVE_SPARSE`.
+        sizes.
         """
-        if _csc_matrix is None:
-            raise RuntimeError("scipy is required for the sparse CSC form")
         if self._a_csc is None:
             self._a_csc = _csc_matrix(self.a)
         return self._a_csc
@@ -455,7 +441,7 @@ def extend_basis(basis: Basis, sf: StandardFormLP, added: int) -> Basis:
 
 def _pick_factor(sf: StandardFormLP):
     """Kernel selection: dense inverse for small bases, sparse LU above."""
-    if HAVE_SPARSE and sf.m > DENSE_KERNEL_MAX:
+    if sf.m > DENSE_KERNEL_MAX:
         return _SparseLUFactor(sf)
     return _DenseFactor(sf)
 
@@ -474,7 +460,7 @@ def _row_times_matrix(y: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 class _DenseFactor:
-    """Explicit-inverse basis kernel for small bases (and SciPy-less runs).
+    """Explicit-inverse basis kernel for small bases.
 
     Keeps ``B^{-1}`` as a dense matrix and applies the classic
     product-form update after each pivot.  Below roughly a hundred rows
@@ -986,9 +972,7 @@ def solve_revised(
     sf: StandardFormLP,
     basis: Optional[Basis] = None,
     max_iterations: int = 20_000,
-    pricing_block_size: int = 0,
     want_reduced_costs: bool = False,
-    pricing: str = "devex",
 ) -> RevisedResult:
     """Solve ``sf``, optionally warm-starting from a previous basis.
 
@@ -998,14 +982,8 @@ def solve_revised(
             input is copied, never mutated.  ``None`` means cold start
             from the all-logical basis.
         max_iterations: Pivot budget; exceeding it yields NEEDS_FALLBACK.
-        pricing_block_size: Partial-pricing block width in dantzig mode;
-            ``0`` picks automatically (single block at or below
-            :data:`PRICING_SINGLE_BLOCK` columns, :data:`PRICING_BLOCK`
-            above).
         want_reduced_costs: Capture structural reduced costs on the
             optimal result (costs one extra BTRAN + pricing product).
-        pricing: ``"devex"`` (default) for reference-framework pricing or
-            ``"dantzig"`` for the legacy partial-Dantzig blocks.
 
     Returns:
         A :class:`RevisedResult`; on OPTIMAL its ``basis`` warm-starts the
@@ -1024,9 +1002,7 @@ def solve_revised(
         basis = sf.logical_basis()
     engine = _Engine(
         sf, basis.copy(), max_iterations, warm=warm,
-        pricing_block_size=pricing_block_size,
         want_reduced_costs=want_reduced_costs,
-        pricing=pricing,
     )
     return engine.run()
 
@@ -1035,9 +1011,7 @@ def solve_with_fallback(
     sf: StandardFormLP,
     basis: Optional[Basis] = None,
     max_iterations: int = 20_000,
-    pricing_block_size: int = 0,
     want_reduced_costs: bool = False,
-    pricing: str = "devex",
 ) -> Tuple[LPResult, Optional[Basis], bool]:
     """Solve via the revised path, falling back to the dense tableau.
 
@@ -1056,9 +1030,7 @@ def solve_with_fallback(
     """
     revised = solve_revised(
         sf, basis, max_iterations=max_iterations,
-        pricing_block_size=pricing_block_size,
         want_reduced_costs=want_reduced_costs,
-        pricing=pricing,
     )
     if revised.status is not RevisedStatus.NEEDS_FALLBACK:
         status = {
@@ -1098,9 +1070,7 @@ class _Engine:
         basis: Basis,
         max_iterations: int,
         warm: bool = False,
-        pricing_block_size: int = 0,
         want_reduced_costs: bool = False,
-        pricing: str = "devex",
     ) -> None:
         self.sf = sf
         self.basic = basis.basic
@@ -1111,28 +1081,22 @@ class _Engine:
         self.iterations = 0
         self.counters = PivotCounters()
         self.factor = _pick_factor(sf)
-        self.devex = pricing != "dantzig"
         # Dual devex row weights engage only on bases large enough for the
         # reference framework to mature: weights reset at every dual loop,
         # so on the few-pivot warm repairs of small bases they never move
         # far from 1 and only add noise to the (otherwise max-violation)
         # row choice.  The primal loop keeps devex at every size — cold
         # starts run long enough for the framework to pay off.
-        self.devex_rows = self.devex and sf.m > DENSE_KERNEL_MAX
+        self.devex_rows = sf.m > DENSE_KERNEL_MAX
         self.x_basic: Optional[np.ndarray] = None
         # Columns that can never move: fixed boxes (includes eq artificials).
         self.fixed = np.isfinite(sf.lo) & np.isfinite(sf.up) & (sf.up - sf.lo <= FEAS_TOL)
-        if pricing_block_size > 0:
-            width = pricing_block_size
-        elif sf.ncols <= PRICING_SINGLE_BLOCK:
-            width = sf.ncols
-        else:
-            width = PRICING_BLOCK
+        width = sf.ncols if sf.ncols <= PRICING_SINGLE_BLOCK else PRICING_BLOCK
         self._blocks = [
             (start, min(start + width, sf.ncols))
             for start in range(0, sf.ncols, width)
         ]
-        self._pblock = 0  # rotating pointer: block where pricing starts
+        self._pblock = 0  # rotating pointer: block where phase 1 prices first
         # Preallocated scratch: the per-pivot ratio test and devex weights
         # reuse these for the life of the solve.
         self._steps = np.empty(sf.m)
@@ -1173,20 +1137,19 @@ class _Engine:
 
     # -- pricing ------------------------------------------------------------
     def _price(
-        self, y: np.ndarray, phase1: bool, use_bland: bool
+        self, y: np.ndarray, use_bland: bool
     ) -> Optional[Tuple[int, float]]:
-        """Deterministic partial pricing (dantzig mode): entering column.
+        """Phase-1 pricer: entering column for the infeasibility gradient.
 
-        Scans the fixed, index-ordered column blocks and returns
-        ``(entering, d_entering)`` from the first block holding an
-        improving column, or ``None`` at (phase-specific) optimality.
-        Dantzig mode starts at the rotating pointer ``_pblock`` (left on
-        the last productive block) and takes the in-block argmax of
-        ``|d|`` — ``np.argmax`` resolves ties to the lowest index; Bland
-        mode always scans from block 0 and takes the globally lowest
-        improving index, preserving the anti-cycling guarantee.  With a
-        single block both modes reduce to their classic full-pricing
-        forms.
+        Phase-1 reduced costs are ``d = -y A`` for the BTRAN ``y`` of the
+        current gradient.  Scans the fixed, index-ordered column blocks
+        and returns ``(entering, d_entering)`` from the first block
+        holding an improving column, or ``None`` at the phase-1 optimum.
+        The scan starts at the rotating pointer ``_pblock`` (left on the
+        last productive block) and takes the in-block argmax of ``|d|`` —
+        ``np.argmax`` resolves ties to the lowest index; Bland mode always
+        scans from block 0 and takes the globally lowest improving index,
+        preserving the anti-cycling guarantee.
         """
         sf = self.sf
         nblocks = len(self._blocks)
@@ -1196,10 +1159,7 @@ class _Engine:
             order = [(self._pblock + i) % nblocks for i in range(nblocks)]
         for bi in order:
             start, stop = self._blocks[bi]
-            if phase1:
-                d = -(y @ sf.a[:, start:stop])
-            else:
-                d = sf.cost[start:stop] - y @ sf.a[:, start:stop]
+            d = -(y @ sf.a[:, start:stop])
             stat = self.status[start:stop]
             movable = ~self.fixed[start:stop] & (stat != BASIC)
             improving = movable & (
@@ -1343,7 +1303,7 @@ class _Engine:
         for the right-hand-side shift) and the entering column is the
         first blocking breakpoint.  Leaving-row choice is devex-weighted
         violation on bases past the dense-kernel threshold, worst
-        absolute violation on small bases and in dantzig mode.
+        absolute violation on small bases.
 
         A warm repair normally takes a handful of pivots, so the loop
         runs on a short budget: exhausting it means the start was
@@ -1502,8 +1462,9 @@ class _Engine:
         violations of the basic variables, whose gradient is ``-1`` for a
         basic below its lower bound and ``+1`` above its upper.  The
         gradient changes with every pivot, so the phase-1 reduced costs
-        are recomputed per iteration through the block pricer (a devex
-        reference framework has nothing stable to reference here).
+        are recomputed per iteration through the block pricer
+        :meth:`_price` (a devex reference framework has nothing stable to
+        reference here).
         Pivots are short-step — the entering variable blocks at the first
         breakpoint, which includes an infeasible basic *reaching* its
         violated bound (it leaves the basis feasible).  Returns ``None``
@@ -1530,7 +1491,7 @@ class _Engine:
             w_basic[below] = -1.0
             w_basic[above] = 1.0
             y = self.factor.btran(w_basic)
-            candidate = self._price(y, phase1=True, use_bland=use_bland)
+            candidate = self._price(y, use_bland=use_bland)
             if candidate is None:
                 # Local (hence global) phase-1 optimum with residual
                 # infeasibility; let the oracle certify infeasibility.
@@ -1621,46 +1582,35 @@ class _Engine:
     def primal_loop(self) -> Optional[RevisedResult]:
         """Pivot from a primal-feasible basis until no column improves.
 
-        Devex mode (the default) maintains the full reduced-cost vector
-        across pivots — pricing is a vectorized argmax of ``d^2/weight``
-        with no per-iteration BTRAN — and updates the reference-framework
-        weights from the pivot row it computes for the reduced-cost AXPY.
-        Dantzig mode reprices blocks from scratch each iteration exactly
-        as the legacy engine did.  Both switch to Bland's rule after a
-        stall (the classic anti-cycling safeguard).  Returns a final
-        result only on unboundedness or trouble; ``None`` means "optimal,
-        go finish".
+        Maintains the full reduced-cost vector across pivots — pricing is
+        a vectorized devex argmax of ``d^2/weight`` with no per-iteration
+        BTRAN — and updates the reference-framework weights from the
+        pivot row it computes for the reduced-cost AXPY.  Switches to
+        Bland's rule after a stall (the classic anti-cycling safeguard).
+        Returns a final result only on unboundedness or trouble; ``None``
+        means "optimal, go finish".
         """
         sf = self.sf
         stall = 0
         use_bland = False
         last_objective = math.inf
-        d: Optional[np.ndarray] = None
         weights = self._col_weights
-        if self.devex:
-            d = self.reduced_costs()
-            self.reset_col_weights()
+        d = self.reduced_costs()
+        self.reset_col_weights()
         while True:
             if self.iterations >= self.max_iterations:
                 return self._bail()
-            if self.devex:
-                improving = np.nonzero(self._improving_mask(d))[0]
-                if improving.size == 0:
-                    return None
-                if use_bland:
-                    entering = int(improving[0])
-                else:
-                    d_imp = d[improving]
-                    entering = int(improving[int(np.argmax(
-                        d_imp * d_imp / weights[improving]
-                    ))])
-                d_entering = float(d[entering])
+            improving = np.nonzero(self._improving_mask(d))[0]
+            if improving.size == 0:
+                return None
+            if use_bland:
+                entering = int(improving[0])
             else:
-                y = self.factor.btran(sf.cost[self.basic])
-                candidate = self._price(y, phase1=False, use_bland=use_bland)
-                if candidate is None:
-                    return None
-                entering, d_entering = candidate
+                d_imp = d[improving]
+                entering = int(improving[int(np.argmax(
+                    d_imp * d_imp / weights[improving]
+                ))])
+            d_entering = float(d[entering])
             # Direction of travel: increase from lb (or free with d<0),
             # decrease from ub (or free with d>0).
             if self.status[entering] == AT_UB or (
@@ -1708,35 +1658,33 @@ class _Engine:
                     if not self.refactor():
                         return self._bail()
                     self.recompute_basics()
-                    if self.devex:
-                        d = self.reduced_costs()
+                    d = self.reduced_costs()
                     continue
                 entering_value = (
                     (sf.up[entering] if self.status[entering] == AT_UB else
                      0.0 if self.status[entering] == AT_FREE else sf.lo[entering])
                     + sign * step
                 )
-                if self.devex:
-                    # One unit BTRAN + sparsity-aware product per pivot
-                    # keeps d current and feeds the weight update.
-                    alpha_r = _row_times_matrix(self.factor.btran_unit(row), sf.a)
-                    alpha_rq = float(alpha_r[entering])
-                    if abs(alpha_rq - w[row]) > DRIFT_TOL * (1.0 + abs(w[row])):
-                        if not self.refactor():
-                            return self._bail()
-                        self.recompute_basics()
-                        d = self.reduced_costs()
-                        continue
-                    theta = float(d[entering]) / alpha_rq
-                    if theta != 0.0:
-                        d -= theta * alpha_r
-                    d[entering] = 0.0
-                    gamma_q = float(weights[entering])
-                    ratio2 = (alpha_r / alpha_rq) ** 2
-                    np.maximum(weights, ratio2 * gamma_q, out=weights)
-                    weights[leaving] = max(gamma_q / (alpha_rq * alpha_rq), 1.0)
-                    if float(weights.max()) > DEVEX_RESET_LIMIT:
-                        self.reset_col_weights()
+                # One unit BTRAN + sparsity-aware product per pivot
+                # keeps d current and feeds the weight update.
+                alpha_r = _row_times_matrix(self.factor.btran_unit(row), sf.a)
+                alpha_rq = float(alpha_r[entering])
+                if abs(alpha_rq - w[row]) > DRIFT_TOL * (1.0 + abs(w[row])):
+                    if not self.refactor():
+                        return self._bail()
+                    self.recompute_basics()
+                    d = self.reduced_costs()
+                    continue
+                theta = float(d[entering]) / alpha_rq
+                if theta != 0.0:
+                    d -= theta * alpha_r
+                d[entering] = 0.0
+                gamma_q = float(weights[entering])
+                ratio2 = (alpha_r / alpha_rq) ** 2
+                np.maximum(weights, ratio2 * gamma_q, out=weights)
+                weights[leaving] = max(gamma_q / (alpha_rq * alpha_rq), 1.0)
+                if float(weights.max()) > DEVEX_RESET_LIMIT:
+                    self.reset_col_weights()
                 self.x_basic = self.x_basic - delta * step
                 self.x_basic[row] = entering_value
                 self.status[entering] = BASIC
@@ -1750,8 +1698,7 @@ class _Engine:
                     if not self.refactor():
                         return self._bail()
                     self.recompute_basics()
-                    if self.devex:
-                        d = self.reduced_costs()
+                    d = self.reduced_costs()
 
             objective = float(sf.cost[self.basic] @ self.x_basic)
             if objective < last_objective - DUAL_TOL:

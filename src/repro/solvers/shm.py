@@ -2,9 +2,9 @@
 
 Parallel branch and bound ships each solve's matrices to pool workers
 exactly once: the driver packs the (presolved) :class:`MatrixForm`
-arrays, the :class:`~repro.solvers.revised.StandardFormLP` arrays, and —
-when SciPy is available — the CSC factorization input into a single
-``multiprocessing.shared_memory`` segment, and workers attach zero-copy.
+arrays, the :class:`~repro.solvers.revised.StandardFormLP` arrays and the
+CSC factorization input into a single ``multiprocessing.shared_memory``
+segment, and workers attach zero-copy.
 This replaces the old fork-inherited shared-form registry: it works under
 any start method (``spawn`` included, which unbreaks non-POSIX
 platforms), and segment lifetime is explicit instead of riding on
@@ -34,9 +34,10 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from repro.milp.model import MatrixForm
-from repro.solvers.revised import HAVE_SPARSE, StandardFormLP
+from repro.solvers.revised import StandardFormLP
 
 #: Byte alignment for every packed array (generous for any dtype here).
 _ALIGN = 64
@@ -72,14 +73,18 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
 class FormPublication:
     """Driver-side owner of one solve's shared-memory segment.
 
-    Packs the immutable arrays of ``form`` (and of ``sf`` when the solve
-    uses the incremental LP engine) into one segment and exposes a
+    Packs the immutable arrays of ``form`` and of its standard form ``sf``
+    (built from ``form`` when not given) into one segment and exposes a
     picklable :attr:`spec` describing the layout.  Use as a context
     manager; :meth:`close` is idempotent and safe to call from ``finally``
     blocks on any exit path.
     """
 
-    def __init__(self, form: MatrixForm, sf: Optional[StandardFormLP]) -> None:
+    def __init__(
+        self, form: MatrixForm, sf: Optional[StandardFormLP] = None
+    ) -> None:
+        if sf is None:
+            sf = StandardFormLP.from_matrix_form(form)
         arrays: Dict[str, np.ndarray] = {
             "c": np.ascontiguousarray(form.c, dtype=float),
             "a_ub": np.ascontiguousarray(form.a_ub, dtype=float),
@@ -89,18 +94,16 @@ class FormPublication:
             "lb": np.ascontiguousarray(form.lb, dtype=float),
             "ub": np.ascontiguousarray(form.ub, dtype=float),
             "integrality": np.ascontiguousarray(form.integrality),
+            "sf_a": np.ascontiguousarray(sf.a, dtype=float),
+            "sf_b": np.ascontiguousarray(sf.b, dtype=float),
+            "sf_lo": np.ascontiguousarray(sf.lo, dtype=float),
+            "sf_up": np.ascontiguousarray(sf.up, dtype=float),
+            "sf_cost": np.ascontiguousarray(sf.cost, dtype=float),
         }
-        if sf is not None:
-            arrays["sf_a"] = np.ascontiguousarray(sf.a, dtype=float)
-            arrays["sf_b"] = np.ascontiguousarray(sf.b, dtype=float)
-            arrays["sf_lo"] = np.ascontiguousarray(sf.lo, dtype=float)
-            arrays["sf_up"] = np.ascontiguousarray(sf.up, dtype=float)
-            arrays["sf_cost"] = np.ascontiguousarray(sf.cost, dtype=float)
-            if HAVE_SPARSE:
-                csc = sf.a_csc()
-                arrays["csc_data"] = np.ascontiguousarray(csc.data)
-                arrays["csc_indices"] = np.ascontiguousarray(csc.indices)
-                arrays["csc_indptr"] = np.ascontiguousarray(csc.indptr)
+        csc = sf.a_csc()
+        arrays["csc_data"] = np.ascontiguousarray(csc.data)
+        arrays["csc_indices"] = np.ascontiguousarray(csc.indices)
+        arrays["csc_indptr"] = np.ascontiguousarray(csc.indptr)
 
         layout: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
         offset = 0
@@ -126,9 +129,8 @@ class FormPublication:
             "segment": self._shm.name,
             "layout": layout,
             "c0": float(form.c0),
-            "has_sf": sf is not None,
-            "sf_n": sf.n if sf is not None else 0,
-            "sf_m": sf.m if sf is not None else 0,
+            "sf_n": sf.n,
+            "sf_m": sf.m,
         }
         _LIVE[self._shm.name] = self
 
@@ -199,27 +201,21 @@ class AttachedForm:
             integrality=view("integrality").copy(),
             variables=(),
         )
-        self.sf: Optional[StandardFormLP] = None
-        if spec["has_sf"]:
-            a_csc = None
-            if "csc_data" in layout and HAVE_SPARSE:
-                from scipy.sparse import csc_matrix
-
-                a_csc = csc_matrix(
-                    (view("csc_data"), view("csc_indices"), view("csc_indptr")),
-                    shape=(spec["sf_m"], spec["sf_n"] + spec["sf_m"]),
-                )
-            self.sf = StandardFormLP.from_arrays(
-                a=view("sf_a"),
-                b=view("sf_b").copy(),
-                lo=view("sf_lo").copy(),
-                up=view("sf_up").copy(),
-                cost=view("sf_cost").copy(),
-                c0=spec["c0"],
-                n=spec["sf_n"],
-                m=spec["sf_m"],
-                a_csc=a_csc,
-            )
+        m, n = spec["sf_m"], spec["sf_n"]
+        self.sf = StandardFormLP.from_arrays(
+            a=view("sf_a"),
+            b=view("sf_b").copy(),
+            lo=view("sf_lo").copy(),
+            up=view("sf_up").copy(),
+            cost=view("sf_cost").copy(),
+            c0=spec["c0"],
+            n=n,
+            m=m,
+            a_csc=csc_matrix(
+                (view("csc_data"), view("csc_indices"), view("csc_indptr")),
+                shape=(m, n + m),
+            ),
+        )
 
     def close(self) -> None:
         """Release this worker's mapping (never unlinks; the driver owns that)."""
@@ -229,7 +225,7 @@ class AttachedForm:
         # Drop the numpy views first: closing a segment with exported
         # buffers raises on CPython.
         self.form = None  # type: ignore[assignment]
-        self.sf = None
+        self.sf = None  # type: ignore[assignment]
         try:
             shm.close()
         except BufferError:  # pragma: no cover - views still alive elsewhere

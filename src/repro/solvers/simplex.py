@@ -3,12 +3,10 @@
 This is the correctness oracle and fallback path underneath
 :mod:`repro.solvers.bozo` (the branch-and-bound reimplementation of
 Hafer's *Bozo*, which the paper used through the commercial XLP
-simplex).  The production hot path is the incremental revised simplex in
+simplex).  Bozo's only LP path is the incremental revised simplex in
 :mod:`repro.solvers.revised`; this tableau engine re-solves anything the
-incremental path declines to certify, runs every node when
-``SolverOptions(warm_start=False)`` restores the original per-node
-engine, and serves as the ground truth the revised engine is
-property-tested against.  It is deliberately a classic textbook tableau
+incremental path declines to certify and serves as the ground truth the
+revised engine is property-tested against.  It is deliberately a classic textbook tableau
 method, vectorized with numpy:
 
 * variables are shifted/split so every column is nonnegative,

@@ -184,7 +184,7 @@ class TestSensitivity:
             "synthesize", ex1_graph, ex1_library,
             solver_options=SolverOptions(
                 workers=4, on_progress=print, clamp_workers=False,
-                pricing_block_size=64, frontier_target=16,
+                presolve=False, frontier_target=16,
             ),
         )
         assert plain == observed

@@ -15,19 +15,19 @@ class TestSolverOptions:
         assert options.node_limit == 0
         assert options.node_selection == "best_first"
         assert options.branching == "pseudocost"
-        assert options.warm_start is True
+        assert options.cuts == "auto"
         assert options.presolve is True
         assert options.verbose is False
 
     def test_overrides(self):
         options = SolverOptions(time_limit=5.0, node_selection="depth_first",
                                 branching="most_fractional", presolve=False,
-                                warm_start=False)
+                                cuts="off")
         assert options.time_limit == 5.0
         assert options.node_selection == "depth_first"
         assert options.branching == "most_fractional"
         assert options.presolve is False
-        assert options.warm_start is False
+        assert options.cuts == "off"
 
 
 class TestSolverAbc:

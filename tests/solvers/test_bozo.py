@@ -6,12 +6,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.formulation import SosModelBuilder
+from repro.core.options import FormulationOptions
 from repro.milp.expr import VarType
 from repro.milp.model import Model
 from repro.milp.solution import SolveStatus
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 from repro.solvers.highs import HighsSolver
+from repro.system.examples import example1_library
+from repro.taskgraph.examples import example1
 
 
 def knapsack_model(weights, values, capacity):
@@ -143,3 +147,18 @@ def test_agrees_with_highs_on_random_milps(problem):
     assert ours.status == reference.status
     if ours.status is SolveStatus.OPTIMAL:
         assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
+
+
+class TestNoDenseFallback:
+    """Example 1's LPs must all be certified by the revised simplex: the
+    dense tableau is a safety net, not a path Table II relies on."""
+
+    @pytest.mark.parametrize("cost_cap", [None, 5.5])
+    def test_example1_needs_no_fallback(self, cost_cap):
+        built = SosModelBuilder(
+            example1(), example1_library(), FormulationOptions(cost_cap=cost_cap)
+        ).build()
+        solution = BozoSolver().solve(built.model)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.stats.lp_solves > 0
+        assert solution.stats.fallbacks == 0

@@ -205,13 +205,6 @@ class TestCutPool:
 
 
 class TestOptions:
-    def test_cuts_require_warm_start(self):
-        # Without the incremental standard form there is no tableau to
-        # separate from; the solve silently proceeds uncut.
-        solution = _solve(market_split(3, 12, 0), cuts="auto", warm_start=False)
-        assert solution.stats.cuts_added == 0
-        assert solution.status is SolveStatus.OPTIMAL
-
     def test_cut_rounds_cap_respected(self):
         solution = _solve(market_split(3, 14, 0), cuts="auto", cut_rounds=2)
         assert solution.stats.cut_rounds <= 2

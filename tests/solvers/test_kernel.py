@@ -1,11 +1,11 @@
-"""Property tests for the PR-10 kernel work: pricing, flips, micro kernel.
+"""Property tests for the simplex hot path: devex, flips, micro kernel.
 
-Four claims the rebuilt hot path makes, each checked against the dense
-tableau oracle or against the solver's own alternative code path:
+Four claims the hot path makes, each checked against the dense tableau
+oracle, HiGHS, or the solver's own alternative code path:
 
-* **Pricing is a speed knob, not a semantics knob** — devex and dantzig
-  must land on the same optimal objective on every LP and MILP, paper
-  examples included.
+* **Devex pricing is exact** — the only pricing rule must land on the
+  oracle's optimal objective on every LP, cold and warm, and Bozo's
+  MILP optimum must match HiGHS.
 * **The bound-flipping ratio test is exact** — long dual steps through
   boxed columns must reproduce the oracle objective while actually
   flipping (the counter proves the path is exercised).
@@ -29,6 +29,7 @@ from repro.obs import MemoryTraceSink
 from repro.solvers import revised
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
+from repro.solvers.highs import HighsSolver
 from repro.solvers.revised import (
     AT_FREE,
     Basis,
@@ -60,75 +61,50 @@ def branch_chain(rng, sf, lb, ub, steps=6):
         yield cur_lb, cur_ub
 
 
-class TestPricingEquivalence:
-    def test_devex_matches_dantzig_on_random_lps(self):
-        """Both pricing rules find the same optimum on ~40 cold LPs."""
+class TestDevexAgainstOracle:
+    def test_devex_matches_oracle_on_random_lps(self):
+        """Cold devex solves agree with the dense tableau on ~40 LPs."""
         rng = np.random.default_rng(31)
         agreed = 0
         for _ in range(40):
             c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
-            devex = solve_revised(
-                StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub),
-                pricing="devex",
-            )
-            dantzig = solve_revised(
-                StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub),
-                pricing="dantzig",
-            )
-            if RevisedStatus.NEEDS_FALLBACK in (devex.status, dantzig.status):
+            devex = solve_revised(StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub))
+            if devex.status is RevisedStatus.NEEDS_FALLBACK:
                 continue
-            assert devex.status == dantzig.status
+            assert_matches_oracle(devex, solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub))
             if devex.status is RevisedStatus.OPTIMAL:
-                scale = 1.0 + abs(dantzig.objective)
-                assert abs(devex.objective - dantzig.objective) <= (
-                    OBJECTIVE_TOL * scale
-                )
                 agreed += 1
         assert agreed >= 30
 
-    def test_devex_matches_dantzig_on_warm_chains(self):
-        """Pricing must not change warm-start answers along branch chains."""
+    def test_devex_matches_oracle_on_warm_chains(self):
+        """Warm devex re-solves along branch chains match the oracle."""
         rng = np.random.default_rng(32)
         chains = 0
         for _ in range(10):
             c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
-            sf_d = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            sf_z = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            root_d = solve_revised(sf_d, pricing="devex")
-            root_z = solve_revised(sf_z, pricing="dantzig")
-            if RevisedStatus.OPTIMAL not in (root_d.status,):
-                continue
-            if root_z.status is not RevisedStatus.OPTIMAL:
+            sf = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
+            root = solve_revised(sf)
+            if root.status is not RevisedStatus.OPTIMAL:
                 continue
             chains += 1
-            basis_d, basis_z = root_d.basis, root_z.basis
-            for cur_lb, cur_ub in branch_chain(rng, sf_d, lb, ub):
-                sf_d.set_bounds(cur_lb, cur_ub)
-                sf_z.set_bounds(cur_lb, cur_ub)
-                warm_d = solve_revised(sf_d, basis_d, pricing="devex")
-                warm_z = solve_revised(sf_z, basis_z, pricing="dantzig")
-                fallback = RevisedStatus.NEEDS_FALLBACK
-                if fallback in (warm_d.status, warm_z.status):
+            basis = root.basis
+            for cur_lb, cur_ub in branch_chain(rng, sf, lb, ub):
+                sf.set_bounds(cur_lb, cur_ub)
+                warm = solve_revised(sf, basis)
+                if warm.status is RevisedStatus.NEEDS_FALLBACK:
                     continue
-                assert warm_d.status == warm_z.status
-                if warm_d.status is RevisedStatus.OPTIMAL:
-                    scale = 1.0 + abs(warm_z.objective)
-                    assert abs(warm_d.objective - warm_z.objective) <= (
-                        OBJECTIVE_TOL * scale
-                    )
-                    basis_d, basis_z = warm_d.basis, warm_z.basis
+                dense = solve_lp(c, a_ub, b_ub, a_eq, b_eq, cur_lb, cur_ub)
+                assert_matches_oracle(warm, dense)
+                if warm.status is RevisedStatus.OPTIMAL:
+                    basis = warm.basis
         assert chains >= 6
 
-    def test_devex_matches_dantzig_end_to_end(self):
-        """Full MILP solves agree: same optimum under either pricing."""
+    def test_bozo_matches_highs_end_to_end(self):
+        """A full MILP solve lands on the HiGHS optimum."""
         model = market_split(3, 10, 0)
-        objectives = {}
-        for pricing in ("devex", "dantzig"):
-            solution = BozoSolver(
-                SolverOptions(pricing=pricing, branching="most_fractional")
-            ).solve(model)
-            objectives[pricing] = solution.objective
-        assert objectives["devex"] == pytest.approx(objectives["dantzig"])
+        bozo = BozoSolver(SolverOptions(branching="most_fractional")).solve(model)
+        highs = HighsSolver().solve(model)
+        assert bozo.objective == pytest.approx(highs.objective)
 
 
 class TestBoundFlips:
@@ -200,7 +176,7 @@ class TestBoundFlips:
 
 
 class TestDegeneracy:
-    def test_degenerate_ties_solve_under_both_pricings(self):
+    def test_degenerate_ties_hand_over_to_bland(self):
         """Massively degenerate LP (duplicate rows, tied costs): the stall
         detector must hand over to Bland's rule rather than cycle."""
         n = 6
@@ -208,14 +184,13 @@ class TestDegeneracy:
         row = np.ones((1, n))
         a_ub = np.vstack([row, row, row, 2 * row])  # duplicates + scaling
         b_ub = np.array([3.0, 3.0, 3.0, 6.0])
-        for pricing in ("devex", "dantzig"):
-            sf = StandardFormLP(
-                c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0),
-                np.zeros(n), np.ones(n),
-            )
-            result = solve_revised(sf, pricing=pricing)
-            assert result.status is RevisedStatus.OPTIMAL
-            assert result.objective == pytest.approx(0.0)
+        sf = StandardFormLP(
+            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0),
+            np.zeros(n), np.ones(n),
+        )
+        result = solve_revised(sf)
+        assert result.status is RevisedStatus.OPTIMAL
+        assert result.objective == pytest.approx(0.0)
 
 
 class TestMicroKernel:

@@ -217,7 +217,10 @@ class TestSharedMemory:
         form = market_split(2, 8, 0).to_matrices()
         with FormPublication(form, None) as pub:
             attached = AttachedForm(pub.spec)
-            assert attached.sf is None
+            # The publication builds the standard form itself.
+            assert np.array_equal(
+                attached.sf.a, StandardFormLP.from_matrix_form(form).a
+            )
             assert np.array_equal(attached.form.c, form.c)
             attached.close()
 

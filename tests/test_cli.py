@@ -96,6 +96,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "example1", "--fast"])
 
+    @pytest.mark.parametrize("command", ["synthesize", "sweep", "bench"])
+    def test_pricing_flag_is_rejected(self, command, capsys):
+        argv = [command] if command == "bench" else [command, "example1"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--pricing", "dantzig"])
+
     def test_synthesize_trace_then_trace_command(self, capsys, tmp_path):
         trace = tmp_path / "solve.jsonl"
         code = main(["synthesize", "example1", "--trace", str(trace)])
