@@ -1,23 +1,13 @@
 #!/usr/bin/env python
-"""Load generator for the synthesis service: latency, throughput, batching.
+"""Load generator for the synthesis service: latency and throughput.
 
-Replays a mixed synthesize/sweep workload against the /v1 API with a set
-of closed-loop client threads (each thread fires its next request as
-soon as the previous one answers, over one keep-alive connection) and
-reports p50/p99 latency, sustained throughput, error counts, and the
-batch hit-rate read back from ``GET /v1/metrics``.
-
-Two ways to run it:
-
-* ``bench_load.py --url http://host:port`` — drive an already-running
-  server (what the CI load-smoke job does after booting ``repro serve``)
-  and optionally record the results under ``--record NAME``.
-* ``bench_load.py`` (no ``--url``) — boot the PR 4-style threaded server
-  (thread executor, no batching) and the new async stack (process pool +
-  batching) in-process, replay the *same* workload against both, and
-  record ``service_load_threaded`` / ``service_load_async_pool`` plus a
-  ``service_load_comparison`` entry with the throughput ratio into
-  ``BENCH_service.json`` — the acceptance artifact for the /v1 redesign.
+Replays a mixed synthesize/sweep workload against the /v1 API of a
+running server (``--url http://host:port``, e.g. one booted with
+``repro serve``) with a set of closed-loop client threads (each thread
+fires its next request as soon as the previous one answers, over one
+keep-alive connection) and reports p50/p99 latency, sustained
+throughput and error counts; ``--record NAME`` stores the summary under
+``NAME`` in ``BENCH_service.json``.
 
 ``--smoke`` shrinks the workload for CI.  Exit status is nonzero when
 any request answers 5xx (or cannot be parsed), so the smoke job fails
@@ -34,7 +24,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 from urllib.parse import urlparse
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -46,12 +36,11 @@ WAIT_SECONDS = 55.0
 
 
 def build_workload(smoke: bool) -> List[Tuple[str, Dict[str, Any]]]:
-    """The mixed request list: mostly-distinct solves, batchable sweeps.
+    """The mixed request list: mostly-distinct solves, then sweeps.
 
     Synthesize requests vary ``cost_cap`` over a grid (distinct
     fingerprints, so they exercise the solver, not just the cache);
-    sweep requests vary only ``max_designs`` (batch-compatible by
-    construction).  A sprinkle of exact repeats exercises dedup/caching
+    sweep requests vary only ``max_designs``.  A sprinkle of exact repeats exercises dedup/caching
     the way real DSE traffic does.
     """
     requests: List[Tuple[str, Dict[str, Any]]] = []
@@ -66,9 +55,9 @@ def build_workload(smoke: bool) -> List[Tuple[str, Dict[str, Any]]]:
                 # Stagger the grid per repeat so most solves are distinct.
                 body["cost_cap"] = cap + 0.01 * repeat
             requests.append(("/v1/synthesize", body))
-    # Sweeps differ only in max_designs: batch-compatible, and the deep
-    # caps make them the CPU-heavy half of the workload (a solo sweep to
-    # cap k is k retighten solves).
+    # Sweeps differ only in max_designs; the deep caps make them the
+    # CPU-heavy half of the workload (a sweep to cap k is k retighten
+    # solves).
     sweep_caps = [2, 3, 4, 5] if smoke else [2, 3, 4, 5, 6, 7, 8, 9]
     sweep_repeat = 2
     for _ in range(sweep_repeat):
@@ -79,11 +68,10 @@ def build_workload(smoke: bool) -> List[Tuple[str, Dict[str, Any]]]:
                  "wait": WAIT_SECONDS},
             ))
     # The list stays in emission order: a block of synthesize calls, then
-    # the sweep bursts.  That is the shape the ISSUE's DSE traffic has —
-    # a design-space-exploration client fires a burst of near-identical
-    # sweeps — and it is exactly the regime batching is for.  Clients
-    # drain the list concurrently, so bursts still interleave on the
-    # wire.  Deterministic (no RNG), so runs compare across stacks.
+    # the sweep bursts, the shape of design-space-exploration traffic (a
+    # client fires a burst of near-identical sweeps).  Clients drain the
+    # list concurrently, so bursts still interleave on the wire.
+    # Deterministic (no RNG), so runs compare across commits.
     return requests
 
 
@@ -160,10 +148,6 @@ def run_load(url: str, workload: List, clients: int) -> Dict[str, Any]:
         index = min(len(latencies) - 1, int(q * len(latencies)))
         return latencies[index]
 
-    metrics = fetch_metrics(host, port)
-    batch = (metrics or {}).get("batch") or {}
-    total_sweeps = sum(1 for path, *_ in results if path.endswith("/sweep"))
-    batched = batch.get("batched_jobs", 0)
     return {
         "requests": len(results),
         "clients": clients,
@@ -178,26 +162,10 @@ def run_load(url: str, workload: List, clients: int) -> Dict[str, Any]:
         "http_5xx": server_errors,
         "http_429": throttled,
         "unfinished_jobs": incomplete,
-        "sweep_requests": total_sweeps,
-        "batched_jobs": batched,
-        "batch_hit_rate": (
-            round(batched / total_sweeps, 3) if total_sweeps else 0.0
+        "sweep_requests": sum(
+            1 for path, *_ in results if path.endswith("/sweep")
         ),
-        "batches": batch.get("batches", 0),
-        "server_metrics": metrics,
     }
-
-
-def fetch_metrics(host: str, port: int) -> Optional[Dict[str, Any]]:
-    """``GET /v1/metrics`` (None when unreachable)."""
-    try:
-        conn = http.client.HTTPConnection(host, port, timeout=10)
-        conn.request("GET", "/v1/metrics")
-        document = json.loads(conn.getresponse().read())
-        conn.close()
-        return document
-    except (OSError, http.client.HTTPException, json.JSONDecodeError):
-        return None
 
 
 def summarize(name: str, summary: Dict[str, Any]) -> None:
@@ -206,86 +174,22 @@ def summarize(name: str, summary: Dict[str, Any]) -> None:
         f"{summary['wall_seconds']}s -> {summary['throughput_rps']} req/s, "
         f"p50 {summary['latency_p50_seconds']}s, "
         f"p99 {summary['latency_p99_seconds']}s, "
-        f"5xx {summary['http_5xx']}, 429 {summary['http_429']}, "
-        f"batch hit-rate {summary['batch_hit_rate']}"
+        f"5xx {summary['http_5xx']}, 429 {summary['http_429']}"
     )
-
-
-def recordable(summary: Dict[str, Any]) -> Dict[str, Any]:
-    """The summary minus the bulky raw server metrics snapshot."""
-    return {k: v for k, v in summary.items() if k != "server_metrics"}
-
-
-def run_comparison(smoke: bool, clients: int, record: bool) -> int:
-    """Boot threaded-PR4 and async-pool stacks; same workload on both."""
-    from repro.service.asgi import create_async_server
-    from repro.service.http import create_server
-
-    workload = build_workload(smoke)
-    print(f"workload: {len(workload)} requests, {clients} clients")
-
-    threaded = create_server(workers=2, executor="thread", batching=False)
-    thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-    thread.start()
-    try:
-        threaded_summary = run_load(threaded.url, workload, clients)
-    finally:
-        threaded.shutdown()
-        threaded.close()
-        thread.join(timeout=10)
-    summarize("threaded (PR 4)", threaded_summary)
-
-    pooled = create_async_server(
-        workers=2, executor="process", solve_processes=2, batching=True
-    ).start()
-    try:
-        pooled_summary = run_load(pooled.url, workload, clients)
-    finally:
-        pooled.close()
-    summarize("async + process pool", pooled_summary)
-
-    speedup = (
-        pooled_summary["throughput_rps"] / threaded_summary["throughput_rps"]
-        if threaded_summary["throughput_rps"] else float("inf")
-    )
-    print(f"throughput speedup vs threaded: {speedup:.2f}x")
-    if record:
-        bench_path = Path(__file__).resolve().parent.parent / "BENCH_service.json"
-        record_bench("service_load_threaded", path=bench_path,
-                     **recordable(threaded_summary))
-        record_bench("service_load_async_pool", path=bench_path,
-                     **recordable(pooled_summary))
-        record_bench(
-            "service_load_comparison", path=bench_path,
-            speedup_vs_threaded=round(speedup, 3),
-            threaded_rps=threaded_summary["throughput_rps"],
-            async_pool_rps=pooled_summary["throughput_rps"],
-            solve_processes=2,
-            requests=len(workload),
-        )
-        print(f"recorded to {bench_path}")
-    errors = threaded_summary["http_5xx"] + pooled_summary["http_5xx"]
-    return 1 if errors else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--url", default=None,
-                        help="drive a running server instead of booting one")
+    parser.add_argument("--url", required=True,
+                        help="base URL of the running server to drive")
     parser.add_argument("--smoke", action="store_true",
                         help="small CI-sized workload")
     parser.add_argument("--clients", type=int, default=8,
                         help="closed-loop client threads (default 8)")
     parser.add_argument("--record", default=None, metavar="NAME",
                         help="record the summary under NAME in "
-                             "BENCH_service.json (--url mode)")
-    parser.add_argument("--no-record", action="store_true",
-                        help="comparison mode: measure but do not write "
                              "BENCH_service.json")
     args = parser.parse_args(argv)
-
-    if args.url is None:
-        return run_comparison(args.smoke, args.clients, not args.no_record)
 
     workload = build_workload(args.smoke)
     print(f"workload: {len(workload)} requests, {args.clients} clients "
@@ -294,7 +198,7 @@ def main(argv=None) -> int:
     summarize("load", summary)
     if args.record:
         bench_path = Path(__file__).resolve().parent.parent / "BENCH_service.json"
-        record_bench(args.record, path=bench_path, **recordable(summary))
+        record_bench(args.record, path=bench_path, **summary)
         print(f"recorded to {bench_path} as {args.record!r}")
     return 1 if summary["http_5xx"] else 0
 

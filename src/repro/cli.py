@@ -383,23 +383,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cache = ResultCache(
         byte_budget=args.cache_bytes, directory=args.cache_dir, trace=sink
     )
-    executor = "thread" if args.threaded or args.solve_processes < 1 else "process"
-    common = dict(
+    from repro.service.asgi import create_async_server
+
+    executor = "thread" if args.solve_processes < 1 else "process"
+    server = create_async_server(
         host=args.host, port=args.port, workers=args.job_workers,
         cache=cache, trace=sink, verbose=args.verbose,
         executor=executor, solve_processes=max(1, args.solve_processes),
-        batching=not args.no_batching, max_queued=args.max_queued,
+        max_queued=args.max_queued,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst,
-    )
-    if args.threaded:
-        from repro.service.http import create_server, serve
-
-        server = create_server(**common)
-    else:
-        from repro.service.asgi import create_async_server
-
-        server = create_async_server(**common)
-        server.start()
+    ).start()
     print(f"serving on {server.url} "
           f"({args.job_workers} job worker(s), {executor} executor"
           + (f", {max(1, args.solve_processes)} solve process(es)"
@@ -409,17 +402,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
           + ")")
     sys.stdout.flush()
     try:
-        if args.threaded:
-            serve(server)
-        else:
-            try:
-                while True:
-                    time.sleep(3600)
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.close()
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
     finally:
+        server.close()
         if sink is not None:
             sink.close()
     return 0
@@ -771,14 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=None,
                          help="optional on-disk cache directory "
                          "(survives restarts)")
-    p_serve.add_argument("--threaded", action="store_true",
-                         help="use the legacy thread-per-request HTTP server "
-                              "instead of the asyncio front end")
     p_serve.add_argument("--solve-processes", type=int, default=2,
                          help="solve worker processes (0 = solve on the job "
                               "threads, the pre-/v1 behaviour)")
-    p_serve.add_argument("--no-batching", action="store_true",
-                         help="disable coalescing of compatible sweep requests")
     p_serve.add_argument("--max-queued", type=int, default=None,
                          help="bound the job queue; excess submissions get 429")
     p_serve.add_argument("--rate-limit", type=float, default=None,

@@ -53,7 +53,8 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "worker_idle": frozenset({"slot"}),
     # A worker lowered the shared incumbent objective bound.
     "incumbent_broadcast": frozenset({"objective"}),
-    # One step of a Pareto sweep finished (canonical or batched).
+    # One step of a Pareto sweep finished: ``kind`` is "canonical" from
+    # pareto_sweep, "batched" from the deprecated pareto_sweep_prefixes.
     "sweep_step": frozenset({"index", "kind", "feasible"}),
     # Wall-clock attribution for a named non-LP phase (presolve, search, ...).
     "phase": frozenset({"name", "seconds"}),

@@ -1,4 +1,4 @@
-"""Synthesis job service: caching, batching, process pool, /v1 HTTP API.
+"""Synthesis job service: caching, process pool, /v1 HTTP API.
 
 The serving layer over :mod:`repro.synthesis` (see ``docs/service.md``):
 
@@ -12,14 +12,10 @@ The serving layer over :mod:`repro.synthesis` (see ``docs/service.md``):
   retries, backpressure, and dispatch onto threads or the process pool;
 * :mod:`~repro.service.procpool` — the persistent multi-process solve
   pool (crash detection, cross-process cancellation);
-* :mod:`~repro.service.batch` — coalescing of compatible sweep requests
-  into one incremental pass;
 * :mod:`~repro.service.api` — the transport-neutral ``/v1`` routing core
   (typed error envelope, rate limiting, metrics);
 * :mod:`~repro.service.asgi` — the ASGI 3 app and the stdlib asyncio
   HTTP server behind ``repro serve``;
-* :mod:`~repro.service.http` — the legacy threaded HTTP server
-  (``repro serve --threaded``), same /v1 surface;
 * :mod:`~repro.service.metrics` — latency histograms, token-bucket rate
   limiter, service counters.
 
@@ -48,7 +44,6 @@ from repro.service.fingerprint import (
     canonical_request,
     fingerprint_request,
 )
-from repro.service.http import ServiceServer, create_server, serve
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -85,7 +80,6 @@ __all__ = [
     "ResultCache",
     "ServiceApi",
     "ServiceMetrics",
-    "ServiceServer",
     "ShardedDiskBackend",
     "SolvePool",
     "SolvePoolBrokenError",
@@ -95,7 +89,5 @@ __all__ = [
     "TokenBucket",
     "create_app",
     "create_async_server",
-    "create_server",
-    "serve",
     "wait_all",
 ]

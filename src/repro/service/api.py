@@ -1,10 +1,10 @@
 """Transport-neutral HTTP API core: routing, validation, /v1 versioning.
 
-Both front ends — the threaded :mod:`repro.service.http` server and the
-asyncio :mod:`repro.service.asgi` app — funnel every request through one
+The asyncio :mod:`repro.service.asgi` app — and any external ASGI
+server hosting it — funnels every request through one
 :class:`ServiceApi`.  A request is ``(method, path, body bytes)`` in and
 an :class:`ApiResponse` (status, JSON document, extra headers) out, so
-the HTTP surface is defined exactly once and the transports stay dumb.
+the HTTP surface is defined once and the transport stays dumb.
 
 Versioning policy (see ``docs/api.md``):
 
@@ -16,7 +16,7 @@ Versioning policy (see ``docs/api.md``):
   shapes (including the legacy ``{"error": "<message>"}``), but carry a
   ``Deprecation: true`` header and a ``Link`` to the ``/v1`` successor.
 
-Operational behaviour added here, shared by both transports:
+Operational behaviour added here:
 
 * **Rate limiting** — an optional :class:`~repro.service.metrics.TokenBucket`
   guards the submission routes; over-rate POSTs get ``429`` with a
@@ -25,7 +25,7 @@ Operational behaviour added here, shared by both transports:
   the manager's bounded queue also maps to ``429 + Retry-After``.
 * **Metrics** — every response is timed into
   :class:`~repro.service.metrics.ServiceMetrics`; ``GET /v1/metrics``
-  merges that with the manager's queue/batch/pool/cache counters.
+  merges that with the manager's queue/pool/cache counters.
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ _STYLES = {
 #: 202.  Bounded so a slow solve cannot pin an HTTP worker forever; the
 #: client polls ``GET /v1/jobs/<id>`` afterwards.
 MAX_WAIT_SECONDS = 60.0
+
+#: The ``batch`` block of ``/v1/stats`` and ``/v1/metrics``.  Sweep
+#: batching is retired and every job is dispatched solo, but ``/v1``
+#: response documents only gain fields (docs/api.md), so the block stays
+#: as a constant: disabled, with zero counters.
+RETIRED_BATCH = {"enabled": False, "batches": 0, "batched_jobs": 0, "max_occupancy": 0}
 
 
 class BadRequest(ValueError):
@@ -268,7 +274,9 @@ class ServiceApi:
         if method == "POST" and route in ("/synthesize", "/sweep"):
             return self._submit(route.lstrip("/"), body, versioned)
         if method == "GET" and route == "/stats":
-            return ApiResponse(200, self.manager.stats())
+            return ApiResponse(
+                200, {**self.manager.stats(), "batch": dict(RETIRED_BATCH)}
+            )
         if method == "GET" and route == "/metrics":
             return ApiResponse(200, self.metrics_document())
         if method == "GET" and route.startswith("/jobs/"):
@@ -361,7 +369,7 @@ class ServiceApi:
             },
             "executor": stats["executor"],
             "pool": stats["pool"],
-            "batch": stats["batch"],
+            "batch": dict(RETIRED_BATCH),
             "solves": stats["solves"],
             "dedup_hits": stats["dedup_hits"],
             "inline_fallbacks": stats["inline_fallbacks"],

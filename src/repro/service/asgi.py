@@ -137,8 +137,6 @@ def create_app(
     trace=None,
     executor: str = "process",
     solve_processes: int = 2,
-    batching: bool = True,
-    batch_linger: float = 0.05,
     max_queued: Optional[int] = None,
     rate_limit: Optional[float] = None,
     rate_burst: Optional[float] = None,
@@ -152,10 +150,6 @@ def create_app(
         trace: Optional trace sink for ``job_status``/``cache_*`` events.
         executor: ``"process"`` (default — real cores) or ``"thread"``.
         solve_processes: Solve pool size for the process executor.
-        batching: Coalesce compatible sweep requests (see
-            :mod:`repro.service.batch`).
-        batch_linger: Micro-batching window under load, seconds (zero
-            added latency when the queue is empty).
         max_queued: Queue bound; excess submissions answer 429.
         rate_limit: Sustained submissions/second (token bucket); ``None``
             disables rate limiting.
@@ -167,8 +161,7 @@ def create_app(
             cache = ResultCache(trace=trace)
         manager = JobManager(
             workers=workers, cache=cache, trace=trace, executor=executor,
-            solve_processes=solve_processes, batching=batching,
-            batch_linger=batch_linger, max_queued=max_queued,
+            solve_processes=solve_processes, max_queued=max_queued,
         )
     api = ServiceApi(manager, rate_limit=rate_limit, rate_burst=rate_burst)
     return AsgiApp(api)
@@ -468,23 +461,20 @@ def create_async_server(
     verbose: bool = False,
     executor: str = "process",
     solve_processes: int = 2,
-    batching: bool = True,
-    batch_linger: float = 0.05,
     max_queued: Optional[int] = None,
     rate_limit: Optional[float] = None,
     rate_burst: Optional[float] = None,
 ) -> AsyncHTTPServer:
     """Build the default serving stack: ASGI app + asyncio HTTP server.
 
-    Mirrors :func:`repro.service.http.create_server` but with the
-    process-pool executor and batching on by default.  The server is not
-    yet running: call :meth:`AsyncHTTPServer.start` (background thread)
-    or :meth:`AsyncHTTPServer.serve_forever` (blocking).
+    The knobs are those of :func:`create_app` plus the bind address and
+    request logging.  The server is not yet running: call
+    :meth:`AsyncHTTPServer.start` (background thread) or
+    :meth:`AsyncHTTPServer.serve_forever` (blocking).
     """
     app = create_app(
         workers=workers, cache=cache, trace=trace, executor=executor,
-        solve_processes=solve_processes, batching=batching,
-        batch_linger=batch_linger, max_queued=max_queued,
+        solve_processes=solve_processes, max_queued=max_queued,
         rate_limit=rate_limit, rate_burst=rate_burst,
     )
     return AsyncHTTPServer(app, host=host, port=port, verbose=verbose)

@@ -37,12 +37,6 @@ bookkeeping.  What the manager adds over a bare thread pool:
   scale past the GIL.  The manager threads become dispatchers: they poll
   cancellation/deadline and bridge them to the pool's shared cancel
   flags.  A broken pool worker triggers a transparent inline fallback.
-* **Request batching** — at dispatch time, a worker claiming a sweep job
-  drains every still-queued batch-compatible sweep (same
-  :func:`~repro.service.batch.sweep_batch_key`, i.e. identical but for
-  ``max_designs``, and deadline-free) into one
-  :class:`~repro.service.batch.BatchSweepRequest`; one incremental pass
-  serves every member its exact front.
 * **Backpressure** — with ``max_queued`` set, submissions beyond the
   bound raise :class:`QueueFullError` (HTTP maps it to ``429``) instead
   of growing the queue without limit.
@@ -351,16 +345,6 @@ class JobManager:
             persistent :class:`~repro.service.procpool.SolvePool` so
             CPU-bound solves use real cores.
         solve_processes: Pool size for ``executor="process"``.
-        batching: Coalesce compatible deadline-free sweep jobs into one
-            incremental pass at dispatch time (see
-            :mod:`repro.service.batch`).
-        max_batch: Largest member count a single batch may absorb.
-        batch_linger: Micro-batching window in seconds.  When a worker
-            claims a sweep while *other* jobs are queued (i.e. under
-            load), it waits this long before collecting batch members so
-            concurrent compatible sweeps can land in the queue.  With an
-            empty queue the linger is skipped — sparse traffic pays zero
-            added latency.  ``0`` (default) disables lingering.
         max_queued: Bound on QUEUED jobs; submissions past it raise
             :class:`QueueFullError`.  ``None`` (default) is unbounded.
     """
@@ -375,9 +359,6 @@ class JobManager:
         trace=None,
         executor: str = "thread",
         solve_processes: int = 2,
-        batching: bool = True,
-        max_batch: int = 16,
-        batch_linger: float = 0.0,
         max_queued: Optional[int] = None,
     ) -> None:
         if workers < 1:
@@ -386,17 +367,12 @@ class JobManager:
             raise ValueError("max_finished_jobs must be nonnegative")
         if executor not in ("thread", "process"):
             raise ValueError(f"unknown executor {executor!r}")
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         if max_queued is not None and max_queued < 1:
             raise ValueError("max_queued must be at least 1 (or None)")
         self.cache = cache
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.max_finished_jobs = max_finished_jobs
-        self.batching = batching
-        self.max_batch = max_batch
-        self.batch_linger = batch_linger
         self.max_queued = max_queued
         self._pool = None
         if executor == "process":
@@ -415,17 +391,10 @@ class JobManager:
         #: fingerprint -> in-flight (queued or running) job, for dedup.
         self._inflight: Dict[str, Job] = {}
         self._shutdown = False
-        #: Solver invocations actually started (cache hits excluded).
-        #: One batched pass counts once however many jobs it serves.
+        #: Solve attempts actually started (cache hits excluded).
         self.solves = 0
         #: Submissions answered by single-flight dedup.
         self.dedup_hits = 0
-        #: Batched passes actually run (two or more members).
-        self.batches = 0
-        #: Jobs served by those batched passes (sum of member counts).
-        self.batched_jobs = 0
-        #: Largest member count any single batch reached.
-        self.max_batch_occupancy = 0
         #: Pooled solves re-run inline after a worker process died.
         self.inline_fallbacks = 0
         self._threads = [
@@ -524,13 +493,6 @@ class JobManager:
                 "executor": "process" if self._pool is not None else "thread",
                 "pool": self._pool.stats() if self._pool is not None else None,
                 "inline_fallbacks": self.inline_fallbacks,
-                "batch": {
-                    "enabled": self.batching,
-                    "max_batch": self.max_batch,
-                    "batches": self.batches,
-                    "batched_jobs": self.batched_jobs,
-                    "max_occupancy": self.max_batch_occupancy,
-                },
                 "cache": self.cache.stats() if self.cache is not None else None,
             }
 
@@ -576,9 +538,7 @@ class JobManager:
                 if not self._queue and self._shutdown:
                     return
                 _, _, job = heapq.heappop(self._queue)
-                # Lazy skip: cancelled while queued, or claimed into a
-                # batch by another worker (status already RUNNING).
-                if job.finished or job.status != QUEUED:
+                if job.finished:  # lazy skip: cancelled while queued
                     continue
                 job.status = RUNNING
                 job.started_at = time.time()
@@ -591,276 +551,132 @@ class JobManager:
                         self._finalize(job, FAILED, error=f"internal error: {exc!r}")
 
     def _execute(self, job: Job) -> None:
-        request = job.request
         if job.cancel_requested:
             with self._lock:
                 self._finalize(job, CANCELLED, error="cancelled before start")
             return
-
-        if self._cache_hit(job):
-            return
-
-        members = [job]
-        if (self.batching and request.kind == "sweep"
-                and job.deadline_seconds is None):
-            if self.batch_linger > 0.0:
+        request = job.request
+        if self.cache is not None:
+            hit = request.lookup(self.cache, job.fingerprint)
+            if hit is not None:
                 with self._lock:
-                    under_load = bool(self._queue)
-                if under_load:
-                    # Micro-batching: give concurrent compatible sweeps a
-                    # moment to land in the queue before collecting.
-                    job._cancel.wait(self.batch_linger)
-            members = self._collect_batch(job)
-        if len(members) > 1:
-            from repro.service.batch import BatchSweepRequest
+                    job.result = hit
+                    job.document = request.document_of(hit)
+                    job.cached = True
+                    self._finalize(job, DONE)
+                return
+        self._run(job)
 
-            batch = BatchSweepRequest(
-                prototype=request,
-                targets=[m.request.max_designs for m in members],
-            )
-            with self._lock:
-                self.batches += 1
-                self.batched_jobs += len(members)
-                self.max_batch_occupancy = max(
-                    self.max_batch_occupancy, len(members)
-                )
-            try:
-                self._run_members(members, batch)
-            except BaseException as exc:
-                # The worker loop's guard only knows the leader; claimed
-                # members must never be left RUNNING forever.
-                with self._lock:
-                    for member in members:
-                        if not member.finished:
-                            self._finalize(
-                                member, FAILED,
-                                error=f"internal error: {exc!r}",
-                            )
-        else:
-            self._run_members(members, request)
-
-    def _cache_hit(self, job: Job) -> bool:
-        """Finalize ``job`` from the cache; False on a miss."""
-        if self.cache is None:
-            return False
-        hit = job.request.lookup(self.cache, job.fingerprint)
-        if hit is None:
-            return False
-        with self._lock:
-            job.result = hit
-            job.document = job.request.document_of(hit)
-            job.cached = True
-            self._finalize(job, DONE)
-        return True
-
-    def _collect_batch(self, leader: Job) -> List[Job]:
-        """Claim every queued sweep batch-compatible with ``leader``.
-
-        Claimed members flip to RUNNING in place; the lazy skip in
-        :meth:`_worker_loop` drops their heap entries when popped.
-        Members whose results are already cached are finalized
-        immediately and excluded.  Returns ``[leader, ...members]``.
-        """
-        from repro.service.batch import sweep_batch_key
-
-        key = sweep_batch_key(leader.request)
-        claimed: List[Job] = []
-        with self._lock:
-            for _, _, candidate in self._queue:
-                if len(claimed) + 1 >= self.max_batch:
-                    break
-                if candidate.status != QUEUED or candidate.finished:
-                    continue
-                if candidate.cancel_requested:
-                    continue
-                if (candidate.request.kind != "sweep"
-                        or candidate.deadline_seconds is not None):
-                    continue
-                if getattr(candidate, "_batch_key", None) is None:
-                    candidate._batch_key = sweep_batch_key(candidate.request)
-                if candidate._batch_key != key:
-                    continue
-                candidate.status = RUNNING
-                candidate.started_at = time.time()
-                self._emit_status(candidate)
-                claimed.append(candidate)
-        members = [leader]
-        for candidate in claimed:
-            # A member may be a cache hit in its own right (different
-            # max_designs fingerprint): serve it, drop it from the batch.
-            if not self._cache_hit(candidate):
-                members.append(candidate)
-        return members
-
-    def _run_members(self, members: List[Job], request) -> None:
-        """The retry/solve/finalize loop, shared by solo jobs and batches.
-
-        ``members`` is ``[job]`` with ``request is job.request`` for a
-        solo run, or the batch members (leader first) with ``request`` a
-        :class:`~repro.service.batch.BatchSweepRequest`.  Batch members
-        never carry deadlines, so the leader's deadline is *the* deadline
-        in both shapes.
-        """
-        leader = members[0]
-        is_batch = request.kind == "sweep_batch"
+    def _run(self, job: Job) -> None:
+        """The retry/solve/finalize loop for one job that missed the cache."""
+        request = job.request
         attempt = 0
         while True:
-            if leader.past_deadline():
-                self._finalize_all(members, FAILED, "deadline exceeded")
+            if job.past_deadline():
+                self._fail(job, "deadline exceeded")
                 return
-            for member in members:
-                member.attempts = attempt + 1
+            job.attempts = attempt + 1
             with self._lock:
                 self.solves += 1
-            solver_options, deadline_limited = self._members_solver_options(members)
+            solver_options, deadline_limited = self._solver_options(job)
             try:
-                result = self._dispatch(members, request, solver_options)
+                result = self._dispatch(job, solver_options)
             except CancelledError:
-                for member in members:
-                    with self._lock:
-                        if member.cancel_requested:
-                            self._finalize(member, CANCELLED, error="cancelled")
-                        else:
-                            self._finalize(member, FAILED,
-                                           error="deadline exceeded")
+                with self._lock:
+                    if job.cancel_requested:
+                        self._finalize(job, CANCELLED, error="cancelled")
+                    else:
+                        self._finalize(job, FAILED, error="deadline exceeded")
                 return
             except _PERMANENT as exc:
-                self._finalize_all(members, FAILED, str(exc))
+                self._fail(job, str(exc))
                 return
             except _TRANSIENT as exc:
                 if attempt >= self.retries:
-                    self._finalize_all(
-                        members, FAILED,
-                        f"{exc} (after {attempt + 1} attempts)",
-                    )
+                    self._fail(job, f"{exc} (after {attempt + 1} attempts)")
                     return
                 # Exponential backoff, cut short by a cancel request and
                 # capped at the remaining deadline budget — the sleep
                 # must never be what pushes the job past its deadline.
                 delay = self.retry_backoff * (2 ** attempt)
-                remaining = leader.remaining_seconds()
+                remaining = job.remaining_seconds()
                 if remaining is not None:
                     delay = min(delay, max(0.0, remaining))
-                leader._cancel.wait(delay)
+                job._cancel.wait(delay)
                 attempt += 1
                 continue
             except ReproError as exc:  # SynthesisError etc.: permanent
-                self._finalize_all(members, FAILED, str(exc))
+                self._fail(job, str(exc))
                 return
             break
 
-        if not is_batch:
-            job = leader
-            document = request.document_of(result)
-            # The fingerprint excludes deadline_seconds (it is a property
-            # of the submission, not of the problem), so a result produced
-            # under a deadline-tightened time_limit may be a truncated
-            # incumbent that a deadline-free solve would improve on.
-            # Caching it would serve the truncated answer to every future
-            # identical request — so deadline-limited results are never
-            # stored.
-            if self.cache is not None and not deadline_limited:
-                request.store(self.cache, job.fingerprint, result)
-            with self._lock:
-                job.result = result
-                job.document = document
-                self._finalize(job, DONE)
-            return
+        document = request.document_of(result)
+        # The fingerprint excludes deadline_seconds (it is a property of
+        # the submission, not of the problem), so a result produced under
+        # a deadline-tightened time_limit may be a truncated incumbent
+        # that a deadline-free solve would improve on.  Caching it would
+        # serve the truncated answer to every future identical request —
+        # so deadline-limited results are never stored.
+        if self.cache is not None and not deadline_limited:
+            request.store(self.cache, job.fingerprint, result)
+        with self._lock:
+            job.result = result
+            job.document = document
+            self._finalize(job, DONE)
 
-        # Fan the batch's fronts back out: member i gets front i.  A
-        # member cancelled mid-batch has its (possibly shortened) front
-        # discarded; the others are byte-identical to solo solves and
-        # batches are deadline-free, so every survivor is cacheable.
-        for member, front in zip(members, result):
-            if member.cancel_requested:
-                with self._lock:
-                    self._finalize(member, CANCELLED, error="cancelled")
-                continue
-            document = member.request.document_of(front)
-            if self.cache is not None:
-                member.request.store(self.cache, member.fingerprint, front)
-            with self._lock:
-                member.result = front
-                member.document = document
-                self._finalize(member, DONE)
-
-    def _dispatch(self, members: List[Job], request, solver_options):
-        """Run ``request`` on the process pool (or inline); returns results.
+    def _dispatch(self, job: Job, solver_options: SolverOptions):
+        """Run the job's request on the process pool (or inline).
 
         Pool path: ships the request, polls cancellation/deadline on the
         driver side (bridged to the pool's shared cancel flags), rebuilds
-        result objects from the returned documents.  A dead worker
+        the result object from the returned document.  A dead worker
         process surfaces as ``SolvePoolBrokenError``; the solve then
         reruns inline on this thread so the job still completes.
         """
-        leader = members[0]
+        request = job.request
         if self._pool is not None:
             from repro.service.procpool import SolvePoolBrokenError
 
-            remaining = leader.remaining_seconds()
+            remaining = job.remaining_seconds()
             budget_until = (
                 time.time() + max(0.0, remaining)
                 if remaining is not None else None
             )
-            if len(members) == 1:
-                def should_cancel() -> bool:
-                    return leader.cancel_requested or leader.past_deadline()
-            else:
-                def should_cancel() -> bool:
-                    return all(m.cancel_requested for m in members)
             try:
                 document = self._pool.run(
-                    request, solver_options,
-                    budget_until=budget_until, should_cancel=should_cancel,
+                    request, solver_options, budget_until=budget_until,
+                    should_cancel=solver_options.should_stop,
                 )
                 return request.result_from_document(document)
             except SolvePoolBrokenError:
                 with self._lock:
                     self.inline_fallbacks += 1
                 # fall through to the inline path below
-        if request.kind == "sweep_batch":
-            def live_target() -> int:
-                alive = [m.request.max_designs
-                         for m in members if not m.cancel_requested]
-                return max(alive) if alive else 1
-
-            return request.run(solver_options, live_target=live_target)
         return request.run(solver_options)
 
-    def _finalize_all(self, members: List[Job], status: str,
-                      error: Optional[str]) -> None:
+    def _fail(self, job: Job, error: str) -> None:
         with self._lock:
-            for member in members:
-                self._finalize(member, status, error=error)
+            self._finalize(job, FAILED, error=error)
 
-    def _members_solver_options(
-        self, members: List[Job]
-    ) -> "tuple[SolverOptions, bool]":
+    def _solver_options(self, job: Job) -> "tuple[SolverOptions, bool]":
         """The request's solver options plus the job layer's hooks.
 
-        ``should_stop`` observes the cancel flag(s) and the wall-clock
+        ``should_stop`` observes the cancel flag and the wall-clock
         deadline (a sweep is many solves — the per-solve time limit alone
         cannot bound the whole job); the remaining budget also tightens
-        ``time_limit`` for the next solve.  For a batch, the hook fires
-        only when *every* member has cancelled (any survivor still wants
-        the pass), and batches are deadline-free by construction.
+        ``time_limit`` for the next solve.
 
         Returns the merged options and whether the deadline tightened
         ``time_limit`` below the request's own limit — in which case the
         result may be deadline-truncated and must not be cached (the
         fingerprint does not include the deadline).
         """
-        leader = members[0]
-        base = leader.request.solver_options or SolverOptions()
+        base = job.request.solver_options or SolverOptions()
 
-        if len(members) == 1:
-            def should_stop() -> bool:
-                return leader.cancel_requested or leader.past_deadline()
-        else:
-            def should_stop() -> bool:
-                return all(m.cancel_requested for m in members)
+        def should_stop() -> bool:
+            return job.cancel_requested or job.past_deadline()
 
-        remaining = leader.remaining_seconds()
+        remaining = job.remaining_seconds()
         time_limit = base.time_limit
         deadline_limited = False
         if remaining is not None and remaining < time_limit:

@@ -1,7 +1,7 @@
 """Serving-tier instrumentation: latency histograms, counters, rate limiting.
 
-Two small, dependency-free primitives shared by both HTTP front ends
-(:mod:`repro.service.http` and :mod:`repro.service.asgi`):
+Two small, dependency-free primitives behind the HTTP front end
+(:mod:`repro.service.asgi`, through :mod:`repro.service.api`):
 
 * :class:`LatencyHistogram` — a fixed, log2-spaced histogram of request
   latencies.  Quantiles are answered from the bucket counts (upper bucket
@@ -16,7 +16,7 @@ Two small, dependency-free primitives shared by both HTTP front ends
 
 :class:`ServiceMetrics` aggregates per-route histograms and response-class
 counters behind one lock; its :meth:`~ServiceMetrics.snapshot` is exactly
-the ``GET /v1/metrics`` payload (minus the queue/batch/pool sections the
+the ``GET /v1/metrics`` payload (minus the queue/pool/cache sections the
 API layer merges in from the job manager).
 """
 

@@ -250,9 +250,8 @@ class SolvePool:
         Args:
             request: A picklable request object exposing
                 ``run(solver_options)`` and ``document_of(result)`` —
-                :class:`~repro.service.jobs.SynthesizeRequest`,
-                :class:`~repro.service.jobs.SweepRequest`, or the
-                batcher's :class:`~repro.service.batch.BatchSweepRequest`.
+                :class:`~repro.service.jobs.SynthesizeRequest` or
+                :class:`~repro.service.jobs.SweepRequest`.
             solver_options: Merged options for the solve; sanitized
                 (callables stripped) before crossing the boundary.
             budget_until: Absolute ``time.time()`` deadline enforced

@@ -376,36 +376,11 @@ class Synthesizer:
             hit = cache.get_front(cache_key, self.graph, self.library)
             if hit is not None:
                 return hit
-        tracer = self._sweep_tracer()
-        sweep_stats = SolveStats()
-        front: List[Design] = []
-        caps: List[Optional[float]] = []
-        cap: Optional[float] = None
-        while len(front) < max_designs:
-            try:
-                design = self.synthesize(cost_cap=cap, validate=validate)
-            except InfeasibleError:
-                if tracer is not None:
-                    tracer.emit(
-                        "sweep_step", index=len(front), kind="canonical",
-                        feasible=False,
-                    )
-                break
-            front.append(design)
-            caps.append(cap)
-            if self.last_stats is not None:
-                sweep_stats.merge(self.last_stats)
-            if tracer is not None:
-                tracer.emit(
-                    "sweep_step", index=len(front) - 1, kind="canonical",
-                    feasible=True,
-                )
-            cap = design.cost - cost_step
-            if cap < 0:
-                break
-        if not front:
-            raise SynthesisError("pareto sweep produced no designs (infeasible instance?)")
-        result = ParetoFront(front, caps=caps, stats=sweep_stats)
+        designs, caps, step_stats = self._sweep_steps(
+            max_designs, cost_step=cost_step, validate=validate,
+            kind="canonical",
+        )
+        result = ParetoFront(designs, caps=caps, stats=_merged(step_stats))
         if cache is not None and cache_key is not None:
             cache.put_front(cache_key, result)
         return result
@@ -418,49 +393,62 @@ class Synthesizer:
         validate: bool = True,
         live_target=None,
     ) -> "List[ParetoFront]":
-        """One incremental sweep answering several ``max_designs`` at once.
+        """Deprecated: one sweep answering several ``max_designs`` at once.
 
-        The batching entry point of the service tier: several sweep
-        requests that differ *only* in ``max_designs`` are one
-        computation, because each Pareto step depends only on the
-        previous design's cost — the front for ``max_designs=k`` is
-        exactly the first ``k`` designs of the front for any larger
-        bound.  This method runs the sweep loop once, to
-        ``max(targets)``, against the retightened incremental model, and
-        slices a front per target out of the shared pass.
-
-        Per-member telemetry stays exact: each step's
-        :class:`~repro.milp.solution.SolveStats` is recorded separately
-        and the returned front for target ``k`` carries the merge of the
-        first ``k`` steps — the same counters a standalone
-        ``pareto_sweep(max_designs=k)`` would have accumulated.  (Wall
-        clock inside the stats is shared across members by construction;
-        the *designs and caps* are byte-identical to standalone sweeps,
-        which the test suite asserts.)
+        Each Pareto step depends only on the previous design's cost, so
+        the front for ``max_designs=k`` is exactly the first ``k`` designs
+        of any deeper sweep.  This runs the §4 loop once, to
+        ``max(targets)``, and slices one front per target; each front's
+        stats merge only its own steps.  Slice a single
+        :meth:`pareto_sweep` instead.
 
         Args:
             targets: One ``max_designs`` bound per caller, in caller
                 order.  Duplicates are fine (they share the slice).
-            cost_step: Shared cap decrement (members must agree on it to
-                be batched together).
+            cost_step: Shared cap decrement.
             validate: Independently validate every design.
             live_target: Optional zero-argument callable returning the
-                largest prefix still wanted (the service passes one that
-                shrinks as batched callers cancel).  Checked between
-                solves; the sweep never runs past it, but values larger
-                than ``max(targets)`` are ignored.
+                largest prefix still wanted, checked between solves; the
+                sweep never runs past it, but values larger than
+                ``max(targets)`` are ignored.
 
         Returns:
             One :class:`~repro.synthesis.front.ParetoFront` per entry of
             ``targets``, in order.
 
         Raises:
-            SynthesisError: When the sweep produces no designs at all
-                (every member would have failed identically).
+            SynthesisError: When the sweep produces no designs at all.
         """
+        warnings.warn(
+            "pareto_sweep_prefixes is deprecated; slice "
+            "pareto_sweep(max_designs=max(targets)) instead",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         if not targets or any(t < 1 for t in targets):
             raise ValueError("targets must be positive max_designs bounds")
-        goal = max(targets)
+        designs, caps, step_stats = self._sweep_steps(
+            max(targets), cost_step=cost_step, validate=validate,
+            kind="batched", live_target=live_target,
+        )
+        return [
+            ParetoFront(designs[:target], caps=caps[:target],
+                        stats=_merged(step_stats[:target]))
+            for target in targets
+        ]
+
+    def _sweep_steps(self, goal: int, *, cost_step: float, validate: bool,
+                     kind: str, live_target=None):
+        """The §4 loop: cap the cost, optimize, re-cap below the last design.
+
+        Runs up to ``goal`` steps (fewer once ``live_target()`` drops
+        below it) and returns ``(designs, caps, step_stats)`` with one
+        entry per step.  Every step emits a ``sweep_step`` event tagged
+        with ``kind``.
+
+        Raises:
+            SynthesisError: When the first step is already infeasible.
+        """
         tracer = self._sweep_tracer()
         designs: List[Design] = []
         caps: List[Optional[float]] = []
@@ -476,7 +464,7 @@ class Synthesizer:
             except InfeasibleError:
                 if tracer is not None:
                     tracer.emit(
-                        "sweep_step", index=len(designs), kind="batched",
+                        "sweep_step", index=len(designs), kind=kind,
                         feasible=False,
                     )
                 break
@@ -485,7 +473,7 @@ class Synthesizer:
             step_stats.append(self.last_stats)
             if tracer is not None:
                 tracer.emit(
-                    "sweep_step", index=len(designs) - 1, kind="batched",
+                    "sweep_step", index=len(designs) - 1, kind=kind,
                     feasible=True,
                 )
             cap = design.cost - cost_step
@@ -495,17 +483,7 @@ class Synthesizer:
             raise SynthesisError(
                 "pareto sweep produced no designs (infeasible instance?)"
             )
-        fronts: List[ParetoFront] = []
-        for target in targets:
-            take = min(target, len(designs))
-            merged = SolveStats()
-            for stats in step_stats[:take]:
-                if stats is not None:
-                    merged.merge(stats)
-            fronts.append(
-                ParetoFront(designs[:take], caps=caps[:take], stats=merged)
-            )
-        return fronts
+        return designs, caps, step_stats
 
     def pareto_sweep_by_deadline(
         self,
@@ -573,6 +551,15 @@ class Synthesizer:
 
 #: Keyword arguments of :func:`synthesize` that configure the
 #: :class:`Synthesizer` itself rather than the single solve.
+def _merged(step_stats: List[Optional[SolveStats]]) -> SolveStats:
+    """A sweep's telemetry: the merge of its steps' solve stats."""
+    merged = SolveStats()
+    for stats in step_stats:
+        if stats is not None:
+            merged.merge(stats)
+    return merged
+
+
 _CONSTRUCTOR_KEYS = frozenset(
     {"style", "solver", "solver_options", "options", "constraints",
      "incremental", "seed_incumbent"}

@@ -203,8 +203,8 @@ class TestManagerProcessExecutor:
     def test_delete_bridges_cancellation_into_worker(
         self, pool_solvers, ex1_graph, ex1_library
     ):
-        with JobManager(workers=1, executor="process", solve_processes=1,
-                        batching=False) as manager:
+        with JobManager(workers=1, executor="process",
+                        solve_processes=1) as manager:
             job = manager.submit(
                 SynthesizeRequest(ex1_graph, ex1_library, solver="stall")
             )
@@ -219,8 +219,8 @@ class TestManagerProcessExecutor:
     def test_dead_worker_falls_back_inline(
         self, pool_solvers, ex1_graph, ex1_library
     ):
-        with JobManager(workers=1, executor="process", solve_processes=1,
-                        batching=False) as manager:
+        with JobManager(workers=1, executor="process",
+                        solve_processes=1) as manager:
             job = manager.submit(
                 SynthesizeRequest(ex1_graph, ex1_library, solver="paused")
             )

@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+import signal
+import subprocess
+import sys
+import urllib.request
 
 import pytest
 
@@ -101,6 +106,33 @@ class TestCommands:
         argv = [command] if command == "bench" else [command, "example1"]
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--pricing", "dantzig"])
+
+    @pytest.mark.parametrize("flag", ["--threaded", "--no-batching"])
+    def test_retired_serve_flag_is_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", flag])
+
+    def test_serve_without_solve_processes_uses_thread_executor(self):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--solve-processes", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"serving on (http://\S+)", banner)
+            assert match, banner
+            assert "thread executor" in banner
+            url = match.group(1) + "/v1/stats"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                assert json.loads(response.read())["executor"] == "thread"
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
     def test_synthesize_trace_then_trace_command(self, capsys, tmp_path):
         trace = tmp_path / "solve.jsonl"
