@@ -53,8 +53,9 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "worker_idle": frozenset({"slot"}),
     # A worker lowered the shared incumbent objective bound.
     "incumbent_broadcast": frozenset({"objective"}),
-    # One step of a Pareto sweep finished: ``kind`` is "canonical" from
-    # pareto_sweep, "batched" from the deprecated pareto_sweep_prefixes.
+    # One step of a Pareto sweep finished.  ``kind`` is always "canonical"
+    # (both sweeps run the plain §4 loop); the field stays so trace
+    # documents keep their schema.
     "sweep_step": frozenset({"index", "kind", "feasible"}),
     # Wall-clock attribution for a named non-LP phase (presolve, search, ...).
     "phase": frozenset({"name", "seconds"}),

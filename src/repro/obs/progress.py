@@ -39,7 +39,7 @@ class ProgressUpdate:
     elapsed: float
 
     def __str__(self) -> str:
-        """Compact single-line rendering (what deprecated ``verbose`` prints)."""
+        """Compact single-line rendering (what :func:`print_progress` prints)."""
         incumbent = "-" if math.isinf(self.incumbent) else f"{self.incumbent:.6g}"
         gap = "-" if math.isinf(self.gap) else f"{self.gap:.2%}"
         return (
@@ -125,5 +125,5 @@ class ProgressReporter:
 
 
 def print_progress(update: ProgressUpdate) -> None:
-    """The default callback substituted for the deprecated ``verbose=True``."""
+    """A ready-made ``on_progress`` callback: one line per update on stdout."""
     print(str(update), flush=True)

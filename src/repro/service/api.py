@@ -1,4 +1,4 @@
-"""Transport-neutral HTTP API core: routing, validation, /v1 versioning.
+"""Transport-neutral HTTP API core: routing and validation for ``/v1``.
 
 The asyncio :mod:`repro.service.asgi` app — and any external ASGI
 server hosting it — funnels every request through one
@@ -6,15 +6,11 @@ server hosting it — funnels every request through one
 an :class:`ApiResponse` (status, JSON document, extra headers) out, so
 the HTTP surface is defined once and the transport stays dumb.
 
-Versioning policy (see ``docs/api.md``):
-
-* ``/v1/...`` is the stable surface: ``POST /v1/synthesize``,
-  ``POST /v1/sweep``, ``GET /v1/jobs/<id>``, ``DELETE /v1/jobs/<id>``,
-  ``GET /v1/stats``, ``GET /v1/metrics``.  Errors use the typed envelope
-  ``{"error": {"code", "message", "detail"}}``.
-* The original unversioned routes keep answering with their original
-  shapes (including the legacy ``{"error": "<message>"}``), but carry a
-  ``Deprecation: true`` header and a ``Link`` to the ``/v1`` successor.
+``/v1/...`` is the only surface (see ``docs/api.md``): ``POST
+/v1/synthesize``, ``POST /v1/sweep``, ``GET /v1/jobs/<id>``, ``DELETE
+/v1/jobs/<id>``, ``GET /v1/stats``, ``GET /v1/metrics``.  Every error,
+including the ``404`` for any path outside ``/v1``, uses the typed
+envelope ``{"error": {"code", "message", "detail"}}``.
 
 Operational behaviour added here:
 
@@ -120,6 +116,8 @@ def _number(body: Dict[str, Any], key: str, default=None) -> Optional[float]:
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise BadRequest(f"{key!r} must be a number")
+    if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+        raise BadRequest(f"{key!r} must be finite")
     return float(value)
 
 
@@ -143,10 +141,12 @@ def request_from_document(kind: str, body: Dict[str, Any]):
         max_designs = body.get("max_designs", 64)
         if not isinstance(max_designs, int) or max_designs < 1:
             raise BadRequest("'max_designs' must be a positive integer")
+        cost_step = _number(body, "cost_step", 1e-4)
+        if cost_step <= 0:
+            raise BadRequest("'cost_step' must be positive")
         return SweepRequest(
             graph, library, style=style, solver=solver,
-            max_designs=max_designs,
-            cost_step=_number(body, "cost_step", 1e-4),
+            max_designs=max_designs, cost_step=cost_step,
         )
     raise BadRequest(f"unknown request kind {kind!r}")
 
@@ -238,65 +238,53 @@ class ServiceApi:
                 Prometheus text exposition).
         """
         started = time.monotonic()
-        versioned = path == "/v1" or path.startswith("/v1/")
-        route = path[len("/v1"):] if versioned else path
-        if not route:
-            route = "/"
+        if path == "/v1":  # the bare prefix is the /v1/ root
+            path = "/v1/"
         try:
-            if (method == "GET" and route == "/metrics"
+            if (method == "GET" and path == "/v1/metrics"
                     and _wants_prometheus(query, accept)):
                 response = ApiResponse(
                     200, self.prometheus_document(),
                     content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
             else:
-                response = self._route(method, route, body, versioned)
+                response = self._route(method, path, body)
         except BaseException as exc:  # the transport must always answer
             response = self._error(
-                versioned, 500, "internal",
-                f"internal error: {exc!r}",
-            )
-        if not versioned and response.status != 404:
-            self.metrics.record_deprecated()
-            response.headers.append(("Deprecation", "true"))
-            response.headers.append(
-                ("Link", f'</v1{route}>; rel="successor-version"')
+                500, "internal", f"internal error: {exc!r}",
             )
         self.metrics.observe(
-            self._metric_route(method, route, versioned),
+            self._metric_route(method, path),
             response.status, time.monotonic() - started,
         )
         return response
 
     # -- routing -------------------------------------------------------------
-    def _route(self, method: str, route: str, body: Optional[bytes],
-               versioned: bool) -> ApiResponse:
-        if method == "POST" and route in ("/synthesize", "/sweep"):
-            return self._submit(route.lstrip("/"), body, versioned)
-        if method == "GET" and route == "/stats":
+    def _route(self, method: str, path: str,
+               body: Optional[bytes]) -> ApiResponse:
+        if method == "POST" and path in ("/v1/synthesize", "/v1/sweep"):
+            return self._submit(path[len("/v1/"):], body)
+        if method == "GET" and path == "/v1/stats":
             return ApiResponse(
                 200, {**self.manager.stats(), "batch": dict(RETIRED_BATCH)}
             )
-        if method == "GET" and route == "/metrics":
+        if method == "GET" and path == "/v1/metrics":
             return ApiResponse(200, self.metrics_document())
-        if method == "GET" and route.startswith("/jobs/"):
-            return self._job_state(route[len("/jobs/"):], versioned)
-        if method == "DELETE" and route.startswith("/jobs/"):
-            return self._cancel(route[len("/jobs/"):], versioned)
-        prefix = "/v1" if versioned else ""
+        if method == "GET" and path.startswith("/v1/jobs/"):
+            return self._job_state(path[len("/v1/jobs/"):])
+        if method == "DELETE" and path.startswith("/v1/jobs/"):
+            return self._cancel(path[len("/v1/jobs/"):])
         return self._error(
-            versioned, 404, "not_found",
-            f"no such route: {method} {prefix}{route}",
+            404, "not_found", f"no such route: {method} {path}",
         )
 
-    def _submit(self, kind: str, body: Optional[bytes],
-                versioned: bool) -> ApiResponse:
+    def _submit(self, kind: str, body: Optional[bytes]) -> ApiResponse:
         if self.bucket is not None:
             delay = self.bucket.acquire()
             if delay > 0.0:
                 self.metrics.record_throttled()
                 return self._error(
-                    versioned, 429, "rate_limited",
+                    429, "rate_limited",
                     "request rate over the configured limit",
                     detail={"retry_after_seconds": round(delay, 3)},
                     headers=[("Retry-After", str(max(1, math.ceil(delay))))],
@@ -311,14 +299,14 @@ class ServiceApi:
             wait = document.get("wait", False)
             if isinstance(wait, bool):
                 wait_timeout = MAX_WAIT_SECONDS if wait else None
-            elif isinstance(wait, (int, float)):
+            elif isinstance(wait, (int, float)) and math.isfinite(wait):
                 wait_timeout = min(max(float(wait), 0.0), MAX_WAIT_SECONDS)
             else:
                 raise BadRequest(
                     "'wait' must be a boolean or a number of seconds"
                 )
         except BadRequest as exc:
-            return self._error(versioned, 400, "bad_request", str(exc))
+            return self._error(400, "bad_request", str(exc))
         try:
             job = self.manager.submit(
                 request, priority=priority, deadline_seconds=deadline_seconds
@@ -326,7 +314,7 @@ class ServiceApi:
         except QueueFullError as exc:
             self.metrics.record_rejected_full()
             return self._error(
-                versioned, 429, "queue_full", str(exc),
+                429, "queue_full", str(exc),
                 detail={"retry_after_seconds": exc.retry_after},
                 headers=[("Retry-After",
                           str(max(1, math.ceil(exc.retry_after))))],
@@ -335,22 +323,18 @@ class ServiceApi:
             job.wait(wait_timeout)
         return ApiResponse(200 if job.finished else 202, job.snapshot())
 
-    def _job_state(self, job_id: str, versioned: bool) -> ApiResponse:
+    def _job_state(self, job_id: str) -> ApiResponse:
         try:
             job = self.manager.get(job_id)
         except KeyError:
-            return self._error(
-                versioned, 404, "not_found", f"unknown job {job_id!r}"
-            )
+            return self._error(404, "not_found", f"unknown job {job_id!r}")
         return ApiResponse(200 if job.finished else 202, job.snapshot())
 
-    def _cancel(self, job_id: str, versioned: bool) -> ApiResponse:
+    def _cancel(self, job_id: str) -> ApiResponse:
         try:
             cancelled = self.manager.cancel(job_id)
         except KeyError:
-            return self._error(
-                versioned, 404, "not_found", f"unknown job {job_id!r}"
-            )
+            return self._error(404, "not_found", f"unknown job {job_id!r}")
         return ApiResponse(
             200, {"job": job_id, "cancel_requested": cancelled}
         )
@@ -442,22 +426,16 @@ class ServiceApi:
         return document
 
     @staticmethod
-    def _error(versioned: bool, status: int, code: str, message: str,
+    def _error(status: int, code: str, message: str,
                detail: Optional[Dict[str, Any]] = None,
                headers: Optional[List[Tuple[str, str]]] = None) -> ApiResponse:
-        """The error envelope: typed under /v1, legacy string otherwise."""
-        if versioned:
-            document = {
-                "error": {"code": code, "message": message, "detail": detail}
-            }
-        else:
-            document = {"error": message}
+        """The typed error envelope every error answers with."""
+        document = {"error": {"code": code, "message": message, "detail": detail}}
         return ApiResponse(status, document, headers or [])
 
     @staticmethod
-    def _metric_route(method: str, route: str, versioned: bool) -> str:
+    def _metric_route(method: str, path: str) -> str:
         """Bounded-cardinality metrics label (job ids collapsed)."""
-        if route.startswith("/jobs/"):
-            route = "/jobs"
-        prefix = "/v1" if versioned else ""
-        return f"{method} {prefix}{route}"
+        if path.startswith("/v1/jobs/"):
+            path = "/v1/jobs"
+        return f"{method} {path}"

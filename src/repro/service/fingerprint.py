@@ -67,7 +67,7 @@ _SOLVER_FIELDS = (
 
 #: SolverOptions fields that provably cannot change the returned solution
 #: — ``workers``/``frontier_target``/``clamp_workers`` (documented
-#: byte-identical scheduling), ``trace``/``on_progress``/``verbose``/
+#: byte-identical scheduling), ``trace``/``on_progress``/
 #: ``progress_interval`` (observation only), ``presolve``
 #: (optimum-preserving numerics), ``should_stop``
 #: (external cancellation, surfaces as an *aborted* result that is never
@@ -79,7 +79,6 @@ RESULT_INVARIANT_SOLVER_FIELDS = (
     "presolve",
     "workers",
     "frontier_target",
-    "verbose",
     "trace",
     "on_progress",
     "progress_interval",

@@ -170,8 +170,6 @@ class ServiceMetrics:
         self.throttled = 0
         #: Submissions rejected because the job queue was full.
         self.rejected_full = 0
-        #: Requests served on a deprecated (unversioned) route.
-        self.deprecated_requests = 0
 
     def observe(self, route: str, status: int, seconds: float) -> None:
         """Record one finished request: route latency + status class."""
@@ -195,11 +193,6 @@ class ServiceMetrics:
         with self._lock:
             self.rejected_full += 1
 
-    def record_deprecated(self) -> None:
-        """Count one hit on a deprecated unversioned route."""
-        with self._lock:
-            self.deprecated_requests += 1
-
     def snapshot(self) -> Dict[str, Any]:
         """The metrics document core (latency + responses + rejections)."""
         with self._lock:
@@ -213,7 +206,9 @@ class ServiceMetrics:
                 "responses": dict(sorted(self._responses.items())),
                 "throttled": self.throttled,
                 "rejected_queue_full": self.rejected_full,
-                "deprecated_requests": self.deprecated_requests,
+                # The routes outside /v1 were removed in 2.0.0, but /v1
+                # documents only gain fields (docs/api.md): a constant 0.
+                "deprecated_requests": 0,
             }
 
     def prometheus_lines(self) -> List[str]:
@@ -243,9 +238,10 @@ class ServiceMetrics:
                 "# HELP sos_rejected_queue_full_total Submissions rejected by the bounded queue.",
                 "# TYPE sos_rejected_queue_full_total counter",
                 f"sos_rejected_queue_full_total {self.rejected_full}",
+                # A constant 0, like the snapshot field (help text kept).
                 "# HELP sos_deprecated_requests_total Requests served on deprecated unversioned routes.",
                 "# TYPE sos_deprecated_requests_total counter",
-                f"sos_deprecated_requests_total {self.deprecated_requests}",
+                "sos_deprecated_requests_total 0",
                 "# HELP sos_request_duration_seconds Request latency by route.",
                 "# TYPE sos_request_duration_seconds histogram",
             ]

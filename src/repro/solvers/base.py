@@ -5,12 +5,11 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-import warnings
 from typing import Callable, Mapping, Optional
 
 from repro.milp.model import Model
 from repro.milp.solution import Solution
-from repro.obs.progress import ProgressUpdate, print_progress
+from repro.obs.progress import ProgressUpdate
 from repro.obs.sinks import TraceSink
 
 
@@ -88,9 +87,6 @@ class SolverOptions:
             pruning), so serial/parallel byte-identity is preserved.
             ``"off"`` disables.
         seed: Tie-breaking seed for randomized choices.
-        verbose: Deprecated — emit progress lines to stdout.  Use
-            ``on_progress`` instead; ``verbose=True`` now substitutes a
-            printing callback (and warns) when no callback is set.
         trace: A :class:`~repro.obs.sinks.TraceSink` receiving structured
             solve events (``node_opened``, ``lp_solved``,
             ``incumbent_found``, ...).  ``None`` disables tracing.  The
@@ -137,7 +133,6 @@ class SolverOptions:
     strong_branching: int = 8
     rc_fixing: str = "root"
     seed: int = 0
-    verbose: bool = False
     trace: Optional[TraceSink] = None
     on_progress: Optional[Callable[[ProgressUpdate], None]] = None
     progress_interval: float = 1.0
@@ -153,18 +148,6 @@ class Solver(abc.ABC):
 
     def __init__(self, options: Optional[SolverOptions] = None) -> None:
         self.options = options or SolverOptions()
-        if self.options.verbose:
-            warnings.warn(
-                "SolverOptions.verbose is deprecated; pass an on_progress "
-                "callback instead (verbose currently substitutes the "
-                "default printing callback)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.options.on_progress is None:
-                self.options = dataclasses.replace(
-                    self.options, on_progress=print_progress
-                )
 
     @abc.abstractmethod
     def solve(self, model: Model) -> Solution:

@@ -58,7 +58,6 @@ class HighsSolver(Solver):
         options: Dict[str, object] = {"mip_rel_gap": self.options.gap_tolerance}
         if math.isfinite(self.options.time_limit):
             options["time_limit"] = self.options.time_limit
-        options["disp"] = bool(self.options.verbose)
         if self.options.node_limit:
             options["node_limit"] = self.options.node_limit
 

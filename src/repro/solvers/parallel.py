@@ -213,7 +213,7 @@ def solve_parallel(
     # solve_lease additionally hard-disables cuts via ``allow_cuts=False``.
     worker_options = replace(
         options, workers=1, frontier_target=0, cuts="off",
-        trace=None, on_progress=None, verbose=False, should_stop=None,
+        trace=None, on_progress=None, should_stop=None,
     )
     root_lp = (
         (ramp.root_obj, ramp.root_x, ramp.root_rc)

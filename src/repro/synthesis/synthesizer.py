@@ -9,7 +9,7 @@ completion time to enumerate the non-inferior (Pareto) designs of §4.
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import math
 from typing import List, Optional
 
 from repro.core.formulation import SosModel, SosModelBuilder
@@ -314,7 +314,6 @@ class Synthesizer:
         max_designs: int = 64,
         cost_step: float = 1e-4,
         validate: bool = True,
-        workers: int = 1,
         cache: Optional["ResultCache"] = None,
     ) -> ParetoFront:
         """Enumerate all non-inferior designs, fastest first.
@@ -327,18 +326,19 @@ class Synthesizer:
 
         Every returned design is non-inferior: each solve minimizes
         makespan under the cap and then minimizes cost at that makespan, so
-        successive designs are strictly cheaper and strictly slower.
+        successive designs are strictly cheaper and strictly slower.  Each
+        step depends only on the previous design's cost, so the front for
+        ``max_designs=k`` is the first ``k`` designs of any deeper sweep.
+        For parallel branch and bound inside each solve, construct the
+        synthesizer with ``SolverOptions(workers=N)``; the front is the
+        same.
 
         Args:
             max_designs: Safety bound on the front size.
             cost_step: How far below the previous cost the next cap sits
                 (any value smaller than the cost granularity is exact).
+                Must be finite and positive.
             validate: Independently validate every design.
-            workers: Deprecated; pass ``SolverOptions(workers=N)`` as
-                ``solver_options`` instead.  ``workers > 1`` warns and runs
-                the sweep with parallel branch and bound inside each solve
-                (``dataclasses.replace(solver_options, workers=N)``), so
-                the front is identical to the serial sweep.
             cache: Optional :class:`~repro.service.cache.ResultCache`.
                 A hit returns the stored front without solving anything; a
                 miss sweeps normally and stores the whole front under the
@@ -349,25 +349,12 @@ class Synthesizer:
             indexes exactly like the ``List[Design]`` this method used to
             return, and additionally carries the per-design cost caps and
             the sweep's merged solver telemetry.
+
+        Raises:
+            ValueError: When ``cost_step`` is not finite and positive.
+            SynthesisError: When the first step is already infeasible.
         """
-        if workers > 1:
-            warnings.warn(
-                "pareto_sweep(workers=N) is deprecated; pass "
-                "solver_options=SolverOptions(workers=N) to the Synthesizer",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            saved = self.solver_options
-            self.solver_options = dataclasses.replace(
-                saved or SolverOptions(), workers=workers
-            )
-            try:
-                return self.pareto_sweep(
-                    max_designs=max_designs, cost_step=cost_step,
-                    validate=validate, cache=cache,
-                )
-            finally:
-                self.solver_options = saved
+        _check_step("cost_step", cost_step)
         cache_key: Optional[str] = None
         if cache is not None:
             cache_key = self._fingerprint(
@@ -376,114 +363,41 @@ class Synthesizer:
             hit = cache.get_front(cache_key, self.graph, self.library)
             if hit is not None:
                 return hit
-        designs, caps, step_stats = self._sweep_steps(
-            max_designs, cost_step=cost_step, validate=validate,
-            kind="canonical",
-        )
-        result = ParetoFront(designs, caps=caps, stats=_merged(step_stats))
-        if cache is not None and cache_key is not None:
-            cache.put_front(cache_key, result)
-        return result
-
-    def pareto_sweep_prefixes(
-        self,
-        targets: List[int],
-        *,
-        cost_step: float = 1e-4,
-        validate: bool = True,
-        live_target=None,
-    ) -> "List[ParetoFront]":
-        """Deprecated: one sweep answering several ``max_designs`` at once.
-
-        Each Pareto step depends only on the previous design's cost, so
-        the front for ``max_designs=k`` is exactly the first ``k`` designs
-        of any deeper sweep.  This runs the §4 loop once, to
-        ``max(targets)``, and slices one front per target; each front's
-        stats merge only its own steps.  Slice a single
-        :meth:`pareto_sweep` instead.
-
-        Args:
-            targets: One ``max_designs`` bound per caller, in caller
-                order.  Duplicates are fine (they share the slice).
-            cost_step: Shared cap decrement.
-            validate: Independently validate every design.
-            live_target: Optional zero-argument callable returning the
-                largest prefix still wanted, checked between solves; the
-                sweep never runs past it, but values larger than
-                ``max(targets)`` are ignored.
-
-        Returns:
-            One :class:`~repro.synthesis.front.ParetoFront` per entry of
-            ``targets``, in order.
-
-        Raises:
-            SynthesisError: When the sweep produces no designs at all.
-        """
-        warnings.warn(
-            "pareto_sweep_prefixes is deprecated; slice "
-            "pareto_sweep(max_designs=max(targets)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not targets or any(t < 1 for t in targets):
-            raise ValueError("targets must be positive max_designs bounds")
-        designs, caps, step_stats = self._sweep_steps(
-            max(targets), cost_step=cost_step, validate=validate,
-            kind="batched", live_target=live_target,
-        )
-        return [
-            ParetoFront(designs[:target], caps=caps[:target],
-                        stats=_merged(step_stats[:target]))
-            for target in targets
-        ]
-
-    def _sweep_steps(self, goal: int, *, cost_step: float, validate: bool,
-                     kind: str, live_target=None):
-        """The §4 loop: cap the cost, optimize, re-cap below the last design.
-
-        Runs up to ``goal`` steps (fewer once ``live_target()`` drops
-        below it) and returns ``(designs, caps, step_stats)`` with one
-        entry per step.  Every step emits a ``sweep_step`` event tagged
-        with ``kind``.
-
-        Raises:
-            SynthesisError: When the first step is already infeasible.
-        """
         tracer = self._sweep_tracer()
-        designs: List[Design] = []
+        sweep_stats = SolveStats()
+        front: List[Design] = []
         caps: List[Optional[float]] = []
-        step_stats: List[Optional[SolveStats]] = []
         cap: Optional[float] = None
-        while len(designs) < goal:
-            if live_target is not None:
-                goal = min(goal, max(1, int(live_target())))
-                if len(designs) >= goal:
-                    break
+        while len(front) < max_designs:
             try:
                 design = self.synthesize(cost_cap=cap, validate=validate)
             except InfeasibleError:
                 if tracer is not None:
                     tracer.emit(
-                        "sweep_step", index=len(designs), kind=kind,
+                        "sweep_step", index=len(front), kind="canonical",
                         feasible=False,
                     )
                 break
-            designs.append(design)
+            front.append(design)
             caps.append(cap)
-            step_stats.append(self.last_stats)
+            if self.last_stats is not None:
+                sweep_stats.merge(self.last_stats)
             if tracer is not None:
                 tracer.emit(
-                    "sweep_step", index=len(designs) - 1, kind=kind,
+                    "sweep_step", index=len(front) - 1, kind="canonical",
                     feasible=True,
                 )
             cap = design.cost - cost_step
             if cap < 0:
                 break
-        if not designs:
+        if not front:
             raise SynthesisError(
                 "pareto sweep produced no designs (infeasible instance?)"
             )
-        return designs, caps, step_stats
+        result = ParetoFront(front, caps=caps, stats=sweep_stats)
+        if cache is not None and cache_key is not None:
+            cache.put_front(cache_key, result)
+        return result
 
     def pareto_sweep_by_deadline(
         self,
@@ -504,14 +418,19 @@ class Synthesizer:
         Args:
             max_designs: Safety bound on the front size.
             time_step: How far below the previous makespan the next
-                deadline sits.
+                deadline sits.  Must be finite and positive.
             validate: Independently validate every design.
 
         Returns:
             A :class:`~repro.synthesis.front.ParetoFront` whose ``caps``
             hold the deadline used for each design (``None`` for the
             unconstrained first solve).
+
+        Raises:
+            ValueError: When ``time_step`` is not finite and positive.
+            SynthesisError: When the first step is already infeasible.
         """
+        _check_step("time_step", time_step)
         tracer = self._sweep_tracer()
         sweep_stats = SolveStats()
         front: List[Design] = []
@@ -549,17 +468,19 @@ class Synthesizer:
         return ParetoFront(front, caps=caps, stats=sweep_stats)
 
 
+def _check_step(name: str, step: float) -> None:
+    """A sweep step must move the bound: finite and strictly positive.
+
+    Zero would re-solve the same cap until ``max_designs`` copies pile up,
+    and NaN would end the sweep after one design as if the front were
+    complete.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"{name} must be finite and positive, got {step!r}")
+
+
 #: Keyword arguments of :func:`synthesize` that configure the
 #: :class:`Synthesizer` itself rather than the single solve.
-def _merged(step_stats: List[Optional[SolveStats]]) -> SolveStats:
-    """A sweep's telemetry: the merge of its steps' solve stats."""
-    merged = SolveStats()
-    for stats in step_stats:
-        if stats is not None:
-            merged.merge(stats)
-    return merged
-
-
 _CONSTRUCTOR_KEYS = frozenset(
     {"style", "solver", "solver_options", "options", "constraints",
      "incremental", "seed_incumbent"}

@@ -1,4 +1,4 @@
-"""Progress callbacks: rate limiting, exception isolation, verbose deprecation."""
+"""Progress callbacks: rate limiting, exception isolation, verbose removal."""
 
 import math
 import warnings
@@ -96,28 +96,22 @@ class TestExceptionIsolation:
 
 
 class TestVerboseDeprecation:
-    def test_verbose_warns_and_substitutes_print_progress(self):
-        with pytest.warns(DeprecationWarning, match="on_progress"):
-            solver = BozoSolver(SolverOptions(verbose=True))
-        assert solver.options.on_progress is print_progress
+    """``SolverOptions.verbose`` finished its deprecation: removed in 2.0.0.
 
-    def test_explicit_on_progress_wins_over_verbose(self):
-        def mine(update):
-            pass
-
-        with pytest.warns(DeprecationWarning):
-            solver = BozoSolver(SolverOptions(verbose=True, on_progress=mine))
-        assert solver.options.on_progress is mine
+    ``on_progress=print_progress`` prints the lines it used to.
+    """
 
     def test_no_warning_without_verbose(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             BozoSolver(SolverOptions())
+        with pytest.raises(TypeError, match="verbose"):
+            SolverOptions(verbose=True)
 
     def test_progress_lines_printed_during_verbose_solve(self, capsys):
-        options = SolverOptions(verbose=True, progress_interval=0.0)
-        with pytest.warns(DeprecationWarning):
-            solver = BozoSolver(options)
+        options = SolverOptions(on_progress=print_progress,
+                                progress_interval=0.0)
+        solver = BozoSolver(options)
         solver.solve(market_split(2, 8, 0))
         out = capsys.readouterr().out
         assert "nodes=" in out and "bound=" in out

@@ -200,62 +200,63 @@ class TestV1Surface:
         assert doc["status"] == "cancelled"
 
 
-#: Malformed submissions: body -> a fragment of the 400 message.
+#: Malformed submissions: case -> (route, body, a fragment of the 400
+#: message).  ``json.dumps`` writes non-finite floats as the ``NaN`` and
+#: ``Infinity`` literals that ``json.loads`` accepts.
 BAD_BODIES = {
-    "bad_json": (b"{nope", "not valid JSON"),
-    "missing_problem": ({"solver": "highs"}, "'problem'"),
-    "unknown_builtin_problem": ({"problem": "example9"}, "example9"),
-    "bad_style": ({"problem": "example1", "style": "mesh"}, "mesh"),
-    "bad_number": ({"problem": "example1", "cost_cap": "cheap"}, "'cost_cap'"),
-    "bad_wait": ({"problem": "example1", "wait": "yes"}, "'wait'"),
+    "bad_json": ("synthesize", b"{nope", "not valid JSON"),
+    "missing_problem": ("synthesize", {"solver": "highs"}, "'problem'"),
+    "unknown_builtin_problem": ("synthesize", {"problem": "example9"},
+                                "example9"),
+    "bad_style": ("synthesize", {"problem": "example1", "style": "mesh"},
+                  "mesh"),
+    "bad_number": ("synthesize", {"problem": "example1", "cost_cap": "cheap"},
+                   "'cost_cap'"),
+    "bad_wait": ("synthesize", {"problem": "example1", "wait": "yes"},
+                 "'wait'"),
+    "nan_cost_cap": ("synthesize",
+                     {"problem": "example1", "cost_cap": float("nan")},
+                     "'cost_cap'"),
+    "infinite_cost_cap": ("synthesize",
+                          {"problem": "example1", "cost_cap": float("inf")},
+                          "'cost_cap'"),
+    "nan_wait": ("synthesize", {"problem": "example1", "wait": float("nan")},
+                 "'wait'"),
+    "zero_cost_step": ("sweep", {"problem": "example1", "cost_step": 0},
+                       "'cost_step'"),
 }
 
 
 class TestValidation:
-    @pytest.mark.parametrize("prefix", ["/v1", ""], ids=["v1", "legacy"])
+    @pytest.mark.parametrize("prefix", ["/v1"], ids=["v1"])
     @pytest.mark.parametrize("case", sorted(BAD_BODIES))
     def test_bad_request_400(self, server, case, prefix):
-        body, fragment = BAD_BODIES[case]
-        status, _, doc = call(server, "POST", f"{prefix}/synthesize", body)
+        route, body, fragment = BAD_BODIES[case]
+        status, _, doc = call(server, "POST", f"{prefix}/{route}", body)
         assert status == 400
-        if prefix:
-            assert doc["error"]["code"] == "bad_request"
-            assert fragment in doc["error"]["message"]
-        else:
-            assert fragment in doc["error"]
+        assert doc["error"]["code"] == "bad_request"
+        assert fragment in doc["error"]["message"]
 
 
 class TestLegacyCompat:
-    def test_unversioned_routes_answer_with_deprecation(self, server):
-        status, headers, doc = call(server, "POST", "/synthesize", {
-            "problem": "example1", "solver": "highs", "wait": True,
-        })
-        assert status == 200 and doc["status"] == "done"
-        assert headers["Deprecation"] == "true"
-        assert headers["Link"] == '</v1/synthesize>; rel="successor-version"'
-        status, headers, _ = call(server, "GET", "/stats")
-        assert status == 200
-        assert headers["Link"] == '</v1/stats>; rel="successor-version"'
+    """The unversioned spellings were removed in 2.0.0.
 
-    def test_legacy_error_shape_is_string(self, server):
-        status, headers, doc = call(server, "POST", "/synthesize",
-                                    {"problem": "no-such-problem"})
-        assert status == 400
-        assert isinstance(doc["error"], str)
-        assert headers["Deprecation"] == "true"
+    They answer the same typed ``404`` as any other unknown path, with
+    no ``Deprecation`` or ``Link`` header.
+    """
 
     def test_legacy_404_has_no_deprecation_header(self, server):
-        status, headers, doc = call(server, "GET", "/nope")
-        assert status == 404
-        assert isinstance(doc["error"], str)
-        assert "Deprecation" not in headers
-
-    def test_deprecated_counter_climbs(self, server):
-        _, _, before = call(server, "GET", "/v1/metrics")
-        call(server, "GET", "/stats")
-        _, _, after = call(server, "GET", "/v1/metrics")
-        assert (after["service"]["deprecated_requests"]
-                > before["service"]["deprecated_requests"])
+        for method, path, body in (
+            ("GET", "/nope", None),
+            ("POST", "/synthesize",
+             {"problem": "example1", "solver": "highs", "wait": True}),
+        ):
+            status, headers, doc = call(server, method, path, body)
+            assert status == 404
+            assert doc["error"]["code"] == "not_found"
+            assert f"{method} {path}" in doc["error"]["message"]
+            assert "Deprecation" not in headers
+            assert "Link" not in headers
 
 
 class TestBackpressure:

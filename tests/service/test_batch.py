@@ -4,10 +4,9 @@ Sweep batching is retired: every job is dispatched solo, and the
 ``batch`` block of ``/v1/stats`` and ``/v1/metrics`` is a constant kept
 for ``/v1`` compatibility.  These tests pin what remains: concurrent
 sweeps of one problem each get exactly the solo ``pareto_sweep`` front
-with one solve per job, the deprecated
-:meth:`~repro.synthesis.synthesizer.Synthesizer.pareto_sweep_prefixes`
-still equals slices of one ``pareto_sweep``, and the retired block still
-answers.
+with one solve per job, a shallow sweep equals the prefix of a deeper
+one (what batching relied on, and what replaces the removed
+``pareto_sweep_prefixes``), and the retired block still answers.
 """
 
 import json
@@ -125,13 +124,14 @@ class TestBatchedFrontsByteIdentical:
         library = random_library(seed, graph.subtask_names)
         targets = sorted(rng.sample([1, 2, 3, 4, 5], k=rng.randint(2, 4)))
 
-        with pytest.warns(DeprecationWarning, match="pareto_sweep_prefixes"):
-            fronts = Synthesizer(graph, library).pareto_sweep_prefixes(targets)
         full = Synthesizer(graph, library).pareto_sweep(
             max_designs=max(targets)
         ).to_dict()
 
-        for target, front in zip(targets, fronts):
+        for target in targets:
+            front = Synthesizer(graph, library).pareto_sweep(
+                max_designs=target
+            )
             assert len(front) <= target
             assert front_key(front.to_dict()) == front_key(full, take=target), (
                 f"seed={seed} target={target}"

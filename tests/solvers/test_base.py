@@ -17,7 +17,6 @@ class TestSolverOptions:
         assert options.branching == "pseudocost"
         assert options.cuts == "auto"
         assert options.presolve is True
-        assert options.verbose is False
 
     def test_overrides(self):
         options = SolverOptions(time_limit=5.0, node_selection="depth_first",

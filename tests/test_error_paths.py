@@ -77,6 +77,24 @@ class TestSynthesizerErrorPaths:
         with pytest.raises((SynthesisError, InfeasibleError)):
             synth.pareto_sweep()
 
+    @pytest.mark.parametrize("method, kwargs, error", [
+        # Zero would re-solve one cap until max_designs copies pile up,
+        ("pareto_sweep", {"cost_step": 0}, ValueError),
+        ("pareto_sweep", {"cost_step": -1.0}, ValueError),
+        # and NaN would stop after one design, a front cache= would keep.
+        ("pareto_sweep", {"cost_step": float("nan")}, ValueError),
+        ("pareto_sweep", {"cost_step": float("inf")}, ValueError),
+        ("pareto_sweep_by_deadline", {"time_step": 0}, ValueError),
+        ("pareto_sweep_by_deadline", {"time_step": float("nan")}, ValueError),
+        # Removed in 2.0.0: use SolverOptions(workers=N).
+        ("pareto_sweep", {"workers": 2}, TypeError),
+    ])
+    def test_bad_sweep_arguments_rejected(self, method, kwargs, error):
+        synth = Synthesizer(example1(), example1_library())
+        with pytest.raises(error):
+            getattr(synth, method)(**kwargs)
+        assert synth.total_solve_seconds == 0.0  # rejected before solving
+
 
 class TestBadInputs:
     def test_time_limited_solver_returns_incumbent_or_unknown(self):
