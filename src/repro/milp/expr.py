@@ -48,9 +48,12 @@ class Var:
         lb: Lower bound (``-inf`` allowed for continuous variables).
         ub: Upper bound (``+inf`` allowed).
         index: Column index inside the owning model, assigned by the model.
+        branch_priority: Branching class for branch and bound.  Bozo
+            branches only among the fractional candidates of the highest
+            class present; backends without a notion of priority ignore it.
     """
 
-    __slots__ = ("name", "vtype", "lb", "ub", "index")
+    __slots__ = ("name", "vtype", "lb", "ub", "index", "branch_priority")
 
     def __init__(
         self,
@@ -59,6 +62,7 @@ class Var:
         lb: Number = 0.0,
         ub: Number = math.inf,
         index: int = -1,
+        branch_priority: int = 0,
     ) -> None:
         if vtype is VarType.BINARY:
             lb, ub = 0.0, 1.0
@@ -69,6 +73,7 @@ class Var:
         self.lb = float(lb)
         self.ub = float(ub)
         self.index = index
+        self.branch_priority = int(branch_priority)
 
     @property
     def is_integral(self) -> bool:

@@ -2,7 +2,9 @@
 
 The paper's toolchain handed matrix files to XLP; we provide the modern
 equivalent — an LP-file export — so models can be inspected by hand or fed
-to external solvers for cross-checking.
+to external solvers for cross-checking.  Branching priorities
+(:attr:`~repro.milp.expr.Var.branch_priority`) are not written: the
+format has no field for them.
 """
 
 from __future__ import annotations

@@ -46,7 +46,10 @@ class MatrixForm:
     The encoding is ``minimize c @ x + c0`` subject to
     ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``, ``lb <= x <= ub``, with
     ``integrality[j]`` true for integral columns.  Row order within each
-    block matches constraint insertion order.
+    block matches constraint insertion order.  ``branch_priority[j]`` is
+    column ``j``'s branching class (:attr:`Var.branch_priority`); it
+    defaults to all zeros, so a hand-built form branches on every
+    fractional column alike.
     """
 
     c: np.ndarray
@@ -59,6 +62,11 @@ class MatrixForm:
     ub: np.ndarray
     integrality: np.ndarray
     variables: Tuple[Var, ...]
+    branch_priority: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.branch_priority is None:
+            self.branch_priority = np.zeros(self.c.shape[0], dtype=int)
 
 
 class Model:
@@ -87,6 +95,7 @@ class Model:
         vtype: VarType = VarType.CONTINUOUS,
         lb: Number = 0.0,
         ub: Number = math.inf,
+        priority: int = 0,
     ) -> Var:
         """Create a variable owned by this model.
 
@@ -95,20 +104,23 @@ class Model:
             vtype: Variable domain.
             lb: Lower bound (ignored for binaries, which are always [0, 1]).
             ub: Upper bound (ignored for binaries).
+            priority: Branching class (:attr:`Var.branch_priority`);
+                higher classes are branched on first.
 
         Returns:
             The created :class:`Var`.
         """
         if name in self._names:
             raise ModelError(f"duplicate variable name {name!r} in model {self.name!r}")
-        var = Var(name, vtype=vtype, lb=lb, ub=ub, index=len(self._variables))
+        var = Var(name, vtype=vtype, lb=lb, ub=ub, index=len(self._variables),
+                  branch_priority=priority)
         self._variables.append(var)
         self._names[name] = var
         return var
 
-    def add_binary(self, name: str) -> Var:
+    def add_binary(self, name: str, priority: int = 0) -> Var:
         """Shorthand for a binary variable."""
-        return self.add_var(name, vtype=VarType.BINARY)
+        return self.add_var(name, vtype=VarType.BINARY, priority=priority)
 
     def add_continuous(self, name: str, lb: Number = 0.0, ub: Number = math.inf) -> Var:
         """Shorthand for a continuous variable."""
@@ -261,6 +273,9 @@ class Model:
             ub=np.asarray([v.ub for v in self._variables]),
             integrality=np.asarray([v.is_integral for v in self._variables], dtype=bool),
             variables=self.variables,
+            branch_priority=np.asarray(
+                [v.branch_priority for v in self._variables], dtype=int
+            ),
         )
 
     # -- derivation --------------------------------------------------------
@@ -269,7 +284,9 @@ class Model:
         clone = Model(name or self.name)
         mapping: Dict[Var, Var] = {}
         for var in self._variables:
-            mapping[var] = clone.add_var(var.name, var.vtype, var.lb, var.ub)
+            mapping[var] = clone.add_var(
+                var.name, var.vtype, var.lb, var.ub, priority=var.branch_priority
+            )
         for constraint in self._constraints:
             expr = LinExpr({mapping[v]: c for v, c in constraint.expr.coeffs.items()})
             clone.add(Constraint(expr, constraint.sense, constraint.rhs),

@@ -7,6 +7,8 @@ integrality markers/``RHS``/``BOUNDS``/``ENDATA``) and the reader parses
 the same subset — which is also the common core of the format — so a
 model round-trips through write+read preserving its mathematical content
 exactly, and the files feed straight into HiGHS for cross-checking.
+Branching priorities are not part of that content: the format has no
+field for them, so a read model has every priority at 0.
 """
 
 from __future__ import annotations

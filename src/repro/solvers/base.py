@@ -36,8 +36,11 @@ class SolverOptions:
             subtrees to a persistent worker pool with a shared incumbent
             bound.  Subtrees are dispatched in deterministic key order,
             solved independently, and merged by replaying incumbents in
-            that order, so the Solution (status, objective, values, best
-            bound) is byte-identical to the ``workers=1`` run.  Requires
+            that order.  Under ``most_fractional`` branching the Solution
+            (status, objective, values, best bound) is byte-identical to
+            the ``workers=1`` run; under ``pseudocost`` status, objective
+            and best bound are identical, but the values may be a
+            different optimal vertex.  Requires
             ``best_first`` node selection — depth-first searches fall
             back to the serial path.
         frontier_target: Open-node count at which the parallel ramp stops

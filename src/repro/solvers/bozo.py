@@ -11,17 +11,22 @@ tableau (:mod:`repro.solvers.simplex`) whenever the incremental path
 signals trouble.  That warm revised simplex is the only LP path; the
 dense tableau is never selected directly.
 
-Features (all selectable through :class:`~repro.solvers.base.SolverOptions`):
+Features (selectable through :class:`~repro.solvers.base.SolverOptions`):
 
 * best-first (default) or depth-first node selection,
 * most-fractional or pseudocost branching (pseudocosts learn from the
-  *observed* parent-to-child LP objective degradation),
+  *observed* parent-to-child LP objective degradation), restricted to the
+  fractional candidates of the highest branching priority
+  (:attr:`~repro.milp.model.MatrixForm.branch_priority`, a property of
+  the model, not an option),
 * incumbent rounding/repair for near-integral LP solutions,
 * wall-clock and node limits with a FEASIBLE (incumbent, gap > 0) result,
 * parallel tree search (``workers=N``): a serial ramp opens a frontier of
   subtrees that are dispatched to a persistent shared-memory worker pool
   with a shared incumbent bound (:mod:`repro.solvers.parallel`) and
-  merged deterministically, byte-identical to serial,
+  merged deterministically: byte-identical to serial under
+  most-fractional branching, the same status, objective and bound under
+  pseudocost branching,
 * full :class:`~repro.milp.solution.SolveStats` telemetry on every result.
 
 Determinism: nodes are ordered by ``(parent LP bound, path id)`` where the
@@ -906,10 +911,15 @@ class _TreeSearch:
     ) -> Tuple[int, float]:
         """Choose the variable to branch on and its fractional part.
 
-        Score ties break toward the lowest variable index, explicitly, so
-        the chosen branch never depends on how the candidate list happened
-        to be assembled.
+        Only the candidates of the highest branching priority present
+        (:attr:`MatrixForm.branch_priority`) compete; the branching rule
+        scores those.  Score ties break toward the lowest variable index,
+        explicitly, so the chosen branch never depends on how the
+        candidate list happened to be assembled.
         """
+        priority = self.form.branch_priority
+        top = max(priority[j] for j, _ in fractional)
+        fractional = [item for item in fractional if priority[item[0]] == top]
         if self.options.branching == "pseudocost":
             return max(
                 fractional,

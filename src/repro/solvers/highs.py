@@ -5,7 +5,8 @@ paper's solver technology; this backend provides an independent modern
 solver behind the same interface.  The two must agree on optimal
 objectives — a property the test suite checks on random instances — and
 HiGHS is the default for the largest Example-2 models, where 1991-era
-Bozo needed hours (Table IV's runtime column).
+Bozo needed hours (Table IV's runtime column).  HiGHS branches by its
+own rules and ignores the model's branching priorities.
 """
 
 from __future__ import annotations

@@ -23,9 +23,12 @@ dispatch*:
    non-improving subtrees, so each lease's result is independent of
    broadcast timing.
 5. **Merge** — subtree incumbents are replayed in their
-   ``(bound, path id)`` key order with the serial adoption rule, which
-   reproduces the serial incumbent — the merged Solution is
-   byte-identical to the ``workers=1`` run.
+   ``(bound, path id)`` key order with the serial adoption rule.  Under
+   ``most_fractional`` branching this reproduces the serial incumbent,
+   so the merged Solution is byte-identical to the ``workers=1`` run;
+   under ``pseudocost`` the learned costs depend on cross-subtree
+   history, so status, objective and bound are identical but the values
+   may be a different optimal vertex.
 
 Cancellation reaches workers through the pool's shared event: the driver
 polls ``options.should_stop`` while leases are in flight and sets the

@@ -2,7 +2,8 @@
 
 Parallel branch and bound ships each solve's matrices to pool workers
 exactly once: the driver packs the (presolved) :class:`MatrixForm`
-arrays, the :class:`~repro.solvers.revised.StandardFormLP` arrays and the
+arrays (branching priorities included, so workers branch like the
+driver), the :class:`~repro.solvers.revised.StandardFormLP` arrays and the
 CSC factorization input into a single ``multiprocessing.shared_memory``
 segment, and workers attach zero-copy.
 This replaces the old fork-inherited shared-form registry: it works under
@@ -94,6 +95,7 @@ class FormPublication:
             "lb": np.ascontiguousarray(form.lb, dtype=float),
             "ub": np.ascontiguousarray(form.ub, dtype=float),
             "integrality": np.ascontiguousarray(form.integrality),
+            "branch_priority": np.ascontiguousarray(form.branch_priority),
             "sf_a": np.ascontiguousarray(sf.a, dtype=float),
             "sf_b": np.ascontiguousarray(sf.b, dtype=float),
             "sf_lo": np.ascontiguousarray(sf.lo, dtype=float),
@@ -200,6 +202,7 @@ class AttachedForm:
             ub=view("ub").copy(),
             integrality=view("integrality").copy(),
             variables=(),
+            branch_priority=view("branch_priority").copy(),
         )
         m, n = spec["sf_m"], spec["sf_n"]
         self.sf = StandardFormLP.from_arrays(
