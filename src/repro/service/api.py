@@ -4,7 +4,11 @@ The asyncio :mod:`repro.service.asgi` app — and any external ASGI
 server hosting it — funnels every request through one
 :class:`ServiceApi`.  A request is ``(method, path, body bytes)`` in and
 an :class:`ApiResponse` (status, JSON document, extra headers) out, so
-the HTTP surface is defined once and the transport stays dumb.
+the HTTP surface is defined once and the transport stays dumb.  Routing
+is split in two: :meth:`ServiceApi.admit` does everything that does not
+block (a cache hit is answered there), and a submission that asked to
+``wait`` then waits on its job before :meth:`ServiceApi.answer`.
+:meth:`ServiceApi.handle` runs both on the calling thread.
 
 ``/v1/...`` is the only surface (see ``docs/api.md``): ``POST
 /v1/synthesize``, ``POST /v1/sweep``, ``GET /v1/jobs/<id>``, ``DELETE
@@ -34,7 +38,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.options import Objective
 from repro.errors import ReproError
-from repro.service.jobs import JobManager, QueueFullError, SweepRequest, SynthesizeRequest
+from repro.service.jobs import (
+    Job,
+    JobManager,
+    QueueFullError,
+    SweepRequest,
+    SynthesizeRequest,
+)
 from repro.service.metrics import ServiceMetrics, TokenBucket, _prom_label
 from repro.system.interconnect import InterconnectStyle
 from repro.system.library import TechnologyLibrary
@@ -195,6 +205,29 @@ def _wants_prometheus(query: Optional[str], accept: Optional[str]) -> bool:
     return False
 
 
+@dataclass
+class Admission:
+    """A routed request whose answer may still depend on a job.
+
+    Either ``response`` is set (every route but an accepted submission),
+    or ``job`` is: the submitted job, whose snapshot
+    :meth:`ServiceApi.answer` serves once the caller has waited
+    ``wait_timeout`` seconds for it.
+    """
+
+    route: str
+    started: float
+    response: Optional[ApiResponse] = None
+    job: Optional[Job] = None
+    wait_timeout: Optional[float] = None
+
+    @property
+    def must_wait(self) -> bool:
+        """True for a submission that asked to wait and is unfinished."""
+        return (self.job is not None and self.wait_timeout is not None
+                and not self.job.finished)
+
+
 class ServiceApi:
     """The routing core shared by every transport.
 
@@ -226,7 +259,11 @@ class ServiceApi:
     def handle(self, method: str, path: str, body: Optional[bytes] = None,
                query: Optional[str] = None,
                accept: Optional[str] = None) -> ApiResponse:
-        """Route one request; never raises.
+        """Route one request, waiting on the calling thread; never raises.
+
+        :meth:`admit` followed by the submission's wait and
+        :meth:`answer`.  The ASGI app runs the same three steps but
+        moves only the wait off its event loop.
 
         Args:
             method: Upper-case HTTP method.
@@ -237,33 +274,60 @@ class ServiceApi:
                 ``GET /v1/metrics`` negotiates on it (JSON vs. the
                 Prometheus text exposition).
         """
+        admission = self.admit(method, path, body, query=query, accept=accept)
+        if admission.must_wait:
+            admission.job.wait(admission.wait_timeout)
+        return self.answer(admission)
+
+    def admit(self, method: str, path: str, body: Optional[bytes] = None,
+              query: Optional[str] = None,
+              accept: Optional[str] = None) -> Admission:
+        """Route one request without blocking; never raises.
+
+        Parsing, validation, rate limiting and :meth:`JobManager.submit
+        <repro.service.jobs.JobManager.submit>` (which answers cache hits
+        in place) all run here.  Only a submission's ``wait`` is left,
+        as :attr:`Admission.must_wait`.  Arguments as for :meth:`handle`.
+        """
         started = time.monotonic()
         if path == "/v1":  # the bare prefix is the /v1/ root
             path = "/v1/"
+        admission = Admission(self._metric_route(method, path), started)
         try:
             if (method == "GET" and path == "/v1/metrics"
                     and _wants_prometheus(query, accept)):
-                response = ApiResponse(
+                admission.response = ApiResponse(
                     200, self.prometheus_document(),
                     content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
+            elif method == "POST" and path in ("/v1/synthesize", "/v1/sweep"):
+                self._submit(admission, path[len("/v1/"):], body)
             else:
-                response = self._route(method, path, body)
+                admission.response = self._route(method, path)
         except BaseException as exc:  # the transport must always answer
-            response = self._error(
+            admission.response = self._error(
                 500, "internal", f"internal error: {exc!r}",
             )
+        return admission
+
+    def answer(self, admission: Admission) -> ApiResponse:
+        """The response for an admitted request, timed into the metrics.
+
+        A submission answers its job's snapshot as it stands now: ``200``
+        once terminal, ``202`` while queued or running.
+        """
+        response = admission.response
+        if response is None:
+            job = admission.job
+            response = ApiResponse(200 if job.finished else 202, job.snapshot())
         self.metrics.observe(
-            self._metric_route(method, path),
-            response.status, time.monotonic() - started,
+            admission.route, response.status,
+            time.monotonic() - admission.started,
         )
         return response
 
     # -- routing -------------------------------------------------------------
-    def _route(self, method: str, path: str,
-               body: Optional[bytes]) -> ApiResponse:
-        if method == "POST" and path in ("/v1/synthesize", "/v1/sweep"):
-            return self._submit(path[len("/v1/"):], body)
+    def _route(self, method: str, path: str) -> ApiResponse:
         if method == "GET" and path == "/v1/stats":
             return ApiResponse(
                 200, {**self.manager.stats(), "batch": dict(RETIRED_BATCH)}
@@ -278,17 +342,20 @@ class ServiceApi:
             404, "not_found", f"no such route: {method} {path}",
         )
 
-    def _submit(self, kind: str, body: Optional[bytes]) -> ApiResponse:
+    def _submit(self, admission: Admission, kind: str,
+                body: Optional[bytes]) -> None:
+        """Admit one POST: sets the error response, or the job to answer."""
         if self.bucket is not None:
             delay = self.bucket.acquire()
             if delay > 0.0:
                 self.metrics.record_throttled()
-                return self._error(
+                admission.response = self._error(
                     429, "rate_limited",
                     "request rate over the configured limit",
                     detail={"retry_after_seconds": round(delay, 3)},
                     headers=[("Retry-After", str(max(1, math.ceil(delay))))],
                 )
+                return
         try:
             document = self._parse_body(body)
             request = request_from_document(kind, document)
@@ -306,22 +373,22 @@ class ServiceApi:
                     "'wait' must be a boolean or a number of seconds"
                 )
         except BadRequest as exc:
-            return self._error(400, "bad_request", str(exc))
+            admission.response = self._error(400, "bad_request", str(exc))
+            return
         try:
-            job = self.manager.submit(
+            admission.job = self.manager.submit(
                 request, priority=priority, deadline_seconds=deadline_seconds
             )
         except QueueFullError as exc:
             self.metrics.record_rejected_full()
-            return self._error(
+            admission.response = self._error(
                 429, "queue_full", str(exc),
                 detail={"retry_after_seconds": exc.retry_after},
                 headers=[("Retry-After",
                           str(max(1, math.ceil(exc.retry_after))))],
             )
-        if wait_timeout is not None:
-            job.wait(wait_timeout)
-        return ApiResponse(200 if job.finished else 202, job.snapshot())
+            return
+        admission.wait_timeout = wait_timeout
 
     def _job_state(self, job_id: str) -> ApiResponse:
         try:

@@ -6,12 +6,13 @@ Two stdlib-only pieces:
   :class:`~repro.service.api.ServiceApi`.  Hand it to any ASGI server
   (``uvicorn repro.service.asgi:app`` style via :func:`create_app`); it
   supports the ``lifespan`` protocol and shuts the job manager down on
-  lifespan shutdown.  Request handling itself is non-blocking: the body
-  is read on the event loop, the (CPU-light) routing/validation work of
-  :meth:`ServiceApi.handle <repro.service.api.ServiceApi.handle>` runs
-  on the default thread-pool executor so a slow ``"wait": true``
-  submission never stalls the loop, and the solves were never on this
-  thread to begin with — they live on the manager's worker pool.
+  lifespan shutdown.  Request handling never blocks the loop: the body
+  is read and the request admitted on the event loop (routing,
+  validation, submission, cache hits: see :meth:`ServiceApi.admit
+  <repro.service.api.ServiceApi.admit>`), and only the wait of an
+  unfinished ``"wait"`` submission moves to a thread pool.  The solves
+  were never on this thread to begin with — they live on the manager's
+  worker pool.
 * :class:`AsyncHTTPServer` — a minimal asyncio HTTP/1.1 server that can
   drive *any* ASGI 3 app, so ``repro serve`` works with zero
   dependencies.  Keep-alive is supported; request bodies are bounded by
@@ -26,7 +27,6 @@ for the CLI: Ctrl-C shuts down cleanly) or on a background thread
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -52,10 +52,10 @@ class AsgiApp:
     def __init__(self, api: ServiceApi) -> None:
         self.api = api
         self.manager = api.manager
-        # A wide dedicated executor: a handled request may block in
-        # ``job.wait`` (the "wait" field) for up to MAX_WAIT_SECONDS, so
-        # the loop's small default executor would cap concurrent waiters
-        # far below what the job queue itself allows.  These threads are
+        # A wide dedicated executor for submissions that block in
+        # ``job.wait`` (the "wait" field) for up to MAX_WAIT_SECONDS: the
+        # loop's small default executor would cap concurrent waiters far
+        # below what the job queue itself allows.  These threads are
         # almost always asleep in ``wait``, so width is cheap.
         self._executor = ThreadPoolExecutor(
             max_workers=64, thread_name_prefix="repro-asgi"
@@ -91,15 +91,14 @@ class AsgiApp:
             if name == b"accept":
                 accept = value.decode("latin-1")
                 break
-        loop = asyncio.get_running_loop()
-        response = await loop.run_in_executor(
-            self._executor,
-            functools.partial(
-                self.api.handle, method, path, bytes(body),
-                query=query, accept=accept,
-            ),
+        admission = self.api.admit(
+            method, path, bytes(body), query=query, accept=accept,
         )
-        await _send_response(send, response)
+        if admission.must_wait:
+            await asyncio.get_running_loop().run_in_executor(
+                self._executor, admission.job.wait, admission.wait_timeout,
+            )
+        await _send_response(send, self.api.answer(admission))
 
     async def _lifespan(self, receive, send) -> None:
         """Startup/shutdown protocol; shutdown stops the job manager."""

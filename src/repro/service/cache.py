@@ -63,6 +63,12 @@ class CacheBackend(Protocol):
     writes); the cache owns serialization, fingerprints, counters, and
     trace events, so a backend only needs four storage verbs plus
     ``contains``/``clear`` bookkeeping.
+
+    The service looks each request up as it is submitted, so under the
+    ASGI app ``get`` runs on the event-loop thread, and ``get`` and
+    ``contains`` must answer quickly.  The memory and sharded-disk tiers
+    do; a slow remote tier would stall every request on the loop while
+    it answers.
     """
 
     def get(self, key: str) -> Optional[bytes]:

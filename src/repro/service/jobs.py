@@ -5,9 +5,11 @@ pool of worker threads draining a priority queue of synthesis jobs; each
 job is a :class:`SynthesizeRequest` or :class:`SweepRequest` plus
 bookkeeping.  What the manager adds over a bare thread pool:
 
-* **Content-addressed caching** — every request is fingerprinted
-  (:mod:`repro.service.fingerprint`); a :class:`~repro.service.cache.ResultCache`
-  hit completes the job without ever instantiating a solver.
+* **Content-addressed caching** — every request is fingerprinted once
+  (:mod:`repro.service.fingerprint`) and looked up in the
+  :class:`~repro.service.cache.ResultCache` by :meth:`JobManager.submit`
+  itself: a hit completes the job on the submitting thread, without
+  queueing it or instantiating a solver.
 * **Single-flight dedup** — while a job for fingerprint ``F`` is queued
   or running, submitting an identical request returns *that job* instead
   of enqueueing a second solve, mirroring the shared-incumbent idea of
@@ -39,7 +41,8 @@ bookkeeping.  What the manager adds over a bare thread pool:
   flags.  A broken pool worker triggers a transparent inline fallback.
 * **Backpressure** — with ``max_queued`` set, submissions beyond the
   bound raise :class:`QueueFullError` (HTTP maps it to ``429``) instead
-  of growing the queue without limit.
+  of growing the queue without limit.  Cache and dedup hits queue
+  nothing, so the bound never rejects them.
 """
 
 from __future__ import annotations
@@ -245,12 +248,12 @@ class Job:
     result, and cancelling it cancels it for every submitter.
     """
 
-    def __init__(self, job_id: str, request, priority: int,
+    def __init__(self, job_id: str, request, fingerprint: str, priority: int,
                  deadline_seconds: Optional[float]) -> None:
         self.id = job_id
         self.request = request
         self.kind = request.kind
-        self.fingerprint = request.fingerprint()
+        self.fingerprint = fingerprint
         self.priority = priority
         self.deadline_seconds = deadline_seconds
         self.status = QUEUED
@@ -346,7 +349,8 @@ class JobManager:
             CPU-bound solves use real cores.
         solve_processes: Pool size for ``executor="process"``.
         max_queued: Bound on QUEUED jobs; submissions past it raise
-            :class:`QueueFullError`.  ``None`` (default) is unbounded.
+            :class:`QueueFullError`.  Cache and dedup hits are never
+            refused.  ``None`` (default) is unbounded.
     """
 
     def __init__(
@@ -409,13 +413,15 @@ class JobManager:
     # -- public API ----------------------------------------------------------
     def submit(self, request, priority: int = 0,
                deadline_seconds: Optional[float] = None) -> Job:
-        """Queue a request; returns its :class:`Job` immediately.
+        """Admit a request; returns its :class:`Job` immediately.
 
-        Single-flight: when an identical request (same fingerprint) is
-        already queued or running, the existing job is returned instead
-        of a new one — the callers share one solve.  Finished jobs never
-        dedup (their results are already in the cache; a resubmission
-        becomes a fresh job that hits the cache instead).
+        A cache hit is answered here, on the calling thread: the job is
+        registered already ``done`` (``cached=True``, ``attempts=0``)
+        and never queued, so it neither waits for a worker nor counts
+        against ``max_queued``.  Single-flight: when an identical request
+        (same fingerprint) is already queued or running, the existing job
+        is returned instead of a new one — the callers share one solve.
+        Finished jobs never dedup (their results are in the cache).
 
         Args:
             request: A :class:`SynthesizeRequest` or :class:`SweepRequest`.
@@ -425,16 +431,32 @@ class JobManager:
                 job (the original submission's budget stands).
         """
         key = request.fingerprint()
+        # The lookup (and the rebuild that checks a cached document
+        # against this request's problem) runs outside the lock.  A twin
+        # that stores its result between this miss and the dedup check
+        # below costs one redundant solve of the same answer, no more.
+        hit = request.lookup(self.cache, key) if self.cache is not None else None
+        document = request.document_of(hit) if hit is not None else None
         with self._work_ready:
             if self._shutdown:
                 raise RuntimeError("JobManager is shut down")
+            if hit is not None:
+                job = self._register(request, key, priority, deadline_seconds)
+                job.status = RUNNING
+                job.started_at = time.time()
+                self._emit_status(job)
+                job.result = hit
+                job.document = document
+                job.cached = True
+                self._finalize(job, DONE)
+                return job
             existing = self._inflight.get(key)
             if existing is not None and not existing.cancel_requested:
                 existing.shared += 1
                 self.dedup_hits += 1
                 return existing
-            # Backpressure: dedup hits above never count against the
-            # bound (they queue no new work), but fresh work does.
+            # Backpressure: cache and dedup hits above never count
+            # against the bound (they queue no new work); fresh work does.
             if self.max_queued is not None:
                 queued = sum(1 for *_, j in self._queue if j.status == QUEUED)
                 if queued >= self.max_queued:
@@ -442,13 +464,9 @@ class JobManager:
                         f"job queue is full ({queued} jobs queued, "
                         f"max_queued={self.max_queued})"
                     )
-            job = Job(f"j{next(self._ids):06d}", request, priority, deadline_seconds)
-            # Reuse the fingerprint just computed rather than re-hashing.
-            job.fingerprint = key
-            self._jobs[job.id] = job
+            job = self._register(request, key, priority, deadline_seconds)
             self._inflight[key] = job
             heapq.heappush(self._queue, (-priority, next(self._seq), job))
-            self._emit_status(job)
             self._work_ready.notify()
             return job
 
@@ -551,24 +569,11 @@ class JobManager:
                         self._finalize(job, FAILED, error=f"internal error: {exc!r}")
 
     def _execute(self, job: Job) -> None:
+        """The retry/solve/finalize loop for one job that missed the cache."""
         if job.cancel_requested:
             with self._lock:
                 self._finalize(job, CANCELLED, error="cancelled before start")
             return
-        request = job.request
-        if self.cache is not None:
-            hit = request.lookup(self.cache, job.fingerprint)
-            if hit is not None:
-                with self._lock:
-                    job.result = hit
-                    job.document = request.document_of(hit)
-                    job.cached = True
-                    self._finalize(job, DONE)
-                return
-        self._run(job)
-
-    def _run(self, job: Job) -> None:
-        """The retry/solve/finalize loop for one job that missed the cache."""
         request = job.request
         attempt = 0
         while True:
@@ -686,6 +691,15 @@ class JobManager:
             base, should_stop=should_stop, time_limit=time_limit
         )
         return options, deadline_limited
+
+    def _register(self, request, key: str, priority: int,
+                  deadline_seconds: Optional[float]) -> Job:
+        """A new QUEUED job in the job table.  Caller holds the lock."""
+        job = Job(f"j{next(self._ids):06d}", request, key, priority,
+                  deadline_seconds)
+        self._jobs[job.id] = job
+        self._emit_status(job)
+        return job
 
     def _finalize(self, job: Job, status: str, error: Optional[str] = None) -> None:
         """Move a job to a terminal state.  Caller holds the lock."""

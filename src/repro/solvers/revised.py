@@ -1352,7 +1352,8 @@ class _Engine:
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
                 return RevisedResult(
-                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None
+                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None,
+                    counters=self.counters,
                 )
             dir_idx = direction[idx]
             ratios = np.abs(d[idx]) / np.abs(dir_idx)
@@ -1378,7 +1379,8 @@ class _Engine:
                 # Every breakpoint flipped and the slope never hit zero:
                 # the dual is unbounded, so the primal is infeasible.
                 return RevisedResult(
-                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None
+                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None,
+                    counters=self.counters,
                 )
 
             w = self.entering_column(entering)
@@ -1636,7 +1638,8 @@ class _Engine:
             step = min(limit, span)
             if not math.isfinite(step):
                 return RevisedResult(
-                    RevisedStatus.UNBOUNDED, None, math.nan, self.iterations, None
+                    RevisedStatus.UNBOUNDED, None, math.nan, self.iterations, None,
+                    counters=self.counters,
                 )
             step = max(step, 0.0)
 

@@ -147,6 +147,21 @@ class TestV1Surface:
         assert stats_after["solves"] == stats_before["solves"]
         assert stats_after["cache"]["hits"] > stats_before["cache"]["hits"]
 
+    def test_each_hit_is_timed_once_in_metrics(self, server):
+        body = {"problem": "example1", "solver": "highs", "cost_cap": 9.0,
+                "wait": True}
+        assert call(server, "POST", "/v1/synthesize", body)[0] == 200
+
+        def count():
+            _, _, metrics = call(server, "GET", "/v1/metrics")
+            return metrics["service"]["latency"]["POST /v1/synthesize"]["count"]
+
+        before = count()
+        for _ in range(3):
+            status, _, doc = call(server, "POST", "/v1/synthesize", body)
+            assert status == 200 and doc["cached"] is True
+        assert count() == before + 3
+
     def test_submit_without_wait_returns_202_then_completes(self, server):
         status, _, doc = call(server, "POST", "/v1/synthesize", {
             "problem": "example1", "solver": "highs", "deadline": 4.0,
@@ -306,6 +321,42 @@ class TestBackpressure:
         finally:
             server.close()
 
+    def test_cache_hit_answers_while_the_queue_is_full(self, gate_solver):
+        """A hit is answered on admission: not queued behind the gated
+        solve, not counted against max_queued, 200 whatever ``wait`` says."""
+        server = create_async_server(
+            workers=1, executor="thread", max_queued=1,
+        ).start()
+        try:
+            cached = {"problem": "example1", "solver": "highs", "wait": True}
+            status, _, first = call(server, "POST", "/v1/synthesize", cached)
+            assert status == 200 and first["cached"] is False
+            status, _, _ = call(server, "POST", "/v1/synthesize",
+                                {"problem": "example1", "solver": "gate"})
+            assert status == 202
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                _, _, stats = call(server, "GET", "/v1/stats")
+                if stats["jobs"].get("running"):
+                    break
+                time.sleep(0.01)
+            status, _, _ = call(server, "POST", "/v1/synthesize", {
+                "problem": "example1", "solver": "gate", "cost_cap": 40.0,
+            })
+            assert status == 202
+            for wait in (True, False):
+                started = time.monotonic()
+                status, _, doc = call(server, "POST", "/v1/synthesize",
+                                      {**cached, "wait": wait})
+                assert time.monotonic() - started < 1.0
+                assert status == 200
+                assert doc["status"] == "done" and doc["cached"] is True
+                assert doc["attempts"] == 0
+                assert doc["result"] == first["result"]
+            gate_solver.gate.set()
+        finally:
+            server.close()
+
 
 class TestAsyncServerMechanics:
     def test_keep_alive_reuses_connection(self, server):
@@ -383,6 +434,42 @@ class TestAsgiContract:
             header_names = [name for name, _ in start["headers"]]
             assert b"content-type" in header_names
             assert json.loads(body["body"])["workers"] == 1
+        finally:
+            manager.shutdown()
+
+    def test_only_unfinished_waits_leave_the_event_loop(self, ex1_graph,
+                                                         ex1_library):
+        """Routing, 404s and cache hits answer on the loop; the executor is
+        reserved for waiting on an unfinished submission."""
+        from repro.service.cache import ResultCache
+        from repro.service.jobs import SynthesizeRequest
+
+        class NoExecutor:
+            def submit(self, *args, **kwargs):
+                raise AssertionError("request left the event loop")
+
+        manager = JobManager(workers=1, cache=ResultCache())
+        try:
+            assert manager.submit(
+                SynthesizeRequest(ex1_graph, ex1_library, solver="highs")
+            ).wait(60)
+            app = AsgiApp(ServiceApi(manager))
+            app._executor.shutdown()
+            app._executor = NoExecutor()
+            body = json.dumps({"problem": "example1", "solver": "highs",
+                               "wait": True}).encode()
+            request = [{"type": "http.request", "body": body,
+                        "more_body": False}]
+            scopes = [
+                ({"type": "http", "method": "POST", "path": "/v1/synthesize"},
+                 request),
+                ({"type": "http", "method": "GET", "path": "/v1/nope"},
+                 [{"type": "http.request", "body": b"", "more_body": False}]),
+            ]
+            hit, missing = self._run(app, scopes)
+            assert hit[0]["status"] == 200
+            assert json.loads(hit[1]["body"])["cached"] is True
+            assert missing[0]["status"] == 404
         finally:
             manager.shutdown()
 

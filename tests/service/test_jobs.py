@@ -130,6 +130,47 @@ class TestCachingAndDedup:
             assert a.wait(60) and b.wait(60)
             assert manager.solves == 2
 
+    def test_hit_is_answered_on_submit_with_one_fingerprint(
+        self, fake_solvers, monkeypatch, ex1_graph, ex1_library
+    ):
+        """A hit is done when submit returns: fingerprinted once, looked up
+        once, walked through queued -> running -> done without a solve."""
+        import repro.service.jobs as jobs_module
+
+        fingerprints = 0
+        fingerprint_request = jobs_module.fingerprint_request
+
+        def counting(*args, **kwargs):
+            nonlocal fingerprints
+            fingerprints += 1
+            return fingerprint_request(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_module, "fingerprint_request", counting)
+        sink = MemoryTraceSink()
+        cache = ResultCache()
+        with JobManager(workers=1, cache=cache, trace=sink) as manager:
+            miss = manager.submit(
+                SynthesizeRequest(ex1_graph, ex1_library, solver="counting")
+            )
+            assert fingerprints == 1
+            assert miss.wait(60) and miss.status == DONE
+            hit = manager.submit(
+                SynthesizeRequest(ex1_graph, ex1_library, solver="counting")
+            )
+            assert fingerprints == 2
+            assert hit.finished and hit.status == DONE and hit.cached
+            assert hit.attempts == 0
+            assert hit.started_at is not None
+            assert hit.document == miss.document
+            assert manager.solves == 1
+        assert (cache.misses, cache.hits) == (1, 1)
+        hit_statuses = [
+            event.data["status"] for event in sink.events
+            if event.type == "job_status" and event.data["job"] == hit.id
+        ]
+        assert hit_statuses == ["queued", "running", "done"]
+        assert check_schema(sink.events) == []
+
     def test_works_without_cache(self, fake_solvers, ex1_graph, ex1_library):
         with JobManager(workers=1, cache=None) as manager:
             job = manager.submit(

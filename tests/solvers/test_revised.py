@@ -227,3 +227,45 @@ class TestWarmStarts:
         sf.set_bounds(np.array([0.8]), np.array([1.0]))
         child = solve_revised(sf, root.basis)
         assert child.status is RevisedStatus.INFEASIBLE
+
+
+class TestKernelCounters:
+    def test_sweep_stats_count_every_engine_refactorization(self, monkeypatch):
+        """Infeasible and unbounded engine returns carry their counters, so
+        ``SolveStats.refactorizations`` over the bozo Table II sweep equals
+        the ``_Engine.refactor`` calls made, and each solve still replays
+        exactly from its trace."""
+        import repro
+        from repro.obs import MemoryTraceSink, replay_stats, split_runs
+        from repro.solvers import revised
+        from repro.solvers.base import SolverOptions
+        from repro.solvers.bozo import BozoSolver
+
+        calls = 0
+        refactor = revised._Engine.refactor
+
+        def counting_refactor(engine):
+            nonlocal calls
+            calls += 1
+            return refactor(engine)
+
+        solutions = []
+        solve = BozoSolver.solve
+
+        def recording_solve(solver, model):
+            solution = solve(solver, model)
+            solutions.append(solution)
+            return solution
+
+        monkeypatch.setattr(revised._Engine, "refactor", counting_refactor)
+        monkeypatch.setattr(BozoSolver, "solve", recording_solve)
+        sink = MemoryTraceSink()
+        front = repro.Synthesizer(
+            example1(), example1_library(), solver="bozo",
+            solver_options=SolverOptions(trace=sink),
+        ).pareto_sweep()
+        assert calls > 0
+        assert front.stats.refactorizations == calls
+        assert sum(s.stats.refactorizations for s in solutions) == calls
+        runs = split_runs(sink.events)
+        assert [replay_stats(run) for run in runs] == [s.stats for s in solutions]
