@@ -42,7 +42,9 @@ scratch on every call; this module instead keeps one
   (:data:`ETA_MAX_UPDATES`) makes applying it costlier than a fresh
   factorization, and either kernel refactorizes immediately when the
   pivot element seen from the row (BTRAN) and column (FTRAN) sides
-  drifts — a direct numerical-error signal.
+  drifts — a direct numerical-error signal.  A sparse refactorization
+  of an ordered basis the form has factorized recently reuses that
+  verified factor (:data:`FACTOR_CACHE_SIZE`), bit for bit.
 * **Pricing** — devex reference-framework pricing: the dual loop picks
   the leaving row by weighted violation and the primal loop maintains
   the full reduced-cost vector incrementally, choosing the entering
@@ -101,6 +103,12 @@ PRICING_BLOCK = 256
 DENSE_KERNEL_MAX = 96
 #: Sparse kernel: refactorize when the eta file holds this many updates.
 ETA_MAX_UPDATES = 128
+#: Sparse kernel: verified LU factors each form keeps, keyed by the ordered
+#: basic columns, so a basis factorized before is not factorized again.
+#: Both children of a node start from the parent's final basis, which is
+#: where most repeats come from, and two entries catch most of them; each
+#: SuperLU object holds ~0.2 MB, so a larger cache costs peak memory.
+FACTOR_CACHE_SIZE = 2
 #: Sparse kernel: refactorize when accumulated eta nonzeros exceed this
 #: many multiples of the row count — the point where applying the eta
 #: file rivals the cost of a fresh factorization.
@@ -280,18 +288,27 @@ class StandardFormLP:
         self.cost = np.concatenate([c, np.zeros(m)])
         self.c0 = float(c0)
         self._fingerprint: Optional[str] = None
-        self._a_csc = None
+        self._adopt_csc(None)
+
+    def _adopt_csc(self, a_csc) -> None:
+        """Install the CSC matrix with an empty factor cache.
+
+        The cache of verified basis factors (see :class:`_SparseLUFactor`)
+        lives and dies with the matrix it factorized: every assignment of
+        ``_a_csc`` goes through here, so no factor outlives its matrix.
+        """
+        self._a_csc = a_csc
+        self._factors: Dict[bytes, object] = {}
 
     def a_csc(self):
         """CSC view of the full constraint matrix, built once and cached.
 
-        The sparse LU kernel slices basis columns out of this; everything
-        row-oriented (pricing products, single-column fetches) stays on
-        the dense ``a``, which profiling shows is faster at SOS model
-        sizes.
+        The sparse LU kernel assembles basis columns from its arrays;
+        everything row-oriented (pricing products) stays on the dense
+        ``a``, which profiling shows is faster at SOS model sizes.
         """
         if self._a_csc is None:
-            self._a_csc = _csc_matrix(self.a)
+            self._adopt_csc(_csc_matrix(self.a))
         return self._a_csc
 
     def fingerprint(self) -> str:
@@ -349,7 +366,7 @@ class StandardFormLP:
         sf.cost = cost
         sf.c0 = float(c0)
         sf._fingerprint = None
-        sf._a_csc = a_csc
+        sf._adopt_csc(a_csc)
         return sf
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
@@ -364,9 +381,10 @@ class StandardFormLP:
         after the existing logical block, so the invariant "row ``r``'s
         logical column is ``n + r``" survives: old rows keep their old
         logical indices and new row ``m + i`` owns column ``n + m + i``.
-        The cached CSC form and fingerprint are invalidated — the matrix
-        genuinely changed.  Rows must be expressed purely in structural
-        variables (callers substitute slacks out first).
+        The cached CSC form (with its factor cache) and fingerprint are
+        invalidated — the matrix genuinely changed.  Rows must be
+        expressed purely in structural variables (callers substitute
+        slacks out first).
         """
         rows = np.asarray(rows, dtype=float).reshape(-1, self.n)
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
@@ -383,7 +401,7 @@ class StandardFormLP:
         self.cost = np.concatenate([self.cost, np.zeros(k)])
         self.m += k
         self.ncols = old_cols + k
-        self._a_csc = None
+        self._adopt_csc(None)
         self._fingerprint = None
 
     def set_objective(self, c: np.ndarray, c0: float = 0.0) -> None:
@@ -514,14 +532,37 @@ class _DenseFactor:
         return self.updates >= REFACTOR_EVERY
 
 
+def _basis_csc(csc, basic: np.ndarray):
+    """The basis matrix ``A[:, basic]`` gathered straight from CSC arrays.
+
+    Yields the same ``indptr``/``indices``/``data`` as scipy's column
+    fancy indexing (hence the same LU) without its ``__getitem__``
+    overhead.
+    """
+    starts = csc.indptr[basic]
+    lengths = csc.indptr[basic + 1] - starts
+    indptr = np.zeros(basic.size + 1, dtype=csc.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return _csc_matrix(
+        (csc.data[take], csc.indices[take], indptr),
+        shape=(csc.shape[0], basic.size),
+    )
+
+
 class _SparseLUFactor:
     """Sparse-LU basis kernel: ``splu`` of the CSC basis plus an eta file.
 
-    A refactorization slices the basic columns out of the form's cached
-    CSC matrix and LU-factorizes them.  Each pivot appends one eta vector
-    stored on its nonzero support — ``(row, support, values, w[row])``
-    with ``w = ftran(entering column)`` captured *before* the update — so
-    applying an eta touches only the rows the pivot actually changed.
+    A refactorization gathers the basic columns from the form's cached
+    CSC matrix and LU-factorizes them, unless the form's factor cache
+    already holds a verified factor of the same ordered basis: ``splu``
+    is deterministic, so reusing it returns bit-identical solves.  The
+    cache holds at most :data:`FACTOR_CACHE_SIZE` factors (least recently
+    used goes first) and never a singular or non-finite one.  Each pivot
+    appends one eta vector stored on its nonzero support — ``(row,
+    support, values, w[row])`` with ``w = ftran(entering column)``
+    captured *before* the update — so applying an eta touches only the
+    rows the pivot actually changed.
     FTRAN applies the etas oldest-first after the LU solve, BTRAN
     newest-first before the transposed solve.  :meth:`should_refactor`
     bounds the eta file by accumulated fill rather than a fixed count:
@@ -537,15 +578,26 @@ class _SparseLUFactor:
         self._rhs_scratch = np.zeros(sf.m)
 
     def refactor(self, basic: np.ndarray) -> bool:
-        """Factorize the basis from scratch; ``False`` means singular."""
+        """Factorize the basis afresh (or reuse its cached factor) and
+        clear the eta file; ``False`` means singular."""
         self.etas.clear()
         self.fill = 0
-        try:
-            self.lu = _splu(self.sf.a_csc()[:, basic].tocsc())
-        except RuntimeError:  # "Factor is exactly singular"
-            return False
-        probe = self.lu.solve(np.ones(self.sf.m))
-        return bool(np.all(np.isfinite(probe)))
+        csc = self.sf.a_csc()  # may build the matrix, emptying the cache
+        cache = self.sf._factors
+        key = basic.tobytes()
+        lu = cache.pop(key, None)
+        if lu is None:
+            try:
+                lu = _splu(_basis_csc(csc, basic))
+            except RuntimeError:  # "Factor is exactly singular"
+                return False
+            if not np.all(np.isfinite(lu.solve(np.ones(self.sf.m)))):
+                return False
+        cache[key] = lu  # most recently used last
+        if len(cache) > FACTOR_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        self.lu = lu
+        return True
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B x = rhs`` through the LU factors, then the eta file."""

@@ -228,6 +228,52 @@ class TestWarmStarts:
         child = solve_revised(sf, root.basis)
         assert child.status is RevisedStatus.INFEASIBLE
 
+    def test_phase1_optimum_with_residual_infeasibility_goes_to_oracle(
+        self, monkeypatch
+    ):
+        """An infeasible LP whose warm start is not dual feasible ends in
+        phase 1 at an optimum with residual infeasibility.  The engine
+        does not certify that itself: it returns NEEDS_FALLBACK and the
+        dense oracle answers INFEASIBLE.  (This is the one dense fallback
+        a ``workers=2`` Table II sweep takes.)"""
+        from repro.solvers import revised
+
+        exits = []
+        dual_feasible = revised._Engine.dual_feasible
+        phase1_loop = revised._Engine.phase1_loop
+
+        def recording_dual_feasible(engine, d):
+            verdict = dual_feasible(engine, d)
+            exits.append(("dual_feasible", verdict))
+            return verdict
+
+        def recording_phase1_loop(engine):
+            result = phase1_loop(engine)
+            exits.append(("phase1", None if result is None else result.status))
+            return result
+
+        monkeypatch.setattr(revised._Engine, "dual_feasible", recording_dual_feasible)
+        monkeypatch.setattr(revised._Engine, "phase1_loop", recording_phase1_loop)
+        # min x1 + 2 x2 s.t. x1 + x2 >= 1 on [0, 1]^2: optimum 1 at x1 = 1.
+        sf = StandardFormLP(
+            np.array([1.0, 2.0]), np.array([[-1.0, -1.0]]), np.array([-1.0]),
+            np.zeros((0, 2)), np.zeros(0), np.zeros(2), np.ones(2),
+        )
+        root = solve_revised(sf)
+        assert root.status is RevisedStatus.OPTIMAL
+        # A new objective breaks dual feasibility; the boxes empty the LP.
+        sf.set_objective(np.array([-1.0, -3.0]))
+        sf.set_bounds(np.zeros(2), np.array([0.4, 0.4]))
+        exits.clear()
+        warm = solve_revised(sf, root.basis)
+        assert warm.status is RevisedStatus.NEEDS_FALLBACK
+        assert exits == [
+            ("dual_feasible", False), ("phase1", RevisedStatus.NEEDS_FALLBACK),
+        ]
+        result, basis, fell_back = solve_with_fallback(sf, root.basis)
+        assert fell_back and basis is None
+        assert result.status is LPStatus.INFEASIBLE
+
 
 class TestKernelCounters:
     def test_sweep_stats_count_every_engine_refactorization(self, monkeypatch):
