@@ -20,13 +20,14 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.core.options import FormulationOptions, Objective
 from repro.errors import ReproError
-from repro.synthesis.synthesizer import Synthesizer
+from repro.synthesis.synthesizer import Synthesizer, warn_incremental
 from repro.system.examples import example1_library, example2_library
 from repro.system.interconnect import InterconnectStyle
 from repro.system.library import TechnologyLibrary
@@ -142,13 +143,17 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Enumerate and print the full non-inferior design front."""
+    if args.incremental:
+        # Shown even outside __main__, where Python hides deprecations.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", DeprecationWarning)
+            warn_incremental(stacklevel=2)
     graph, library = load_problem(args.problem)
     sink = _open_trace_sink(args)
     try:
         synth = Synthesizer(
             graph, library, style=_style(args.style), solver=args.solver,
             solver_options=_solver_options(args, sink, workers=args.workers),
-            incremental=args.incremental,
         )
         front = synth.pareto_sweep(max_designs=args.max_designs)
     finally:
@@ -665,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-designs", type=int, default=64)
     p_sweep.add_argument("--csv", help="also write the front to this CSV file")
     p_sweep.add_argument("--incremental", action="store_true",
-                         help="build the MILP once and retighten it across the sweep")
+                         help="deprecated and ignored: every sweep builds its "
+                         "MILP once")
     p_sweep.add_argument("--telemetry", action="store_true",
                          help="print solver statistics aggregated over the sweep")
     p_sweep.add_argument("--workers", type=int, default=1,

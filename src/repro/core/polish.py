@@ -32,6 +32,8 @@ def left_shift(built: SosModel, solution: Solution) -> Solution:
         SolverError: If the polish LP unexpectedly fails (it is feasible by
             construction, since the input solution satisfies it).
     """
+    # The form the backend just solved: the model keeps its last export,
+    # so the polish LP exports nothing of its own.
     form = built.model.to_matrices()
     variables = form.variables
     n = len(variables)

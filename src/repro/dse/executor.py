@@ -202,8 +202,7 @@ def run_study(
         result.points_total += 1
         synth = Synthesizer(
             graph, grid_point.library, style=grid_point.style, solver=solver,
-            solver_options=solver_options, incremental=True,
-            seed_incumbent=seed_incumbent,
+            solver_options=solver_options, seed_incumbent=seed_incumbent,
         )
         key = synth.sweep_fingerprint(
             max_designs=max_designs, cost_step=cost_step

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Union
+from typing import Dict, Mapping, Union
 
 from repro.errors import ModelError
 from repro.milp.expr import LinExpr, Number, Var
@@ -42,6 +42,23 @@ class Constraint:
         self.sense = sense
         self.rhs = rhs_value
         self.name = name
+
+    @classmethod
+    def from_terms(
+        cls, coeffs: Dict[Var, float], sense: Sense, rhs: float
+    ) -> "Constraint":
+        """``sum(coeffs[v] * v) (sense) rhs`` over an already-built term dict.
+
+        The dict is owned by the constraint, not copied; its coefficients
+        must be nonzero floats, as comparisons of expressions produce.
+        """
+        constraint = cls.__new__(cls)
+        constraint.expr = LinExpr()
+        constraint.expr.coeffs = coeffs
+        constraint.sense = sense
+        constraint.rhs = float(rhs)
+        constraint.name = ""
+        return constraint
 
     @classmethod
     def _from_comparison(

@@ -80,8 +80,10 @@ class Var:
         """True for binary and general-integer variables."""
         return self.vtype is not VarType.CONTINUOUS
 
-    def __hash__(self) -> int:
-        return id(self)
+    # Identity hashing, with the C-level slot: models hash their variables
+    # hundreds of thousands of times per build.  Dicts keyed by Var keep
+    # insertion order, so no row or column order depends on the hash.
+    __hash__ = object.__hash__
 
     def __eq__(self, other: object):  # type: ignore[override]
         # Equality against expressions builds a constraint; identity otherwise.

@@ -46,7 +46,7 @@ class MatrixForm:
     The encoding is ``minimize c @ x + c0`` subject to
     ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``, ``lb <= x <= ub``, with
     ``integrality[j]`` true for integral columns.  Row order within each
-    block matches constraint insertion order.  ``branch_priority[j]`` is
+    block matches the model's constraint order.  ``branch_priority[j]`` is
     column ``j``'s branching class (:attr:`Var.branch_priority`); it
     defaults to all zeros, so a hand-built form branches on every
     fractional column alike.
@@ -87,6 +87,11 @@ class Model:
         self._constraints: List[Constraint] = []
         self._objective: LinExpr = LinExpr()
         self._constraint_counter = 0
+        #: The last :meth:`to_matrices` export; dropped on every change.
+        self._form: Optional[MatrixForm] = None
+
+    def _changed(self) -> None:
+        self._form = None
 
     # -- variables ------------------------------------------------------------
     def add_var(
@@ -114,6 +119,7 @@ class Model:
             raise ModelError(f"duplicate variable name {name!r} in model {self.name!r}")
         var = Var(name, vtype=vtype, lb=lb, ub=ub, index=len(self._variables),
                   branch_priority=priority)
+        self._changed()
         self._variables.append(var)
         self._names[name] = var
         return var
@@ -138,8 +144,13 @@ class Model:
         return tuple(self._variables)
 
     # -- constraints ------------------------------------------------------------
-    def add(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Add a constraint (validating it is one, not a chained-comparison bool)."""
+    def add(
+        self, constraint: Constraint, name: str = "", position: Optional[int] = None
+    ) -> Constraint:
+        """Add a constraint (validating it is one, not a chained-comparison bool).
+
+        The row is appended, or inserted before row ``position`` when given.
+        """
         constraint = validate_constraint(constraint)
         for var in constraint.expr.variables():
             if var.index < 0 or var.index >= len(self._variables) or self._variables[var.index] is not var:
@@ -150,8 +161,23 @@ class Model:
             name = f"c{self._constraint_counter}"
         self._constraint_counter += 1
         constraint.name = name
-        self._constraints.append(constraint)
+        self._changed()
+        if position is None:
+            self._constraints.append(constraint)
+        else:
+            self._constraints.insert(position, constraint)
         return constraint
+
+    def remove(self, constraint: Constraint) -> None:
+        """Delete a constraint this model holds (matched by identity)."""
+        for row, held in enumerate(self._constraints):
+            if held is constraint:
+                self._changed()
+                del self._constraints[row]
+                return
+        raise ModelError(
+            f"constraint {constraint.name!r} is not in model {self.name!r}"
+        )
 
     def add_all(self, constraints: Iterable[Constraint], prefix: str = "") -> List[Constraint]:
         """Add several constraints, optionally named ``prefix0, prefix1, ...``."""
@@ -168,10 +194,12 @@ class Model:
     # -- objective ------------------------------------------------------------
     def minimize(self, expr: LinExpr | Var | Number) -> None:
         """Set a minimization objective."""
+        self._changed()
         self._objective = LinExpr() + expr
 
     def maximize(self, expr: LinExpr | Var | Number) -> None:
         """Set a maximization objective (stored negated; models always minimize)."""
+        self._changed()
         self._objective = -(LinExpr() + expr)
 
     @property
@@ -233,50 +261,85 @@ class Model:
 
         ``GE`` rows are negated into ``LE`` rows; ``EQ`` rows go to the
         equality block.  Column order is variable insertion order.
-        """
-        n = len(self._variables)
-        index_of = {var: j for j, var in enumerate(self._variables)}
 
+        The export is kept until the model changes through one of its own
+        methods (``add_var``, ``add``, ``remove``, ``minimize``,
+        ``maximize``), so a backend and the polish LP after it share one
+        form.  Its arrays are read-only for that reason.  Editing a
+        :class:`Var`'s bounds or a :class:`Constraint`'s ``rhs`` in place
+        after an export is not seen by the next export.
+        """
+        if self._form is not None:
+            return self._form
+        n = len(self._variables)
         c = np.zeros(n)
         for var, coeff in self._objective.coeffs.items():
-            c[index_of[var]] = coeff
+            c[self._column(var)] = coeff
 
-        ub_rows: List[np.ndarray] = []
+        # One pass over the rows gathers (row, column, value) triplets;
+        # each block is then filled by a single scatter.
+        ub_rows: List[int] = []
+        ub_cols: List[int] = []
+        ub_vals: List[float] = []
         ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
+        ge_rows: List[int] = []
+        eq_rows: List[int] = []
+        eq_cols: List[int] = []
+        eq_vals: List[float] = []
         eq_rhs: List[float] = []
         for constraint in self._constraints:
-            row = np.zeros(n)
-            for var, coeff in constraint.expr.coeffs.items():
-                row[index_of[var]] = coeff
-            if constraint.sense is Sense.LE:
-                ub_rows.append(row)
-                ub_rhs.append(constraint.rhs)
-            elif constraint.sense is Sense.GE:
-                ub_rows.append(-row)
-                ub_rhs.append(-constraint.rhs)
+            coeffs = constraint.expr.coeffs
+            if constraint.sense is Sense.EQ:
+                rows, cols, vals, rhs = eq_rows, eq_cols, eq_vals, eq_rhs
+                rhs.append(constraint.rhs)
             else:
-                eq_rows.append(row)
-                eq_rhs.append(constraint.rhs)
+                rows, cols, vals, rhs = ub_rows, ub_cols, ub_vals, ub_rhs
+                if constraint.sense is Sense.GE:
+                    ge_rows.append(len(rhs))
+                    rhs.append(-constraint.rhs)
+                else:
+                    rhs.append(constraint.rhs)
+            rows.extend([len(rhs) - 1] * len(coeffs))
+            cols.extend([var.index for var in coeffs])
+            vals.extend(coeffs.values())
 
-        def stack(rows: List[np.ndarray]) -> np.ndarray:
-            return np.vstack(rows) if rows else np.zeros((0, n))
+        a_ub = np.zeros((len(ub_rhs), n))
+        a_ub[ub_rows, ub_cols] = ub_vals
+        # Negate whole rows, so a GE row's zeros are -0.0 like its terms'
+        # signs: the bytes do not depend on how the rows were gathered.
+        a_ub[ge_rows] = -a_ub[ge_rows]
+        a_eq = np.zeros((len(eq_rhs), n))
+        a_eq[eq_rows, eq_cols] = eq_vals
 
-        return MatrixForm(
+        form = MatrixForm(
             c=c,
             c0=self._objective.constant,
-            a_ub=stack(ub_rows),
+            a_ub=a_ub,
             b_ub=np.asarray(ub_rhs, dtype=float),
-            a_eq=stack(eq_rows),
+            a_eq=a_eq,
             b_eq=np.asarray(eq_rhs, dtype=float),
-            lb=np.asarray([v.lb for v in self._variables]),
-            ub=np.asarray([v.ub for v in self._variables]),
+            lb=np.asarray([v.lb for v in self._variables], dtype=float),
+            ub=np.asarray([v.ub for v in self._variables], dtype=float),
             integrality=np.asarray([v.is_integral for v in self._variables], dtype=bool),
             variables=self.variables,
             branch_priority=np.asarray(
                 [v.branch_priority for v in self._variables], dtype=int
             ),
         )
+        for array in (form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
+                      form.lb, form.ub, form.integrality, form.branch_priority):
+            array.flags.writeable = False
+        self._form = form
+        return form
+
+    def _column(self, var: Var) -> int:
+        """Column of ``var``, which must belong to this model."""
+        index = var.index
+        if not 0 <= index < len(self._variables) or self._variables[index] is not var:
+            raise ModelError(
+                f"objective uses variable {var.name!r} that does not belong to model {self.name!r}"
+            )
+        return index
 
     # -- derivation --------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Model":
@@ -305,6 +368,7 @@ class Model:
         branch and bound prunes with.
         """
         clone = self.copy(name or f"{self.name}_lp")
+        clone._changed()
         for var in clone._variables:
             if var.vtype is not VarType.CONTINUOUS:
                 var.vtype = VarType.CONTINUOUS

@@ -73,8 +73,6 @@ class SolveStats:
         seeded_incumbent: 1 when a caller-supplied incumbent seed was
             validated and adopted before the root node, else 0 (merged
             records sum, so a sweep counts its seeded solves).
-        rc_fixed_bounds: Integral-variable bounds tightened by
-            reduced-cost fixing, accumulated over every re-tightening.
         cuts_added: Cutting planes appended to the root LP across every
             separation round (Gomory + cover).
         cut_rounds: Root separation rounds that actually added cuts and
@@ -115,7 +113,6 @@ class SolveStats:
     worker_idle_waits: int = 0
     incumbent_broadcasts: int = 0
     seeded_incumbent: int = 0
-    rc_fixed_bounds: int = 0
     cuts_added: int = 0
     cut_rounds: int = 0
     strong_branch_probes: int = 0
@@ -151,7 +148,6 @@ class SolveStats:
         self.worker_idle_waits += other.worker_idle_waits
         self.incumbent_broadcasts += other.incumbent_broadcasts
         self.seeded_incumbent += other.seeded_incumbent
-        self.rc_fixed_bounds += other.rc_fixed_bounds
         self.cuts_added += other.cuts_added
         self.cut_rounds += other.cut_rounds
         self.strong_branch_probes += other.strong_branch_probes
@@ -179,7 +175,6 @@ class SolveStats:
             "worker_idle_waits": self.worker_idle_waits,
             "incumbent_broadcasts": self.incumbent_broadcasts,
             "seeded_incumbent": self.seeded_incumbent,
-            "rc_fixed_bounds": self.rc_fixed_bounds,
             "cuts_added": self.cuts_added,
             "cut_rounds": self.cut_rounds,
             "strong_branch_probes": self.strong_branch_probes,
@@ -203,7 +198,7 @@ class SolveStats:
             "nodes", "lp_solves", "lp_pivots", "warm_starts",
             "warm_start_hits", "fallbacks", "workers", "workers_requested",
             "subtrees_dispatched", "worker_idle_waits",
-            "incumbent_broadcasts", "seeded_incumbent", "rc_fixed_bounds",
+            "incumbent_broadcasts", "seeded_incumbent",
             "cuts_added", "cut_rounds", "strong_branch_probes",
             "bound_flips", "devex_resets", "ftran_sparsity",
             "refactorizations",
@@ -232,8 +227,6 @@ class SolveStats:
             parts.append(f"fallbacks={self.fallbacks}")
         if self.seeded_incumbent:
             parts.append("seeded")
-        if self.rc_fixed_bounds:
-            parts.append(f"rc_fixed={self.rc_fixed_bounds}")
         if self.cuts_added:
             parts.append(
                 f"cuts={self.cuts_added} ({self.cut_rounds} rounds, "

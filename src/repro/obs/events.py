@@ -36,8 +36,6 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "lp_solved": frozenset({"pivots", "status", "warm", "fallback", "seconds"}),
     # A strictly-improving integral incumbent was adopted.
     "incumbent_found": frozenset({"objective", "node", "source"}),
-    # Reduced-cost fixing tightened integral-variable bounds tree-wide.
-    "bounds_fixed": frozenset({"node", "count"}),
     # One root separation round appended cuts and re-solved the root LP.
     "cut_round": frozenset(
         {"round", "generated", "added", "bound_before", "bound_after"}

@@ -102,8 +102,6 @@ def _counters_for_worker(events: List[TraceEvent]) -> SolveStats:
         elif event.type == "incumbent_found":
             if event.data.get("source") == "seed":
                 stats.seeded_incumbent += 1
-        elif event.type == "bounds_fixed":
-            stats.rc_fixed_bounds += int(event.data["count"])
         elif event.type == "cut_round":
             stats.cut_rounds += 1
             stats.cuts_added += int(event.data["added"])

@@ -38,15 +38,14 @@ from repro.taskgraph.serialization import graph_to_dict
 
 #: Bump when the canonical document's schema changes so stale on-disk
 #: cache entries can never be misread as current ones.
-FINGERPRINT_VERSION = 2
+FINGERPRINT_VERSION = 3
 
 #: SolverOptions fields that can change the *returned solution* (bounds,
-#: limits, tie-breaking).  ``incumbent`` and ``rc_fixing`` are listed even
-#: though both are optimum-preserving by design: an incumbent changes
-#: which alternative optimum the tree visits first (and a *wrong* seed is
-#: rejected, but a tie-valued one can win the adoption tie-break), and
-#: reduced-cost fixing changes pruning order the same way, so cached
-#: vertices may legitimately differ.
+#: limits, tie-breaking).  ``incumbent`` is listed even though it is
+#: optimum-preserving by design: an incumbent changes which alternative
+#: optimum the tree visits first (and a *wrong* seed is rejected, but a
+#: tie-valued one can win the adoption tie-break), so cached vertices may
+#: legitimately differ.
 _SOLVER_FIELDS = (
     "time_limit",
     "gap_tolerance",
@@ -55,13 +54,12 @@ _SOLVER_FIELDS = (
     "node_selection",
     "branching",
     "incumbent",
-    # Cuts and strong branching are optimum-preserving but, like
-    # rc_fixing, change exploration order — a different alternative
-    # optimum may be returned, so they key the cache.
+    # Cuts and strong branching are optimum-preserving but change
+    # exploration order — a different alternative optimum may be
+    # returned, so they key the cache.
     "cuts",
     "cut_rounds",
     "strong_branching",
-    "rc_fixing",
     "seed",
 )
 

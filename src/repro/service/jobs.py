@@ -68,7 +68,7 @@ from repro.obs.sinks import Tracer, make_tracer
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import fingerprint_request
 from repro.solvers.base import SolverOptions
-from repro.synthesis.synthesizer import Synthesizer
+from repro.synthesis.synthesizer import Synthesizer, warn_incremental
 from repro.system.interconnect import InterconnectStyle
 from repro.system.library import TechnologyLibrary
 from repro.taskgraph.graph import TaskGraph
@@ -191,9 +191,15 @@ class SweepRequest:
     max_designs: int = 64
     cost_step: float = 1e-4
     validate: bool = True
-    incremental: bool = True
+    #: Deprecated and ignored (every sweep builds its model once); passing
+    #: it warns.
+    incremental: Optional[bool] = None
 
     kind = "sweep"
+
+    def __post_init__(self) -> None:
+        if self.incremental is not None:
+            warn_incremental(stacklevel=4)
 
     def fingerprint(self) -> str:
         """Content address of this request (see :mod:`.fingerprint`)."""
@@ -213,7 +219,7 @@ class SweepRequest:
         synth = Synthesizer(
             self.graph, self.library, style=self.style, solver=self.solver,
             solver_options=solver_options, options=self.formulation,
-            constraints=self.constraints, incremental=self.incremental,
+            constraints=self.constraints,
         )
         return synth.pareto_sweep(
             max_designs=self.max_designs, cost_step=self.cost_step,

@@ -82,13 +82,6 @@ class SolverOptions:
             ``SolveStats.strong_branch_probes``.  Ignored under
             most-fractional branching, which keeps the deterministic
             byte-identity contract of that mode untouched.
-        rc_fixing: Reduced-cost fixing mode (Bozo only).  ``"root"``
-            (default) derives tree-wide integral-variable bounds from the
-            root LP's reduced costs, re-tightened after every improved
-            incumbent, and prunes nodes whose branch bounds violate them;
-            pruning is provability-conservative (exactly like incumbent
-            pruning), so serial/parallel byte-identity is preserved.
-            ``"off"`` disables.
         seed: Tie-breaking seed for randomized choices.
         trace: A :class:`~repro.obs.sinks.TraceSink` receiving structured
             solve events (``node_opened``, ``lp_solved``,
@@ -134,7 +127,6 @@ class SolverOptions:
     cuts: str = "auto"
     cut_rounds: int = 5
     strong_branching: int = 8
-    rc_fixing: str = "root"
     seed: int = 0
     trace: Optional[TraceSink] = None
     on_progress: Optional[Callable[[ProgressUpdate], None]] = None

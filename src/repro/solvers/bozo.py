@@ -194,7 +194,6 @@ class _LPBackend:
         lb: np.ndarray,
         ub: np.ndarray,
         basis: Optional[Basis] = None,
-        want_reduced_costs: bool = False,
     ) -> Tuple[LPResult, Optional[Basis]]:
         """Solve the relaxation under ``lb``/``ub``; returns (result, basis)."""
         start = time.monotonic()
@@ -202,9 +201,7 @@ class _LPBackend:
         self.sf.set_bounds(lb, ub)
         if basis is not None:
             self.stats.warm_starts += 1
-        result, final_basis, fell_back = solve_with_fallback(
-            self.sf, basis, want_reduced_costs=want_reduced_costs
-        )
+        result, final_basis, fell_back = solve_with_fallback(self.sf, basis)
         self.stats.lp_pivots += result.iterations
         self._absorb_counters(result.counters)
         if fell_back:
@@ -317,8 +314,6 @@ class _TreeSearch:
         node_budget: int = 0,
         tracer: Optional[Tracer] = None,
         reporter: Optional[ProgressReporter] = None,
-        root_lp: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
-        fixed_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.options = options
         self.form = form
@@ -345,23 +340,6 @@ class _TreeSearch:
         self.treat_root_unbounded = treat_root_unbounded
         self.node_budget = node_budget if node_budget else options.node_limit
         self.nodes_processed = 0
-        # Reduced-cost fixing state.  ``root_lp`` ships a ramp's root LP
-        # (objective, x*, reduced costs) to parallel subtree workers so they
-        # can keep re-tightening from their own incumbents; ``fixed_bounds``
-        # ships the bounds already derived at dispatch time.
-        self.rc_enabled = options.rc_fixing == "root"
-        if root_lp is not None:
-            self.root_obj, self.root_x, self.root_rc = root_lp
-        else:
-            self.root_obj = math.inf
-            self.root_x: Optional[np.ndarray] = None
-            self.root_rc: Optional[np.ndarray] = None
-        if fixed_bounds is not None:
-            self.fix_lb: Optional[np.ndarray] = fixed_bounds[0]
-            self.fix_ub: Optional[np.ndarray] = fixed_bounds[1]
-        else:
-            self.fix_lb = None
-            self.fix_ub = None
 
     # -- driver -------------------------------------------------------------
     def run(
@@ -422,11 +400,6 @@ class _TreeSearch:
                 foreign = self.foreign_best()
                 if node.bound > foreign + 1e-9 * max(1.0, abs(foreign)):
                     continue  # conservatively pruned by a broadcast incumbent
-            if self.fix_ub is not None and (
-                np.any(node.lb > self.fix_ub + 1e-9)
-                or np.any(node.ub < self.fix_lb - 1e-9)
-            ):
-                continue  # branch box excluded by reduced-cost fixing
             if time.monotonic() - self.start > options.time_limit or (
                 self.node_budget and self.nodes_processed >= self.node_budget
             ):
@@ -443,12 +416,7 @@ class _TreeSearch:
                     bound=node.bound,
                     depth=node.depth,
                 )
-            want_rc = (
-                self.rc_enabled and node.tiebreak == 1 and self.root_rc is None
-            )
-            result, node_basis = self.lp.solve(
-                node.lb, node.ub, node.basis, want_reduced_costs=want_rc
-            )
+            result, node_basis = self.lp.solve(node.lb, node.ub, node.basis)
             self.nodes_processed += 1
             if self.reporter is not None:
                 self.reporter.report(
@@ -475,9 +443,7 @@ class _TreeSearch:
                 and self.allow_cuts
                 and options.cuts == "auto"
             ):
-                result, node_basis = self._root_cut_loop(
-                    node, result, node_basis, want_rc
-                )
+                result, node_basis = self._root_cut_loop(node, result, node_basis)
                 if result.status is not LPStatus.OPTIMAL or result.x is None:
                     # A post-cut root LP can only fail numerically (every
                     # integer point satisfies every cut); treat it like an
@@ -485,18 +451,6 @@ class _TreeSearch:
                     # status logic answer from whatever incumbent exists.
                     continue
                 lp_obj = result.objective
-            if (
-                node.tiebreak == 1
-                and self.root_rc is None
-                and result.reduced_costs is not None
-            ):
-                # Capture the root LP for reduced-cost fixing; if a seeded
-                # incumbent is already in place, derive bounds immediately.
-                self.root_obj = lp_obj
-                self.root_x = result.x.copy()
-                self.root_rc = result.reduced_costs
-                if self.incumbent_x is not None:
-                    self._tighten_from_root(node.tiebreak)
             self.pseudo.observe_child(node, lp_obj)
             if self.allow_dives and (
                 (self.nodes_processed == 1 and self.incumbent_x is None)
@@ -602,8 +556,6 @@ class _TreeSearch:
             )
         if self.publish is not None:
             self.publish(objective)
-        if self.root_rc is not None:
-            self._tighten_from_root(key[1])
 
     def seed_incumbent(self, values: Mapping[str, float]) -> bool:
         """Validate and adopt a caller-supplied incumbent before the root.
@@ -636,59 +588,12 @@ class _TreeSearch:
         self.lp.stats.seeded_incumbent = 1
         return True
 
-    def _tighten_from_root(self, node_id: int) -> None:
-        """Derive tree-wide integral bounds from the root LP's reduced costs.
-
-        Standard reduced-cost fixing: a variable nonbasic at its root bound
-        with reduced cost ``d`` degrades the root objective by ``|d|`` per
-        unit it moves inward, so it can move at most ``slack / |d|`` before
-        the node is no better than the incumbent threshold.  The derived
-        bounds are *never* intersected into node LPs — they only prune
-        nodes whose branch box violates them (see ``run``), which is the
-        same conservative-provability class as incumbent pruning and keeps
-        the serial/parallel solution identity intact.  Bounds only ever
-        tighten monotonically; called again after every improved incumbent.
-        """
-        if self.root_rc is None or not math.isfinite(self.incumbent_obj):
-            return
-        options = self.options
-        threshold = self.incumbent_obj - options.gap_tolerance * max(
-            1.0, abs(self.incumbent_obj)
-        )
-        slack = threshold - self.root_obj
-        if not math.isfinite(slack) or slack < 0.0:
-            return
-        tol = options.integrality_tolerance
-        rc, x0 = self.root_rc, self.root_x
-        lb0, ub0 = self.form.lb, self.form.ub
-        if self.fix_lb is None:
-            self.fix_lb = np.array(lb0, dtype=float, copy=True)
-            self.fix_ub = np.array(ub0, dtype=float, copy=True)
-        count = 0
-        for j in self.integral:
-            d = float(rc[j])
-            if d > 1e-9 and x0[j] <= lb0[j] + tol:
-                new_ub = float(math.floor(x0[j] + slack / d + tol))
-                if new_ub < self.fix_ub[j] - 0.5:
-                    self.fix_ub[j] = new_ub
-                    count += 1
-            elif d < -1e-9 and x0[j] >= ub0[j] - tol:
-                new_lb = float(math.ceil(x0[j] + slack / d - tol))
-                if new_lb > self.fix_lb[j] + 0.5:
-                    self.fix_lb[j] = new_lb
-                    count += 1
-        if count:
-            self.lp.stats.rc_fixed_bounds += count
-            if self.tracer is not None:
-                self.tracer.emit("bounds_fixed", node=node_id, count=count)
-
     # -- root cut-and-branch ------------------------------------------------
     def _root_cut_loop(
         self,
         node: _Node,
         result: LPResult,
         node_basis: Optional[Basis],
-        want_rc: bool,
     ) -> Tuple[LPResult, Optional[Basis]]:
         """Bounded root separation: Gomory + cover cuts, re-solve per round.
 
@@ -754,9 +659,7 @@ class _TreeSearch:
             sf.append_ub_rows(rows, rhs)
             if node_basis is not None:
                 node_basis = extend_basis(node_basis, sf, len(chosen))
-            result, node_basis = self.lp.solve(
-                node.lb, node.ub, node_basis, want_reduced_costs=want_rc
-            )
+            result, node_basis = self.lp.solve(node.lb, node.ub, node_basis)
             rounds_run += 1
             total_added += len(chosen)
             total_gomory += sum(1 for cut in chosen if cut.kind == "gomory")

@@ -96,8 +96,6 @@ def _solve_epoch_inline(
     worker_options,
     start: float,
     ramp_obj: float,
-    root_lp,
-    fixed_bounds,
     subtrees: List[_Node],
 ) -> EpochReport:
     """Fallback: solve every lease in dispatch order, polling cancellation.
@@ -117,8 +115,7 @@ def _solve_epoch_inline(
                 "parallel solve cancelled between inline subtrees"
             )
         outcome, stats, events, cancelled = solve_lease(
-            form, sf, lease_options, start, ramp_obj, root_lp, fixed_bounds,
-            node, lease_id=lease_id,
+            form, sf, lease_options, start, ramp_obj, node, lease_id=lease_id,
             foreign_best=shared.foreign_best, publish=shared.publish,
             trace_enabled=options.trace is not None,
         )
@@ -218,14 +215,6 @@ def solve_parallel(
         options, workers=1, frontier_target=0, cuts="off",
         trace=None, on_progress=None, should_stop=None,
     )
-    root_lp = (
-        (ramp.root_obj, ramp.root_x, ramp.root_rc)
-        if ramp.root_rc is not None
-        else None
-    )
-    fixed_bounds = (
-        (ramp.fix_lb, ramp.fix_ub) if ramp.fix_lb is not None else None
-    )
 
     report: Optional[EpochReport] = None
     try:
@@ -243,8 +232,6 @@ def solve_parallel(
                     options=worker_options,
                     start=start,
                     ramp_obj=outcome.incumbent_obj,
-                    root_lp=root_lp,
-                    fixed_bounds=fixed_bounds,
                     subtrees=subtrees,
                     root_lb=form.lb,
                     root_ub=form.ub,
@@ -258,7 +245,7 @@ def solve_parallel(
     if report is None:
         report = _solve_epoch_inline(
             form, lp.sf, options, worker_options, start,
-            outcome.incumbent_obj, root_lp, fixed_bounds, subtrees,
+            outcome.incumbent_obj, subtrees,
         )
     if report.cancelled:
         raise CancelledError(

@@ -112,8 +112,6 @@ def solve_lease(
     options,
     start: float,
     ramp_obj: float,
-    root_lp,
-    fixed_bounds,
     node: _Node,
     lease_id: int,
     foreign_best,
@@ -137,12 +135,6 @@ def solve_lease(
         buffer = MemoryTraceSink()
         tracer = Tracer(buffer, worker=lease_id)
     lp = _LPBackend(form, stats, sf=sf, tracer=tracer)
-    # Each lease re-tightens reduced-cost bounds from its own incumbents
-    # only, starting from the bounds the ramp derived — copied, so no
-    # cross-lease mutation.
-    fixed = None
-    if fixed_bounds is not None:
-        fixed = (fixed_bounds[0].copy(), fixed_bounds[1].copy())
 
     def wrapped_publish(objective: float) -> None:
         publish(objective, tracer)
@@ -157,8 +149,6 @@ def solve_lease(
         allow_cuts=False,
         treat_root_unbounded=False,
         tracer=tracer,
-        root_lp=root_lp,
-        fixed_bounds=fixed,
     )
     try:
         outcome = engine.run([node])
@@ -179,8 +169,7 @@ def _attach_epoch(msg, previous: Optional[AttachedForm]):
     is already gone (the epoch completed before this worker woke up — it
     simply waits for the next one).
     """
-    (_, eid, spec, options, start, ramp_obj, root_lp, fixed_bounds,
-     trace_enabled) = msg
+    (_, eid, spec, options, start, ramp_obj, trace_enabled) = msg
     try:
         attached = AttachedForm(spec)
     except (FileNotFoundError, OSError):
@@ -194,8 +183,6 @@ def _attach_epoch(msg, previous: Optional[AttachedForm]):
         "options": options,
         "start": start,
         "ramp_obj": ramp_obj,
-        "root_lp": root_lp,
-        "fixed_bounds": fixed_bounds,
         "trace_enabled": trace_enabled,
     }
     return ctx, attached
@@ -279,8 +266,7 @@ def _run_lease(ctx, options, msg, shared) -> Tuple:
                     tracer.emit("incumbent_broadcast", objective=objective)
 
     outcome, stats, events, cancelled = solve_lease(
-        form, ctx["sf"], options, ctx["start"], ctx["ramp_obj"],
-        ctx["root_lp"], ctx["fixed_bounds"], node,
+        form, ctx["sf"], options, ctx["start"], ctx["ramp_obj"], node,
         lease_id=lease_id, foreign_best=foreign_best, publish=publish,
         trace_enabled=ctx["trace_enabled"],
     )
@@ -388,8 +374,6 @@ class WorkerPool:
         options,
         start: float,
         ramp_obj: float,
-        root_lp,
-        fixed_bounds,
         subtrees: List[_Node],
         root_lb: np.ndarray,
         root_ub: np.ndarray,
@@ -424,8 +408,7 @@ class WorkerPool:
                 self.broadcasts.value = 0
             self._drain_results()
             self.epoch.value = eid
-            msg = ("epoch", eid, spec, options, start, ramp_obj,
-                   root_lp, fixed_bounds, trace_enabled)
+            msg = ("epoch", eid, spec, options, start, ramp_obj, trace_enabled)
             try:
                 for ctl in self._ctl_queues:
                     ctl.put(msg)

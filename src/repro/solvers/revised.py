@@ -227,8 +227,8 @@ class RevisedResult:
         counters: Per-loop pivot attribution (``None`` for results built
             before the engine ran, e.g. trivial infeasibility).
         reduced_costs: Structural-column reduced costs at the optimum,
-            captured only when the solve was asked for them (branch and
-            bound uses them for reduced-cost fixing); ``None`` otherwise.
+            captured only when the solve was asked for them; ``None``
+            otherwise.
     """
 
     status: RevisedStatus
@@ -1063,7 +1063,6 @@ def solve_with_fallback(
     sf: StandardFormLP,
     basis: Optional[Basis] = None,
     max_iterations: int = 20_000,
-    want_reduced_costs: bool = False,
 ) -> Tuple[LPResult, Optional[Basis], bool]:
     """Solve via the revised path, falling back to the dense tableau.
 
@@ -1076,14 +1075,8 @@ def solve_with_fallback(
         ``(result, final_basis, fell_back)`` — ``final_basis`` is ``None``
         whenever the dense path produced the result (it has no basis to
         hand to children), and ``fell_back`` says which path answered.
-        ``result.reduced_costs`` is populated only when requested *and*
-        the revised path answered (the dense oracle does not expose
-        duals) — reduced-cost fixing degrades gracefully to off.
     """
-    revised = solve_revised(
-        sf, basis, max_iterations=max_iterations,
-        want_reduced_costs=want_reduced_costs,
-    )
+    revised = solve_revised(sf, basis, max_iterations=max_iterations)
     if revised.status is not RevisedStatus.NEEDS_FALLBACK:
         status = {
             RevisedStatus.OPTIMAL: LPStatus.OPTIMAL,
@@ -1094,7 +1087,6 @@ def solve_with_fallback(
             LPResult(
                 status, revised.x, revised.objective, revised.iterations,
                 counters=revised.counters,
-                reduced_costs=revised.reduced_costs,
             ),
             revised.basis,
             False,

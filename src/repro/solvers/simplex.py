@@ -58,10 +58,6 @@ class LPResult:
             engine produced this result (see
             :class:`repro.solvers.revised.PivotCounters`); ``None`` on
             the dense tableau path, which does not break pivots down.
-        reduced_costs: Structural reduced costs at the optimum when the
-            revised engine was asked to capture them (branch and bound
-            uses them for reduced-cost fixing); ``None`` on the dense
-            tableau path and on solves that did not request them.
     """
 
     status: LPStatus
@@ -69,7 +65,6 @@ class LPResult:
     objective: float
     iterations: int
     counters: Optional[object] = None
-    reduced_costs: Optional[np.ndarray] = None
 
 
 def solve_lp(

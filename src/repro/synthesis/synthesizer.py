@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from typing import List, Optional
 
 from repro.core.formulation import SosModel, SosModelBuilder
@@ -28,6 +29,17 @@ from repro.taskgraph.graph import TaskGraph
 
 class Synthesizer:
     """Synthesizes optimal application-specific multiprocessor systems.
+
+    A synthesizer builds the §3.3 MILP once, at its first solve, and
+    re-targets that one model for every later solve: it sets the designer
+    cost cap and deadline rows and swaps the objective, which is all that
+    differs between the two solves of a design and between the steps of
+    a sweep.  Every solve exports exactly the matrices a fresh build with
+    that solve's options would give, so answers do not depend on what the
+    synthesizer solved before.
+
+    A synthesizer owns that mutable model, so it is not thread-safe: use
+    one per thread, request or study point.
 
     Example:
         >>> from repro.taskgraph import example1
@@ -48,15 +60,11 @@ class Synthesizer:
         solver_options: Options forwarded to the backend.
         options: Base formulation options; per-call arguments override the
             ``cost_cap``/``deadline``/``objective`` fields.
-        constraints: Arbitrary designer constraints (§3.3.2) applied to
-            every model this synthesizer builds.
-        incremental: Build the MILP once and reuse it across solves,
-            retightening the designer cap/deadline rows and swapping the
-            objective in place instead of regenerating every constraint.
-            This is what makes the Pareto sweeps cheap: each step differs
-            from the previous model by two right-hand sides.  Falls back
-            to per-solve rebuilds when the model cannot be retightened
-            (e.g. an unbounded cost expression).
+        constraints: Arbitrary designer constraints (§3.3.2), applied
+            once, to the model this synthesizer builds at its first solve.
+        incremental: Deprecated and ignored: every synthesizer now builds
+            its model once.  Passing it warns with ``DeprecationWarning``;
+            it will be removed in the next major release.
         seed_incumbent: Seed every solve with a list-scheduling heuristic
             incumbent (:mod:`repro.core.seeding`): the best ETF/HLFET
             schedule becomes a complete feasible assignment the
@@ -77,9 +85,11 @@ class Synthesizer:
         solver_options: Optional[SolverOptions] = None,
         options: Optional[FormulationOptions] = None,
         constraints: Optional["DesignerConstraints"] = None,
-        incremental: bool = False,
+        incremental: Optional[bool] = None,
         seed_incumbent: bool = False,
     ) -> None:
+        if incremental is not None:
+            warn_incremental()
         self.graph = graph
         self.library = library
         base = options or FormulationOptions()
@@ -87,12 +97,10 @@ class Synthesizer:
         self.solver_name = solver
         self.solver_options = solver_options
         self.constraints = constraints
-        self.incremental = incremental
         self.seed_incumbent = seed_incumbent
-        self._cached_model: Optional[SosModel] = None
         #: Total solver wall-clock seconds spent by this synthesizer.
         self.total_solve_seconds = 0.0
-        #: The model built by the most recent solve (for size reporting).
+        #: The model, built at the first solve and re-targeted since.
         self.last_model: Optional[SosModel] = None
         #: Merged solver telemetry of the most recent ``synthesize`` call.
         self.last_stats: Optional[SolveStats] = None
@@ -245,37 +253,24 @@ class Synthesizer:
         """A bound equal to an achieved optimum, padded for solver tolerance."""
         return value + 1e-6 * max(1.0, abs(value))
 
-    def _built_for(self, options: FormulationOptions) -> SosModel:
-        """The model to solve: a fresh build, or the retightened cache.
-
-        In incremental mode the MILP is generated once (with relaxed
-        designer rows) and every later solve only rewrites the cap and
-        deadline right-hand sides and the objective.  Anything that cannot
-        be expressed as such a mutation falls back to a full rebuild.
-        """
-        if self.incremental:
-            if self._cached_model is None:
-                base = dataclasses.replace(options, cost_cap=None, deadline=None)
-                cached = SosModelBuilder(
-                    self.graph, self.library, base, incremental=True
-                ).build()
-                if self.constraints is not None and not self.constraints.is_empty():
-                    self.constraints.apply(cached)
-                self._cached_model = cached
-            cached = self._cached_model
-            if cached.supports_retightening:
-                cached.set_cost_cap(options.cost_cap)
-                cached.set_deadline(options.deadline)
-                cached.set_objective(options.objective)
-                return cached
-        built = SosModelBuilder(self.graph, self.library, options).build()
-        if self.constraints is not None and not self.constraints.is_empty():
-            self.constraints.apply(built)
+    def _model_for(self, options: FormulationOptions) -> SosModel:
+        """The model for one solve: built on first use, re-targeted after."""
+        built = self.last_model
+        if built is None:
+            built = SosModelBuilder(self.graph, self.library, options).build()
+            if self.constraints is not None and not self.constraints.is_empty():
+                self.constraints.apply(built)
+            self.last_model = built
+        else:
+            built.retarget(
+                cost_cap=options.cost_cap,
+                deadline=options.deadline,
+                objective=options.objective,
+            )
         return built
 
     def _solve(self, options: FormulationOptions):
-        built = self._built_for(options)
-        self.last_model = built
+        built = self._model_for(options)
         solver_options = self.solver_options
         if self.seed_incumbent:
             from repro.core.seeding import heuristic_incumbent
@@ -332,6 +327,12 @@ class Synthesizer:
         For parallel branch and bound inside each solve, construct the
         synthesizer with ``SolverOptions(workers=N)``; the front is the
         same.
+
+        The whole sweep solves one model: each step re-targets the
+        synthesizer's model (new cap, deadline row and objective) rather
+        than building another, and gets the same matrices a fresh build
+        would.  (``incremental=True``, which used to ask for this, is
+        deprecated and ignored.)
 
         Args:
             max_designs: Safety bound on the front size.
@@ -413,7 +414,8 @@ class Synthesizer:
         the previous design and re-minimize cost, until no system is fast
         enough.  Returns the front cheapest-first (the reverse order of
         :meth:`pareto_sweep`); the two sweeps find the same front, which
-        the test suite asserts.
+        the test suite asserts.  Like :meth:`pareto_sweep`, every step
+        re-targets the synthesizer's one model.
 
         Args:
             max_designs: Safety bound on the front size.
@@ -479,6 +481,16 @@ def _check_step(name: str, step: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {step!r}")
 
 
+def warn_incremental(stacklevel: int = 3) -> None:
+    """Warn that an ``incremental`` setting was passed (deprecated, ignored)."""
+    warnings.warn(
+        "incremental is deprecated and ignored: every Synthesizer builds its "
+        "model once and re-targets it for each solve",
+        DeprecationWarning,
+        stacklevel=stacklevel,
+    )
+
+
 #: Keyword arguments of :func:`synthesize` that configure the
 #: :class:`Synthesizer` itself rather than the single solve.
 _CONSTRUCTOR_KEYS = frozenset(
@@ -494,10 +506,11 @@ def synthesize(graph: TaskGraph, library: TechnologyLibrary, **opts) -> Design:
     for callers who do not need to hold a :class:`Synthesizer` across
     several solves.  Keyword arguments are split automatically:
     configuration keys (``style``, ``solver``, ``solver_options``,
-    ``options``, ``constraints``, ``incremental``) go to the
+    ``options``, ``constraints``, ``seed_incumbent``) go to the
     :class:`Synthesizer` constructor, everything else (``cost_cap``,
     ``deadline``, ``objective``, ``minimize_secondary``, ``validate``,
-    ``cache``) to :meth:`Synthesizer.synthesize`.
+    ``cache``) to :meth:`Synthesizer.synthesize`.  The deprecated
+    ``incremental`` keyword is accepted, warns and is ignored.
 
     Example::
 
@@ -509,4 +522,6 @@ def synthesize(graph: TaskGraph, library: TechnologyLibrary, **opts) -> Design:
     """
     constructor = {k: v for k, v in opts.items() if k in _CONSTRUCTOR_KEYS}
     call = {k: v for k, v in opts.items() if k not in _CONSTRUCTOR_KEYS}
+    if constructor.pop("incremental", None) is not None:
+        warn_incremental()
     return Synthesizer(graph, library, **constructor).synthesize(**call)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import SystemModelError
@@ -115,7 +116,7 @@ class ProcessorInstance:
     ptype: ProcessorType
     ordinal: int
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Paper-style instance name, e.g. ``p1a`` or ``p1b``."""
         return f"{self.ptype.name}{instance_suffix(self.ordinal)}"

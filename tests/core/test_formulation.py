@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.formulation import SosModelBuilder, build_sos_model
+from repro.core.variables import arc_key
 from repro.core.options import FormulationOptions, Objective
 from repro.errors import SystemModelError
 from repro.milp.constraint import Sense
@@ -115,6 +116,110 @@ class TestDesignerConstraints:
             built.model.objective.coefficient(var) > 0
             for var in built.variables.beta.values()
         )
+
+
+class _ExpressionExclusionBuilder(SosModelBuilder):
+    """Writes (3.4.19)/(3.4.20) with expression arithmetic (reference)."""
+
+    def _p2p_exclusion_pair(self, arc1, arc2):
+        v, tm = self._vars, self.horizon
+        key1 = arc_key(arc1.consumer, arc1.dest.index)
+        key2 = arc_key(arc2.consumer, arc2.dest.index)
+        senders = [i for i in self._capable(arc1.producer) if i.can_execute(arc2.producer)]
+        receivers = [i for i in self._capable(arc1.consumer) if i.can_execute(arc2.consumer)]
+        phi = None
+        for d1 in senders:
+            for d2 in receivers:
+                if d1.name == d2.name:
+                    continue
+                if phi is None:
+                    phi = self._phi_for(arc1, arc2)
+                sig = (
+                    v.sigma[(d2.name, arc1.consumer)] + v.sigma[(d2.name, arc2.consumer)]
+                    + v.sigma[(d1.name, arc1.producer)] + v.sigma[(d1.name, arc2.producer)]
+                )
+                tag = f"{d1.name},{d2.name},{key1[0]}{key1[1]},{key2[0]}{key2[1]}"
+                self._add("link-usage-exclusion (3.4.19)",
+                          v.t_cs[key2] >= v.t_ce[key1] - tm * (5 - phi - sig),
+                          f"lex1[{tag}]")
+                self._add("link-usage-exclusion (3.4.20)",
+                          v.t_cs[key1] >= v.t_ce[key2] - tm * (4 + phi - sig),
+                          f"lex2[{tag}]")
+
+
+class TestExclusionRows:
+    @pytest.mark.parametrize("style", [InterconnectStyle.POINT_TO_POINT, InterconnectStyle.RING])
+    @pytest.mark.parametrize("horizon", [None, 0.0])
+    def test_term_dicts_match_expression_arithmetic(
+        self, ex1_graph, ex1_library, style, horizon
+    ):
+        """Same rows, terms, coefficient order, values and right-hand sides,
+        including the degenerate zero horizon where terms drop out."""
+        options = FormulationOptions(style=style)
+        fast = SosModelBuilder(ex1_graph, ex1_library, options)
+        slow = _ExpressionExclusionBuilder(ex1_graph, ex1_library, options)
+        if horizon is not None:
+            fast.horizon = slow.horizon = horizon
+        got, want = fast.build().model.constraints, slow.build().model.constraints
+        assert len(got) == len(want)
+        for mine, reference in zip(got, want):
+            assert mine.name == reference.name
+            assert mine.sense is reference.sense
+            assert repr(mine.rhs) == repr(reference.rhs)
+            assert [(var.name, repr(coeff)) for var, coeff in mine.expr.coeffs.items()] == [
+                (var.name, repr(coeff)) for var, coeff in reference.expr.coeffs.items()
+            ]
+
+
+class TestRetarget:
+    """A re-targeted model exports what a fresh build for its options does."""
+
+    @staticmethod
+    def assert_same_export(got, want):
+        for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "lb", "ub"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.c0 == want.c0
+
+    @pytest.mark.parametrize("style", list(InterconnectStyle))
+    def test_every_target_matches_fresh_build(self, ex1_graph, ex1_library, style):
+        targets = [
+            (None, None, Objective.MIN_MAKESPAN),
+            (7.0, None, Objective.MIN_MAKESPAN),
+            (7.0, 4.0, Objective.MIN_COST),
+            (None, 4.0, Objective.WEIGHTED),
+            (13.0, None, Objective.MIN_COST),
+            (None, None, Objective.MIN_MAKESPAN),
+        ]
+        built = SosModelBuilder(
+            ex1_graph, ex1_library, FormulationOptions(style=style)
+        ).build()
+        for cap, deadline, objective in targets:
+            options = FormulationOptions(
+                style=style, cost_cap=cap, deadline=deadline, objective=objective
+            )
+            built.retarget(cost_cap=cap, deadline=deadline, objective=objective)
+            fresh = SosModelBuilder(ex1_graph, ex1_library, options).build()
+            self.assert_same_export(built.model.to_matrices(), fresh.model.to_matrices())
+            assert built.options == fresh.options
+            assert built.family_counts == fresh.family_counts
+
+    def test_unset_rows_are_absent(self, ex1_graph, ex1_library):
+        built = SosModelBuilder(
+            ex1_graph, ex1_library, FormulationOptions(cost_cap=7.0, deadline=4.0)
+        ).build()
+        rows = len(built.model.constraints)
+        built.retarget(cost_cap=None, deadline=None, objective=Objective.MIN_MAKESPAN)
+        assert built.cost_cap_row is None and built.deadline_row is None
+        assert len(built.model.constraints) == rows - 2
+        assert "cost_cap" not in [c.name for c in built.model.constraints]
+
+    def test_designer_rows_sit_after_the_families(self, ex1_graph, ex1_library):
+        built = SosModelBuilder(ex1_graph, ex1_library).build()
+        built.model.add(built.variables.t_f <= 100.0, name="extra")
+        built.set_deadline(5.0)
+        built.set_cost_cap(9.0)
+        names = [c.name for c in built.model.constraints]
+        assert names[built.family_rows:] == ["cost_cap", "deadline", "extra"]
 
 
 class TestCorrectnessOnTinyInstance:

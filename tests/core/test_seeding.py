@@ -121,17 +121,6 @@ class TestSolverSeeding:
         )
         assert solution.stats.seeded_incumbent == 0
 
-    def test_rc_fixing_off_matches_default(self, ex1_model):
-        seed = heuristic_incumbent(ex1_model)
-        fixed = BozoSolver(
-            SolverOptions(incumbent=seed)
-        ).solve(ex1_model.model)
-        unfixed = BozoSolver(
-            SolverOptions(incumbent=seed, rc_fixing="off")
-        ).solve(ex1_model.model)
-        assert fixed.objective == pytest.approx(unfixed.objective, abs=1e-9)
-        assert unfixed.stats.rc_fixed_bounds == 0
-
 
 class TestSynthesizerFlag:
     def test_seeded_synthesis_matches_unseeded(self, ex1_graph, ex1_library):

@@ -1,8 +1,7 @@
 """Property: per-point study fronts are byte-identical to standalone sweeps.
 
 The acceptance claim of the DSE tier: running a grid study through
-``run_study`` (with its cache keys, manifest plumbing, and incremental
-synthesizers) must produce, at every grid point, the *exact* front a
+``run_study`` (with its cache keys and manifest plumbing) must produce, at every grid point, the *exact* front a
 standalone ``pareto_sweep`` call on the same transformed library yields
 — compared as serialized JSON, so any drift in designs, schedules, or
 ordering fails loudly.
@@ -84,7 +83,7 @@ def test_study_fronts_match_standalone_sweeps(label, seed, axes_factory):
         assert grid_point.point_id == surface_point.point_id
         standalone = Synthesizer(
             graph, grid_point.library, style=grid_point.style,
-            solver="highs", incremental=True,
+            solver="highs",
         ).pareto_sweep(max_designs=MAX_DESIGNS)
         assert surface_point.front is not None
         assert canonical(surface_point.front) == canonical(standalone), (

@@ -155,3 +155,126 @@ class TestMatrices:
         x = model.add_var("x")
         model.minimize(x + 10)
         assert model.to_matrices().c0 == 10.0
+
+    def test_objective_with_foreign_variable_rejected(self):
+        model = Model()
+        model.add_var("x")
+        model.minimize(Var("stray", index=0) + 1)
+        with pytest.raises(ModelError, match="does not belong"):
+            model.to_matrices()
+
+
+def row_by_row_export(model):
+    """The dense per-row export ``to_matrices`` replaced (reference)."""
+    from repro.milp.constraint import Sense
+
+    n = len(model.variables)
+    index_of = {var: j for j, var in enumerate(model.variables)}
+    c = np.zeros(n)
+    for var, coeff in model.objective.coeffs.items():
+        c[index_of[var]] = coeff
+    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    for constraint in model.constraints:
+        row = np.zeros(n)
+        for var, coeff in constraint.expr.coeffs.items():
+            row[index_of[var]] = coeff
+        if constraint.sense is Sense.LE:
+            ub_rows.append(row)
+            ub_rhs.append(constraint.rhs)
+        elif constraint.sense is Sense.GE:
+            ub_rows.append(-row)
+            ub_rhs.append(-constraint.rhs)
+        else:
+            eq_rows.append(row)
+            eq_rhs.append(constraint.rhs)
+
+    def stack(rows):
+        return np.vstack(rows) if rows else np.zeros((0, n))
+
+    return {
+        "c": c, "a_ub": stack(ub_rows), "b_ub": np.asarray(ub_rhs, dtype=float),
+        "a_eq": stack(eq_rows), "b_eq": np.asarray(eq_rhs, dtype=float),
+    }
+
+
+class TestScatterExport:
+    @pytest.mark.parametrize("style", ["point_to_point", "bus", "ring"])
+    @pytest.mark.parametrize("variant", [{}, {"io_overlap": False}, {"memory_model": True}])
+    def test_sos_models_match_row_by_row_export(self, style, variant):
+        from repro.core.formulation import SosModelBuilder
+        from repro.core.options import FormulationOptions, Objective
+        from repro.system.examples import example1_library
+        from repro.system.interconnect import InterconnectStyle
+        from repro.taskgraph.examples import example1
+
+        options = FormulationOptions(
+            style=InterconnectStyle(style), cost_cap=9.0, deadline=6.0,
+            objective=Objective.WEIGHTED, **variant,
+        )
+        model = SosModelBuilder(example1(), example1_library(), options).build().model
+        form = model.to_matrices()
+        for name, want in row_by_row_export(model).items():
+            got = getattr(form, name)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name  # -0.0 included
+
+    def test_simple_model_matches_row_by_row_export(self, simple_model):
+        model, _, _ = simple_model
+        model.add(model.variables[0] == 2)
+        form = model.to_matrices()
+        for name, want in row_by_row_export(model).items():
+            assert getattr(form, name).tobytes() == want.tobytes(), name
+
+
+class TestExportReuse:
+    def test_unchanged_model_returns_the_same_form(self, simple_model):
+        model, _, _ = simple_model
+        form = model.to_matrices()
+        assert model.to_matrices() is form
+
+    def test_form_arrays_are_read_only(self, simple_model):
+        model, _, _ = simple_model
+        form = model.to_matrices()
+        with pytest.raises(ValueError):
+            form.ub[0] = 1.0
+        with pytest.raises(ValueError):
+            form.a_ub[0, 0] = 1.0
+
+    def test_every_change_drops_the_export(self, simple_model):
+        model, x, y = simple_model
+        first = model.to_matrices()
+        row = model.add(x <= 3, name="x_cap")
+        second = model.to_matrices()
+        assert second is not first
+        assert second.a_ub.shape == (3, 2)
+        model.remove(row)
+        third = model.to_matrices()
+        assert third is not second
+        assert third.a_ub.tobytes() == first.a_ub.tobytes()
+        model.minimize(x)
+        assert model.to_matrices().c.tolist() == [1.0, 0.0]
+        model.add_var("z")
+        assert model.to_matrices().c.shape == (3,)
+
+    def test_earlier_export_is_not_mutated(self, simple_model):
+        model, x, _ = simple_model
+        first = model.to_matrices()
+        before = first.a_ub.copy()
+        model.add(x <= 3, position=0)
+        assert np.array_equal(first.a_ub, before)
+        assert model.to_matrices().a_ub[0].tolist() == [1.0, 0.0]
+
+
+class TestRowEditing:
+    def test_insert_at_position(self, simple_model):
+        model, x, y = simple_model
+        model.add(y <= 1, name="first", position=0)
+        assert [c.name for c in model.constraints][:2] == ["first", "cap"]
+
+    def test_remove_by_identity(self, simple_model):
+        model, x, _ = simple_model
+        cap = model.constraints[0]
+        model.remove(cap)
+        assert [c.name for c in model.constraints] == ["c1"]
+        with pytest.raises(ModelError, match="not in model"):
+            model.remove(cap)

@@ -18,7 +18,6 @@ GOLDEN_SCHEMA = {
     "node_opened": {"node", "bound", "depth"},
     "lp_solved": {"pivots", "status", "warm", "fallback", "seconds"},
     "incumbent_found": {"objective", "node", "source"},
-    "bounds_fixed": {"node", "count"},
     "cut_round": {"round", "generated", "added", "bound_before", "bound_after"},
     "cuts_added": {"count", "rounds", "gomory", "cover"},
     "strong_branch": {"node", "candidates", "probes", "chosen"},

@@ -71,9 +71,9 @@ class TestReplayExactness:
         assert solution.stats.worker_idle_waits >= 1
         assert replay_stats(sink.events) == solution.stats
 
-    def test_seeded_rc_fixing_replay_matches_stats(self):
-        """seeded_incumbent / rc_fixed_bounds derive from incumbent_found
-        and bounds_fixed events; a seeded solve must replay exactly."""
+    def test_seeded_replay_matches_stats(self):
+        """seeded_incumbent derives from the incumbent_found event of the
+        seed; a seeded solve must replay exactly."""
         from repro.core.formulation import SosModelBuilder
         from repro.core.options import FormulationOptions
         from repro.core.seeding import heuristic_incumbent

@@ -152,10 +152,8 @@ class TestTypedHelpers:
         """Acceptance: cached and fresh Table II fronts are byte-identical."""
         graph, library, _ = solved
         cache = ResultCache()
-        fresh = Synthesizer(graph, library, solver="highs",
-                            incremental=True).pareto_sweep(cache=cache)
-        cached = Synthesizer(graph, library, solver="highs",
-                             incremental=True).pareto_sweep(cache=cache)
+        fresh = Synthesizer(graph, library, solver="highs").pareto_sweep(cache=cache)
+        cached = Synthesizer(graph, library, solver="highs").pareto_sweep(cache=cache)
         assert cache.stats()["hits"] == 1
         assert cached.to_json() == fresh.to_json()
         assert [d.cost for d in cached] == [d.cost for d in fresh]

@@ -181,8 +181,7 @@ class TestCancellation:
             with pytest.raises(CancelledError, match="queued"):
                 pool.run_epoch(
                     spec={}, options=SolverOptions(), start=0.0,
-                    ramp_obj=float("inf"), root_lp=None, fixed_bounds=None,
-                    subtrees=[], root_lb=np.zeros(1), root_ub=np.ones(1),
+                    ramp_obj=float("inf"), subtrees=[], root_lb=np.zeros(1), root_ub=np.ones(1),
                     trace_enabled=False,
                     should_stop=lambda: True,
                 )

@@ -30,9 +30,7 @@ def problem():
 @pytest.fixture(scope="module")
 def front(problem):
     graph, library = problem
-    return Synthesizer(
-        graph, library, solver="highs", incremental=True
-    ).pareto_sweep(max_designs=3)
+    return Synthesizer(graph, library, solver="highs").pareto_sweep(max_designs=3)
 
 
 class TestDesignRoundTrip:

@@ -79,6 +79,12 @@ class TestCommands:
         assert code == 0
         assert "14" in output and "2.5" in output
 
+    def test_sweep_incremental_flag_warns_and_is_ignored(self, capsys):
+        with pytest.warns(DeprecationWarning, match="incremental"):
+            code = main(["sweep", "example1", "--incremental", "--max-designs", "2"])
+        assert code == 0
+        assert "Non-inferior designs" in capsys.readouterr().out
+
     def test_sweep_workers_prints_serial_front(self, capsys, tmp_path):
         # --workers runs parallel branch and bound inside each cost-capped
         # solve, so the front matches the serial sweep row for row.
