@@ -34,6 +34,7 @@ from repro.service.asgi import AsgiApp, AsyncHTTPServer, create_app, create_asyn
 from repro.service.cache import (
     DEFAULT_BYTE_BUDGET,
     CacheBackend,
+    CacheEntryError,
     MemoryCacheBackend,
     ResultCache,
     ShardedDiskBackend,
@@ -66,6 +67,7 @@ __all__ = [
     "AsyncHTTPServer",
     "CANCELLED",
     "CacheBackend",
+    "CacheEntryError",
     "DEFAULT_BYTE_BUDGET",
     "DONE",
     "FAILED",

@@ -23,6 +23,9 @@ Operational behaviour added here:
   ``Retry-After`` header and are never enqueued.
 * **Backpressure** — a :class:`~repro.service.jobs.QueueFullError` from
   the manager's bounded queue also maps to ``429 + Retry-After``.
+* **Exact repeats** — a :class:`RequestMemo` keeps the requests
+  admitted for recent POST bodies, so a byte-identical resubmission is
+  neither parsed into a problem nor fingerprinted again.
 * **Metrics** — every response is timed into
   :class:`~repro.service.metrics.ServiceMetrics`; ``GET /v1/metrics``
   merges that with the manager's queue/pool/cache counters.
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -46,6 +51,7 @@ from repro.service.jobs import (
     SynthesizeRequest,
 )
 from repro.service.metrics import ServiceMetrics, TokenBucket, _prom_label
+from repro.solvers.registry import available_solvers
 from repro.system.interconnect import InterconnectStyle
 from repro.system.library import TechnologyLibrary
 from repro.taskgraph.graph import TaskGraph
@@ -68,6 +74,59 @@ MAX_WAIT_SECONDS = 60.0
 #: response documents only gain fields (docs/api.md), so the block stays
 #: as a constant: disabled, with zero counters.
 RETIRED_BATCH = {"enabled": False, "batches": 0, "batched_jobs": 0, "max_occupancy": 0}
+
+
+#: Bounds of the exact-repeat memo (:class:`RequestMemo`) each
+#: :class:`ServiceApi` keeps: admitted requests by count, and the bodies
+#: they are keyed by in bytes.  A parsed request is ~5 KB, so the count
+#: holds the memo to a few MB; the byte bound keeps large inline problems
+#: (bodies up to ``asgi.MAX_BODY_BYTES``) from multiplying that.
+REQUEST_MEMO_ENTRIES = 1024
+REQUEST_MEMO_BYTES = 8 * 1024 * 1024
+
+
+class RequestMemo:
+    """Thread-safe LRU from ``(route, exact body bytes)`` to the request
+    admitted for that body.
+
+    An exact repeat of an admitted body reuses the request object, whose
+    fingerprint is computed once, so it skips parsing the problem and
+    hashing it.  Only bodies that passed validation are put here.
+    """
+
+    def __init__(self, max_entries: int, max_bytes: int) -> None:
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Tuple[str, bytes], Any]" = OrderedDict()
+        self._bytes = 0
+
+    def get(self, key: Tuple[str, bytes]):
+        """The request admitted for ``key``, or ``None``; refreshes its LRU slot."""
+        with self._lock:
+            request = self._entries.get(key)
+            if request is not None:
+                self._entries.move_to_end(key)
+            return request
+
+    def put(self, key: Tuple[str, bytes], request) -> None:
+        """Keep ``request`` for ``key``, evicting least-recently-used entries."""
+        size = len(key[1])
+        if size > self.max_bytes:
+            return
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return
+            self._entries[key] = request
+            self._bytes += size
+            while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
+                (_route, body), _request = self._entries.popitem(last=False)
+                self._bytes -= len(body)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class BadRequest(ValueError):
@@ -120,6 +179,13 @@ def _objective_from_document(name) -> Objective:
         ) from None
 
 
+def _solver_from_document(name) -> str:
+    names = available_solvers()
+    if not isinstance(name, str) or name not in names:
+        raise BadRequest(f"unknown solver {name!r} (use {', '.join(names)})")
+    return name
+
+
 def _number(body: Dict[str, Any], key: str, default=None) -> Optional[float]:
     value = body.get(key, default)
     if value is None:
@@ -137,7 +203,7 @@ def request_from_document(kind: str, body: Dict[str, Any]):
         raise BadRequest("missing required field 'problem'")
     graph, library = _problem_from_document(body["problem"])
     style = _style_from_document(body.get("style", "p2p"))
-    solver = body.get("solver", "auto")
+    solver = _solver_from_document(body.get("solver", "auto"))
     if kind == "synthesize":
         return SynthesizeRequest(
             graph, library, style=style, solver=solver,
@@ -149,7 +215,8 @@ def request_from_document(kind: str, body: Dict[str, Any]):
         )
     if kind == "sweep":
         max_designs = body.get("max_designs", 64)
-        if not isinstance(max_designs, int) or max_designs < 1:
+        if (not isinstance(max_designs, int) or isinstance(max_designs, bool)
+                or max_designs < 1):
             raise BadRequest("'max_designs' must be a positive integer")
         cost_step = _number(body, "cost_step", 1e-4)
         if cost_step <= 0:
@@ -254,6 +321,7 @@ class ServiceApi:
         self.bucket = (
             TokenBucket(rate_limit, rate_burst) if rate_limit else None
         )
+        self._requests = RequestMemo(REQUEST_MEMO_ENTRIES, REQUEST_MEMO_BYTES)
 
     # -- entry point ---------------------------------------------------------
     def handle(self, method: str, path: str, body: Optional[bytes] = None,
@@ -358,7 +426,10 @@ class ServiceApi:
                 return
         try:
             document = self._parse_body(body)
-            request = request_from_document(kind, document)
+            memo_key = (kind, bytes(body))
+            request = self._requests.get(memo_key)
+            if request is None:
+                request = request_from_document(kind, document)
             priority = document.get("priority", 0)
             if not isinstance(priority, int) or isinstance(priority, bool):
                 raise BadRequest("'priority' must be an integer")
@@ -375,6 +446,7 @@ class ServiceApi:
         except BadRequest as exc:
             admission.response = self._error(400, "bad_request", str(exc))
             return
+        self._requests.put(memo_key, request)
         try:
             admission.job = self.manager.submit(
                 request, priority=priority, deadline_seconds=deadline_seconds

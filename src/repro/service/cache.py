@@ -6,7 +6,9 @@ A :class:`ResultCache` maps request fingerprints
 :class:`~repro.synthesis.front.ParetoFront` documents, in exactly the
 schema :func:`repro.synthesis.io.save_design` /
 :meth:`~repro.synthesis.front.ParetoFront.to_json` write — so a cached
-answer re-serializes byte-identically to the solve that produced it.
+answer re-serializes byte-identically to the solve that produced it, and
+the job service serves a hit's payload as stored
+(:meth:`ResultCache.get_payload`).
 
 Storage is pluggable behind the :class:`CacheBackend` protocol
 (``get``/``put``/``contains``/``clear``/``stats``/``close`` over encoded
@@ -50,10 +52,15 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Union
 
+from repro.errors import ReproError
 from repro.obs.sinks import Tracer, make_tracer
 
 #: Default in-memory budget: 64 MiB of encoded JSON.
 DEFAULT_BYTE_BUDGET = 64 * 1024 * 1024
+
+
+class CacheEntryError(ReproError):
+    """A stored entry's envelope does not match the key it was read under."""
 
 
 class CacheBackend(Protocol):
@@ -367,6 +374,28 @@ class ResultCache:
             self.misses += 1
         self._emit("cache_miss", key=key, kind="unknown")
         return None
+
+    def get_payload(self, key: str, kind: str) -> Optional[Dict[str, Any]]:
+        """The stored payload for ``key``, as stored, or ``None`` on a miss.
+
+        The envelope :meth:`put` wrote must name ``kind`` and carry
+        ``key`` as its fingerprint, so the payload can be served without
+        rebuilding it against the request.
+
+        Raises:
+            CacheEntryError: The entry's envelope does not match; it is
+                never served.
+        """
+        document = self.get(key)
+        if document is None:
+            return None
+        if document.get("kind") != kind or document.get("fingerprint") != key:
+            raise CacheEntryError(
+                f"cache entry {key} holds kind {document.get('kind')!r} "
+                f"under fingerprint {document.get('fingerprint')!r}, "
+                f"expected kind {kind!r}"
+            )
+        return document["payload"]
 
     def put(self, key: str, kind: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` (a JSON-compatible dict) under ``key``.

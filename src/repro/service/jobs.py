@@ -8,8 +8,9 @@ bookkeeping.  What the manager adds over a bare thread pool:
 * **Content-addressed caching** — every request is fingerprinted once
   (:mod:`repro.service.fingerprint`) and looked up in the
   :class:`~repro.service.cache.ResultCache` by :meth:`JobManager.submit`
-  itself: a hit completes the job on the submitting thread, without
-  queueing it or instantiating a solver.
+  itself: a hit completes the job on the submitting thread with the
+  stored document as is, without queueing it, instantiating a solver or
+  rebuilding the result object.
 * **Single-flight dedup** — while a job for fingerprint ``F`` is queued
   or running, submitting an identical request returns *that job* instead
   of enqueueing a second solve, mirroring the shared-incumbent idea of
@@ -99,8 +100,36 @@ class QueueFullError(RuntimeError):
         self.retry_after = retry_after
 
 
-@dataclass
-class SynthesizeRequest:
+class _Request:
+    """What both request kinds share: the cache key, computed once.
+
+    Requests are frozen, so the fingerprint of an instance never changes
+    and the service can keep an admitted request and submit it again.
+    Mutating an object a request holds (its graph, library or
+    constraints) after its first :meth:`fingerprint` is not seen.
+    """
+
+    def fingerprint(self) -> str:
+        """Content address of this request (see :mod:`.fingerprint`)."""
+        key = self.__dict__.get("_fingerprint")
+        if key is None:
+            key = fingerprint_request(
+                self.kind, self.graph, self.library,
+                solver=self.solver, solver_options=self.solver_options,
+                formulation=self._formulation(), constraints=self.constraints,
+                **self._params(),
+            )
+            # A frozen dataclass refuses setattr; the memo is not a field.
+            object.__setattr__(self, "_fingerprint", key)
+        return key
+
+    def _formulation(self) -> FormulationOptions:
+        base = self.formulation or FormulationOptions()
+        return dataclasses.replace(base, style=self.style)
+
+
+@dataclass(frozen=True)
+class SynthesizeRequest(_Request):
     """One ``synthesize`` call as data (what the HTTP API posts).
 
     Attributes mirror :meth:`repro.synthesis.synthesizer.Synthesizer.synthesize`
@@ -121,20 +150,15 @@ class SynthesizeRequest:
     validate: bool = True
 
     kind = "synthesize"
+    #: The :class:`ResultCache` kind tag of this request's stored result.
+    cache_kind = "design"
 
-    def fingerprint(self) -> str:
-        """Content address of this request (see :mod:`.fingerprint`)."""
-        return fingerprint_request(
-            self.kind, self.graph, self.library,
-            solver=self.solver, solver_options=self.solver_options,
-            formulation=self._formulation(), constraints=self.constraints,
-            cost_cap=self.cost_cap, deadline=self.deadline,
-            objective=self.objective, minimize_secondary=self.minimize_secondary,
-        )
-
-    def _formulation(self) -> FormulationOptions:
-        base = self.formulation or FormulationOptions()
-        return dataclasses.replace(base, style=self.style)
+    def _params(self) -> Dict[str, Any]:
+        return {
+            "cost_cap": self.cost_cap, "deadline": self.deadline,
+            "objective": self.objective,
+            "minimize_secondary": self.minimize_secondary,
+        }
 
     def _synthesizer(self, solver_options: Optional[SolverOptions]) -> Synthesizer:
         return Synthesizer(
@@ -163,22 +187,14 @@ class SynthesizeRequest:
         return design_to_document(result)
 
     def result_from_document(self, document: Dict[str, Any]):
-        """Rebuild the design from its document (pool wire format)."""
+        """Rebuild the design from its document (pool wire format, cache hits)."""
         from repro.synthesis.io import design_from_dict
 
         return design_from_dict(self.graph, self.library, document)
 
-    def store(self, cache: ResultCache, key: str, result) -> None:
-        """Cache hook: store a design."""
-        cache.put_design(key, result)
 
-    def lookup(self, cache: ResultCache, key: str):
-        """Cache hook: load a design (``None`` on miss)."""
-        return cache.get_design(key, self.graph, self.library)
-
-
-@dataclass
-class SweepRequest:
+@dataclass(frozen=True)
+class SweepRequest(_Request):
     """One ``pareto_sweep`` call as data."""
 
     graph: TaskGraph
@@ -196,23 +212,15 @@ class SweepRequest:
     incremental: Optional[bool] = None
 
     kind = "sweep"
+    #: The :class:`ResultCache` kind tag of this request's stored result.
+    cache_kind = "front"
 
     def __post_init__(self) -> None:
         if self.incremental is not None:
             warn_incremental(stacklevel=4)
 
-    def fingerprint(self) -> str:
-        """Content address of this request (see :mod:`.fingerprint`)."""
-        return fingerprint_request(
-            self.kind, self.graph, self.library,
-            solver=self.solver, solver_options=self.solver_options,
-            formulation=self._formulation(), constraints=self.constraints,
-            max_designs=self.max_designs, cost_step=self.cost_step,
-        )
-
-    def _formulation(self) -> FormulationOptions:
-        base = self.formulation or FormulationOptions()
-        return dataclasses.replace(base, style=self.style)
+    def _params(self) -> Dict[str, Any]:
+        return {"max_designs": self.max_designs, "cost_step": self.cost_step}
 
     def run(self, solver_options: Optional[SolverOptions]):
         """Execute the sweep; returns the :class:`ParetoFront`."""
@@ -231,18 +239,10 @@ class SweepRequest:
         return result.to_dict()
 
     def result_from_document(self, document: Dict[str, Any]):
-        """Rebuild the front from its document (pool wire format)."""
+        """Rebuild the front from its document (pool wire format, cache hits)."""
         from repro.synthesis.front import ParetoFront
 
         return ParetoFront.from_dict(document, self.graph, self.library)
-
-    def store(self, cache: ResultCache, key: str, result) -> None:
-        """Cache hook: store a front."""
-        cache.put_front(key, result)
-
-    def lookup(self, cache: ResultCache, key: str):
-        """Cache hook: load a front (``None`` on miss)."""
-        return cache.get_front(key, self.graph, self.library)
 
 
 class Job:
@@ -270,8 +270,7 @@ class Job:
         #: Identical submissions coalesced onto this job (dedup count).
         self.shared = 0
         self.error: Optional[str] = None
-        #: The result object (Design or ParetoFront) once DONE.
-        self.result: Any = None
+        self._result: Any = None
         #: The result's JSON document once DONE (what HTTP serves).
         self.document: Optional[Dict[str, Any]] = None
         self.submitted_at = time.time()
@@ -290,6 +289,17 @@ class Job:
     def finished(self) -> bool:
         """True in any terminal state (done, failed, cancelled)."""
         return self._finished.is_set()
+
+    @property
+    def result(self) -> Any:
+        """The result object (Design or ParetoFront) once DONE.
+
+        A cache hit carries only the stored document; its object is
+        rebuilt from that document on first access.
+        """
+        if self._result is None and self.cached:
+            self._result = self.request.result_from_document(self.document)
+        return self._result
 
     @property
     def cancel_requested(self) -> bool:
@@ -422,9 +432,10 @@ class JobManager:
         """Admit a request; returns its :class:`Job` immediately.
 
         A cache hit is answered here, on the calling thread: the job is
-        registered already ``done`` (``cached=True``, ``attempts=0``)
-        and never queued, so it neither waits for a worker nor counts
-        against ``max_queued``.  Single-flight: when an identical request
+        registered already ``done`` (``cached=True``, ``attempts=0``),
+        its ``document`` is the stored payload, and it is never queued,
+        so it neither waits for a worker nor counts against
+        ``max_queued``.  Single-flight: when an identical request
         (same fingerprint) is already queued or running, the existing job
         is returned instead of a new one — the callers share one solve.
         Finished jobs never dedup (their results are in the cache).
@@ -435,23 +446,28 @@ class JobManager:
             deadline_seconds: Wall-clock budget counted from *this*
                 submission.  Ignored when deduplicated onto an in-flight
                 job (the original submission's budget stands).
+
+        Raises:
+            CacheEntryError: The cached entry for this request's
+                fingerprint has a mismatched envelope; it is not served.
+            QueueFullError: The queue is at ``max_queued``.
         """
         key = request.fingerprint()
-        # The lookup (and the rebuild that checks a cached document
-        # against this request's problem) runs outside the lock.  A twin
-        # that stores its result between this miss and the dedup check
-        # below costs one redundant solve of the same answer, no more.
-        hit = request.lookup(self.cache, key) if self.cache is not None else None
-        document = request.document_of(hit) if hit is not None else None
+        # The lookup runs outside the lock.  A twin that stores its result
+        # between this miss and the dedup check below costs one redundant
+        # solve of the same answer, no more.
+        document = (
+            self.cache.get_payload(key, request.cache_kind)
+            if self.cache is not None else None
+        )
         with self._work_ready:
             if self._shutdown:
                 raise RuntimeError("JobManager is shut down")
-            if hit is not None:
+            if document is not None:
                 job = self._register(request, key, priority, deadline_seconds)
                 job.status = RUNNING
                 job.started_at = time.time()
                 self._emit_status(job)
-                job.result = hit
                 job.document = document
                 job.cached = True
                 self._finalize(job, DONE)
@@ -629,9 +645,9 @@ class JobManager:
         # serve the truncated answer to every future identical request —
         # so deadline-limited results are never stored.
         if self.cache is not None and not deadline_limited:
-            request.store(self.cache, job.fingerprint, result)
+            self.cache.put(job.fingerprint, request.cache_kind, document)
         with self._lock:
-            job.result = result
+            job._result = result
             job.document = document
             self._finalize(job, DONE)
 

@@ -239,6 +239,13 @@ BAD_BODIES = {
                  "'wait'"),
     "zero_cost_step": ("sweep", {"problem": "example1", "cost_step": 0},
                        "'cost_step'"),
+    "unknown_solver": ("synthesize", {"problem": "example1", "solver": "nope"},
+                       "unknown solver 'nope'"),
+    "non_string_solver": ("synthesize",
+                          {"problem": "example1", "solver": ["x"]},
+                          "unknown solver ['x']"),
+    "boolean_max_designs": ("sweep", {"problem": "example1", "max_designs": True},
+                            "'max_designs'"),
 }
 
 
