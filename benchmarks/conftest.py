@@ -6,55 +6,10 @@ the regenerated table side by side with the paper's values, and (c) asserts
 the reproduction matches.  Run with::
 
     pytest benchmarks/ --benchmark-only
+
+These benches check reproduction, not speed: end-to-end and per-layer
+timing lives in ``sosbench/`` (``python3 sosbench/run.py``).
 """
-
-from __future__ import annotations
-
-import json
-import os
-import platform
-from datetime import datetime, timezone
-from pathlib import Path
-
-import pytest
-
-#: Persisted perf trajectory, committed at the repo root so regressions and
-#: speedups are visible across PRs.
-BENCH_RESULTS = Path(__file__).resolve().parent.parent / "BENCH_solvers.json"
-
-
-def record_bench(name: str, path=None, **fields) -> None:
-    """Persist one benchmark's results into ``BENCH_solvers.json``.
-
-    The file maps benchmark name to its latest measurements (wall time,
-    pivots, nodes, speedups, ...) plus enough machine context to read the
-    numbers honestly.  Entries merge: re-running one benchmark updates its
-    record and leaves the others in place.
-
-    Args:
-        name: Benchmark key inside the file.
-        path: Alternate results file (e.g. ``BENCH_service.json`` for the
-            service benchmarks); defaults to ``BENCH_solvers.json``.
-    """
-    target = Path(path) if path is not None else BENCH_RESULTS
-    document = {}
-    if target.exists():
-        try:
-            document = json.loads(target.read_text())
-        except (OSError, ValueError):
-            document = {}
-        if not isinstance(document, dict):
-            document = {}
-    fields["recorded_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    fields["machine"] = {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
-    document[name] = fields
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -294,10 +294,11 @@ class Job:
     def result(self) -> Any:
         """The result object (Design or ParetoFront) once DONE.
 
-        A cache hit carries only the stored document; its object is
-        rebuilt from that document on first access.
+        A done job carries only its result document (what HTTP serves and
+        the cache stores); the object is rebuilt from that document on
+        first access.
         """
-        if self._result is None and self.cached:
+        if self._result is None and self.document is not None:
             self._result = self.request.result_from_document(self.document)
         return self._result
 
@@ -607,7 +608,7 @@ class JobManager:
                 self.solves += 1
             solver_options, deadline_limited = self._solver_options(job)
             try:
-                result = self._dispatch(job, solver_options)
+                document = self._dispatch(job, solver_options)
             except CancelledError:
                 with self._lock:
                     if job.cancel_requested:
@@ -637,7 +638,6 @@ class JobManager:
                 return
             break
 
-        document = request.document_of(result)
         # The fingerprint excludes deadline_seconds (it is a property of
         # the submission, not of the problem), so a result produced under
         # a deadline-tightened time_limit may be a truncated incumbent
@@ -647,18 +647,18 @@ class JobManager:
         if self.cache is not None and not deadline_limited:
             self.cache.put(job.fingerprint, request.cache_kind, document)
         with self._lock:
-            job._result = result
             job.document = document
             self._finalize(job, DONE)
 
-    def _dispatch(self, job: Job, solver_options: SolverOptions):
+    def _dispatch(self, job: Job, solver_options: SolverOptions) -> Dict[str, Any]:
         """Run the job's request on the process pool (or inline).
 
-        Pool path: ships the request, polls cancellation/deadline on the
-        driver side (bridged to the pool's shared cancel flags), rebuilds
-        the result object from the returned document.  A dead worker
-        process surfaces as ``SolvePoolBrokenError``; the solve then
-        reruns inline on this thread so the job still completes.
+        Returns the result document.  Pool path: ships the request, polls
+        cancellation/deadline on the driver side (bridged to the pool's
+        shared cancel flags) and returns the worker's document as is.  A
+        dead worker process surfaces as ``SolvePoolBrokenError``; the
+        solve then reruns inline on this thread so the job still
+        completes.
         """
         request = job.request
         if self._pool is not None:
@@ -670,16 +670,15 @@ class JobManager:
                 if remaining is not None else None
             )
             try:
-                document = self._pool.run(
+                return self._pool.run(
                     request, solver_options, budget_until=budget_until,
                     should_cancel=solver_options.should_stop,
                 )
-                return request.result_from_document(document)
             except SolvePoolBrokenError:
                 with self._lock:
                     self.inline_fallbacks += 1
                 # fall through to the inline path below
-        return request.run(solver_options)
+        return request.document_of(request.run(solver_options))
 
     def _fail(self, job: Job, error: str) -> None:
         with self._lock:

@@ -82,6 +82,7 @@ def design_from_dict(
         solver_name=str(data.get("solver", "")),
         solve_seconds=float(data.get("solve_seconds", 0.0)),
         proven_optimal=bool(data.get("proven_optimal", False)),
+        nodes=int(data.get("nodes", 0)),
     )
 
 
@@ -89,11 +90,13 @@ def design_to_document(design: Design) -> Dict:
     """The full-fidelity JSON document for a design.
 
     :meth:`Design.to_dict` plus the fields :func:`design_from_dict` needs
-    for an exact round trip (explicit cost, ring order).  This is what
-    :func:`save_design` writes and what the service result cache stores.
+    for an exact round trip (explicit cost, ring order, node count).  This
+    is what :func:`save_design` writes and what the service result cache
+    stores.  Documents written before ``nodes`` was stored load with 0.
     """
     document = design.to_dict()
     document["cost"] = design.cost
+    document["nodes"] = design.nodes
     if design.architecture.ring_order:
         document["ring_order"] = list(design.architecture.ring_order)
     return document

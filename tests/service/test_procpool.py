@@ -6,6 +6,8 @@ import time
 import pytest
 
 from repro.errors import CancelledError, InfeasibleError, UnknownSolverError
+from repro.service.api import ServiceApi
+from repro.service.cache import ResultCache
 from repro.service.jobs import JobManager, SweepRequest, SynthesizeRequest
 from repro.service.procpool import SolvePool, SolvePoolBrokenError
 from repro.solvers.base import SolverOptions
@@ -234,3 +236,44 @@ class TestManagerProcessExecutor:
             assert job.status == "done", job.error
             assert manager.inline_fallbacks == 1
             assert manager._pool.restarts >= 1
+
+    def test_pooled_miss_serves_the_worker_document_as_is(
+        self, ex1_graph, ex1_library, monkeypatch
+    ):
+        rebuilt = []
+        rebuild = SynthesizeRequest.result_from_document
+
+        def counting_rebuild(request, document):
+            rebuilt.append(document)
+            return rebuild(request, document)
+
+        monkeypatch.setattr(SynthesizeRequest, "result_from_document",
+                            counting_rebuild)
+        cache = ResultCache()
+        with JobManager(workers=1, cache=cache, executor="process",
+                        solve_processes=1) as manager:
+            returned = []
+            run = manager._pool.run
+
+            def recording_run(*args, **kwargs):
+                returned.append(run(*args, **kwargs))
+                return returned[-1]
+
+            monkeypatch.setattr(manager._pool, "run", recording_run)
+            body = {"problem": "example1", "solver": "highs", "cost_cap": 7,
+                    "wait": 60}
+            response = ServiceApi(manager).handle(
+                "POST", "/v1/synthesize", json.dumps(body).encode()
+            )
+            assert response.status == 200, response.document
+            job = manager.get(response.document["job"])
+        [document] = returned
+        # Stored and served without a Design round trip.
+        assert job.document is document
+        assert cache.get_payload(job.fingerprint, "design") == document
+        assert (json.dumps(response.document["result"]).encode()
+                == json.dumps(document).encode())
+        assert rebuilt == []
+        # The object is rebuilt from that document only when asked for.
+        assert job.result.makespan == document["makespan"]
+        assert rebuilt == [document]

@@ -1,20 +1,46 @@
-"""Regression guard: design-first branching keeps the Table II sweep small."""
+"""Regression guard: the serial Table II sweep on bozo, front and exact counters."""
 
 import pytest
 
 from repro.paper.expected import TABLE_II_POINTS
+from repro.service.cache import ResultCache
 from repro.synthesis.synthesizer import Synthesizer
+from repro.system.examples import example1_library
+from repro.taskgraph.examples import example1
 
 
-def test_bozo_table_ii_sweep_branches_on_the_architecture_first(
-    ex1_graph, ex1_library
-):
-    front = Synthesizer(ex1_graph, ex1_library, solver="bozo").pareto_sweep()
+@pytest.fixture(scope="module")
+def cache():
+    return ResultCache()
+
+
+@pytest.fixture(scope="module")
+def front(cache):
+    return Synthesizer(example1(), example1_library(), solver="bozo").pareto_sweep(
+        cache=cache
+    )
+
+
+def test_bozo_table_ii_sweep_branches_on_the_architecture_first(front):
     points = [(d.cost, d.makespan) for d in front]
     assert points[: len(TABLE_II_POINTS)] == [
         (pytest.approx(c), pytest.approx(t)) for c, t in TABLE_II_POINTS
     ]
-    # 783 nodes with beta/sigma branched first; 2136 when every fractional
-    # binary competes alike.  If the priorities stop reaching the branching
-    # rule, this bound fails.
-    assert front.stats.nodes < 1000
+    # The serial sweep's counters repeat exactly for the same code, so any
+    # change to the search shows here.  If the beta/sigma priorities stop
+    # reaching the branching rule, the sweep grows to ~2136 nodes.
+    stats = front.stats
+    assert (stats.nodes, stats.lp_pivots, stats.lp_solves, stats.cuts_added) == (
+        783, 9756, 1131, 273
+    )
+
+
+def test_sweep_answered_from_the_cache_keeps_per_design_nodes(
+    front, ex1_graph, ex1_library, cache
+):
+    hits = cache.stats()["hits"]
+    cached = Synthesizer(ex1_graph, ex1_library, solver="bozo").pareto_sweep(
+        cache=cache
+    )
+    assert cache.stats()["hits"] == hits + 1
+    assert [d.nodes for d in cached] == [d.nodes for d in front] == [1, 96, 1, 1, 1]

@@ -107,11 +107,10 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "example1", "--fast"])
 
-    @pytest.mark.parametrize("command", ["synthesize", "sweep", "bench"])
+    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
     def test_pricing_flag_is_rejected(self, command, capsys):
-        argv = [command] if command == "bench" else [command, "example1"]
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv + ["--pricing", "dantzig"])
+            build_parser().parse_args([command, "example1", "--pricing", "dantzig"])
 
     @pytest.mark.parametrize("flag", ["--threaded", "--no-batching"])
     def test_retired_serve_flag_is_rejected(self, flag, capsys):

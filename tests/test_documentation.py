@@ -8,8 +8,10 @@ docstring fails CI rather than slipping through review.
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +103,23 @@ class TestPackaging:
                        repro.system, repro.taskgraph):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CITING_DOCS = [
+    REPO_ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+] + sorted((REPO_ROOT / "docs").glob("*.md"))
+#: A repo path cited in prose, e.g. ``tests/service/serve_smoke.py``.
+CITED_PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|tests|sosbench)/[\w./-]*)")
+#: A bench cited by bare file name, e.g. ``bench_table_ii.py``.
+CITED_BENCH = re.compile(r"(?<![\w/.-])(bench_\w+\.py)\b")
+
+
+class TestCitedPaths:
+    @pytest.mark.parametrize("doc", CITING_DOCS, ids=lambda p: p.name)
+    def test_every_cited_file_exists(self, doc):
+        text = doc.read_text()
+        cited = [match.rstrip(".") for match in CITED_PATH.findall(text)]
+        cited += [f"benchmarks/{name}" for name in CITED_BENCH.findall(text)]
+        missing = sorted({path for path in cited if not (REPO_ROOT / path).exists()})
+        assert not missing, f"{doc.name} cites missing files: {missing}"
