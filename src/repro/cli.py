@@ -71,26 +71,23 @@ def _style(name: str) -> InterconnectStyle:
     }[name]
 
 
-def _solver_options(args: argparse.Namespace, sink, workers: int = 1):
+def _solver_options(args: argparse.Namespace, sink):
     """Build :class:`SolverOptions` from CLI flags (``None`` when default).
 
     ``sink`` is an open trace sink (or ``None``); it is referenced by the
     returned options, so the caller owns closing it after the solve.
-    ``workers`` is the branch-and-bound worker count; the result is
-    identical to the serial solve.
     """
     progress = getattr(args, "progress", False)
     cuts = getattr(args, "cuts", "auto")
     cut_rounds = getattr(args, "cut_rounds", 5)
     strong_branching = getattr(args, "strong_branching", 8)
     non_default_cuts = cuts != "auto" or cut_rounds != 5 or strong_branching != 8
-    if workers <= 1 and sink is None and not progress and not non_default_cuts:
+    if sink is None and not progress and not non_default_cuts:
         return None
     from repro.obs.progress import print_progress
     from repro.solvers.base import SolverOptions
 
     return SolverOptions(
-        workers=workers,
         cuts=cuts,
         cut_rounds=cut_rounds,
         strong_branching=strong_branching,
@@ -116,7 +113,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     try:
         synth = Synthesizer(
             graph, library, style=_style(args.style), solver=args.solver,
-            solver_options=_solver_options(args, sink, workers=args.workers),
+            solver_options=_solver_options(args, sink),
             seed_incumbent=args.seed_incumbent,
         )
         design = synth.synthesize(
@@ -153,7 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         synth = Synthesizer(
             graph, library, style=_style(args.style), solver=args.solver,
-            solver_options=_solver_options(args, sink, workers=args.workers),
+            solver_options=_solver_options(args, sink),
         )
         front = synth.pareto_sweep(max_designs=args.max_designs)
     finally:
@@ -486,7 +483,7 @@ def cmd_dse_run(args: argparse.Namespace) -> int:
 
     result = run_study(
         graph, spec, solver=args.solver, max_designs=args.max_designs,
-        cost_step=args.cost_step, workers=args.workers, cache=cache,
+        cost_step=args.cost_step, cache=cache,
         manifest=args.manifest, seed_incumbent=args.seed_incumbent,
         on_point=progress,
     )
@@ -568,9 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--output", help="write the design JSON here")
     p_synth.add_argument("--telemetry", action="store_true",
                          help="print solver statistics (nodes, pivots, warm starts)")
-    p_synth.add_argument("--workers", type=int, default=1,
-                         help="parallel branch-and-bound workers (bozo solver); "
-                         "the result is identical to the serial solve")
     p_synth.add_argument("--trace", metavar="FILE", default=None,
                          help="stream structured solve events to this JSONL file "
                          "(inspect it with 'sos trace FILE')")
@@ -602,9 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "MILP once")
     p_sweep.add_argument("--telemetry", action="store_true",
                          help="print solver statistics aggregated over the sweep")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel branch-and-bound workers per cost cap "
-                         "(bozo solver); the front is identical to the serial sweep")
     p_sweep.add_argument("--trace", metavar="FILE", default=None,
                          help="stream structured sweep/solve events to this JSONL file")
     p_sweep.add_argument("--progress", action="store_true",
@@ -720,8 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-point front-size bound (default: 64)")
     p_dse_run.add_argument("--cost-step", type=float, default=1e-4,
                            help="per-point sweep cap decrement (default: 1e-4)")
-    p_dse_run.add_argument("--workers", type=int, default=1,
-                           help="branch-and-bound workers per solve")
     p_dse_run.add_argument("--cache-dir", default=None,
                            help="on-disk result cache shared across studies "
                            "(and with 'sos serve')")

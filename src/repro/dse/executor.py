@@ -4,9 +4,8 @@
 synthesizes each point's full non-inferior front with the existing
 machinery — :meth:`Synthesizer.pareto_sweep
 <repro.synthesis.synthesizer.Synthesizer.pareto_sweep>` through the
-service-tier :class:`~repro.service.cache.ResultCache` and
-``SolverOptions(workers=N)`` — so a study is exactly as fast, cached,
-and parallel as the layers under it.
+service-tier :class:`~repro.service.cache.ResultCache` — so a study is
+exactly as fast and as cached as the layers under it.
 
 Two mechanisms make thousand-point studies practical:
 
@@ -40,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.dse.axes import GridPoint, SpaceSpec
 from repro.dse.surface import FrontierSurface, SurfacePoint
 from repro.errors import InfeasibleError, SynthesisError, SystemModelError
-from repro.solvers.base import SolverOptions
 from repro.synthesis.synthesizer import Synthesizer
 from repro.taskgraph.graph import TaskGraph
 
@@ -149,7 +147,6 @@ def run_study(
     solver: str = "auto",
     max_designs: int = 64,
     cost_step: float = 1e-4,
-    workers: int = 1,
     cache: Optional["ResultCache"] = None,
     manifest: Optional[Union[str, Path]] = None,
     seed_incumbent: bool = False,
@@ -165,9 +162,6 @@ def run_study(
             ``"bozo"``).
         max_designs: Per-point front-size bound (part of the cache key).
         cost_step: Per-point sweep cap decrement (part of the cache key).
-        workers: Branch-and-bound workers per solve
-            (``SolverOptions(workers=N)``); result-invariant, so warm
-            cache entries are shared across worker counts.
         cache: Optional :class:`~repro.service.cache.ResultCache`.  With
             a disk-tier cache, finished points survive restarts and
             manifest replay needs no solver at all.
@@ -190,9 +184,6 @@ def run_study(
     """
     started = time.perf_counter()
     journal = _Manifest.load(manifest)
-    solver_options = (
-        SolverOptions(workers=workers) if workers and workers > 1 else None
-    )
     result = StudyResult(
         surface=FrontierSurface(spec.axis_names(), [], graph_name=graph.name),
         manifest_path=journal.path,
@@ -202,7 +193,7 @@ def run_study(
         result.points_total += 1
         synth = Synthesizer(
             graph, grid_point.library, style=grid_point.style, solver=solver,
-            solver_options=solver_options, seed_incumbent=seed_incumbent,
+            seed_incumbent=seed_incumbent,
         )
         key = synth.sweep_fingerprint(
             max_designs=max_designs, cost_step=cost_step

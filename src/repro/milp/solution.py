@@ -57,19 +57,14 @@ class SolveStats:
         warm_start_hits: Warm-started solves that finished on the revised
             path (no dense cold-start fallback needed).
         fallbacks: LP solves that fell back to the dense tableau oracle.
-        workers: Parallel workers used (0 for a purely serial run; merged
-            records keep the maximum).
-        workers_requested: Worker count the caller asked for, before the
-            CPU-count clamp (0 when no parallel request was made; merged
-            records keep the maximum).  ``workers < workers_requested``
-            means the clamp engaged.
-        subtrees_dispatched: Branch-and-bound subtrees handed to workers.
-        worker_idle_waits: Times a pool worker found the shared node queue
-            empty while other subtrees were still running — the parallel
-            solve's load imbalance.  Timing-dependent, so it may vary
-            run to run even though the Solution does not.
-        incumbent_broadcasts: Times a worker lowered the shared incumbent
-            objective that every other worker prunes against.
+        workers: Always 0.  This and the next four counters described
+            parallel branch and bound, which was removed in 2.3.0; they
+            stay because result objects only gain fields, and documents
+            written by older versions still load them.
+        workers_requested: Always 0 (see ``workers``).
+        subtrees_dispatched: Always 0 (see ``workers``).
+        worker_idle_waits: Always 0 (see ``workers``).
+        incumbent_broadcasts: Always 0 (see ``workers``).
         seeded_incumbent: 1 when a caller-supplied incumbent seed was
             validated and adopted before the root node, else 0 (merged
             records sum, so a sweep counts its seeded solves).
@@ -96,9 +91,7 @@ class SolveStats:
             :func:`root_gap_closed`); ``0.0`` when no cuts were added.
             Merged records sum, like every other counter.
         phase_seconds: Wall-clock seconds per named phase (``"presolve"``,
-            ``"lp"``, ``"search"``, ``"build"``, ...).  In a parallel run
-            the per-phase totals are summed over all workers, so they can
-            legitimately exceed the wall-clock ``solve_seconds``.
+            ``"lp"``, ``"search"``, ``"build"``, ...).
     """
 
     nodes: int = 0
@@ -234,16 +227,6 @@ class SolveStats:
             )
         if self.strong_branch_probes:
             parts.append(f"sb_probes={self.strong_branch_probes}")
-        if self.workers:
-            parts.append(
-                f"workers={self.workers}"
-                f" subtrees={self.subtrees_dispatched}"
-                f" broadcasts={self.incumbent_broadcasts}"
-            )
-        if self.worker_idle_waits:
-            parts.append(f"idle_waits={self.worker_idle_waits}")
-        if self.workers_requested > max(self.workers, 1):
-            parts.append(f"workers_requested={self.workers_requested} (clamped)")
         for name in sorted(self.phase_seconds):
             parts.append(f"{name}={self.phase_seconds[name]:.3f}s")
         return ", ".join(parts)

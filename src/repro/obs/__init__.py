@@ -25,7 +25,7 @@ Attach a sink through :class:`~repro.solvers.base.SolverOptions`::
     from repro.solvers.base import SolverOptions
 
     with JsonlTraceSink("solve.jsonl") as sink:
-        options = SolverOptions(trace=sink, workers=4)
+        options = SolverOptions(trace=sink)
         ...
 
 See ``docs/observability.md`` for the full event schema.

@@ -1,8 +1,8 @@
 """Typed trace events and their schema.
 
 Every event carries three envelope fields — ``type``, ``t`` (a
-``time.monotonic()`` timestamp), and ``worker`` (``0`` for the driving
-process, ``1..K`` for parallel subtree workers) — plus a per-type payload.
+``time.monotonic()`` timestamp), and ``worker`` (the emitter's id; every
+solver emits ``0``) — plus a per-type payload.
 :data:`EVENT_SCHEMA` names the payload keys every event of a type must
 carry; emitters may add extra keys (e.g. ``lp_solved`` attaches the
 revised-simplex pivot counters when the incremental path answered).
@@ -44,20 +44,14 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "cuts_added": frozenset({"count", "rounds", "gomory", "cover"}),
     # Root strong branching probed candidates to initialize pseudocosts.
     "strong_branch": frozenset({"node", "candidates", "probes", "chosen"}),
-    # The parallel driver shipped one subtree to a worker.
-    "subtree_dispatched": frozenset({"subtree", "node", "bound"}),
-    # A pool worker found the shared node queue empty while other subtrees
-    # were still running (load imbalance; ``slot`` is the idle worker).
-    "worker_idle": frozenset({"slot"}),
-    # A worker lowered the shared incumbent objective bound.
-    "incumbent_broadcast": frozenset({"objective"}),
     # One step of a Pareto sweep finished.  ``kind`` is always "canonical"
     # (both sweeps run the plain §4 loop); the field stays so trace
     # documents keep their schema.
     "sweep_step": frozenset({"index", "kind", "feasible"}),
     # Wall-clock attribution for a named non-LP phase (presolve, search, ...).
     "phase": frozenset({"name", "seconds"}),
-    # The solver run ended; carries the summary scalars.
+    # The solver run ended; carries the summary scalars (``workers`` is
+    # always 0 since parallel branch and bound was removed).
     "solve_done": frozenset(
         {"status", "objective", "best_bound", "nodes", "workers", "seconds"}
     ),
@@ -81,12 +75,9 @@ class TraceEvent:
 
     Attributes:
         type: Event type, a key of :data:`EVENT_SCHEMA`.
-        t: ``time.monotonic()`` timestamp at emission.  Monotonic clocks
-            are system-wide on Linux, so timestamps from forked workers
-            are directly comparable with the parent's.
-        worker: ``0`` for the driving process (serial search, parallel
-            ramp, sweep orchestrator); subtree workers are numbered from
-            ``1`` in dispatch order.
+        t: ``time.monotonic()`` timestamp at emission.
+        worker: The emitting :class:`~repro.obs.sinks.Tracer`'s id;
+            ``0`` for every solver and the sweep orchestrator.
         data: The per-type payload (see :data:`EVENT_SCHEMA`).
     """
 

@@ -4,10 +4,9 @@ The cross-check behind the observability layer: every counter a solver
 reports must be *derivable* from its event stream.  :func:`replay_stats`
 re-derives a :class:`SolveStats` from a trace using only the events —
 nodes from ``node_opened``, pivots and LP timings from ``lp_solved``,
-dispatch and broadcast counts from their events, non-LP phase timings
-from ``phase`` events — and reproduces the solver's own accumulation
-order (per worker, workers merged in dispatch order, solver runs merged
-in call order), so the result matches the returned telemetry **exactly**,
+non-LP phase timings from ``phase`` events — and reproduces the solver's
+own accumulation order (events in stream order, solver runs merged in
+call order), so the result matches the returned telemetry **exactly**,
 floating-point phase timings included.
 
 The one deliberate exception: backends that expose no per-node stream
@@ -69,12 +68,12 @@ def split_runs(events: Iterable[TraceEvent]) -> List[List[TraceEvent]]:
     return runs
 
 
-def _counters_for_worker(events: List[TraceEvent]) -> SolveStats:
-    """Accumulate one worker's events, in stream order, into a SolveStats."""
+def _replay_run(run: List[TraceEvent]) -> SolveStats:
+    """Replay one solver run (``solve_started`` .. ``solve_done``)."""
     stats = SolveStats()
     first_cut_bound = None
     last_cut_bound = None
-    for event in events:
+    for event in run:
         if event.type == "node_opened":
             stats.nodes += 1
         elif event.type == "lp_solved":
@@ -95,10 +94,6 @@ def _counters_for_worker(events: List[TraceEvent]) -> SolveStats:
             stats.add_phase("lp", float(event.data["seconds"]))
         elif event.type == "phase":
             stats.add_phase(str(event.data["name"]), float(event.data["seconds"]))
-        elif event.type == "subtree_dispatched":
-            stats.subtrees_dispatched += 1
-        elif event.type == "worker_idle":
-            stats.worker_idle_waits += 1
         elif event.type == "incumbent_found":
             if event.data.get("source") == "seed":
                 stats.seeded_incumbent += 1
@@ -113,32 +108,8 @@ def _counters_for_worker(events: List[TraceEvent]) -> SolveStats:
     if first_cut_bound is not None:
         # Same shared formula the solver uses, so the float matches exactly.
         stats.root_gap_closed = root_gap_closed(first_cut_bound, last_cut_bound)
-    return stats
-
-
-def _replay_run(run: List[TraceEvent]) -> SolveStats:
-    """Replay one solver run (``solve_started`` .. ``solve_done``)."""
-    worker_ids = sorted({event.worker for event in run})
-    by_worker = {
-        worker: [event for event in run if event.worker == worker]
-        for worker in worker_ids
-    }
-    # Worker 0 (serial search / parallel ramp) anchors the accumulation;
-    # subtree workers merge in ascending id = dispatch order, exactly the
-    # order the parallel driver folds worker stats into the ramp's.
-    stats = _counters_for_worker(by_worker.get(0, []))
-    for worker in worker_ids:
-        if worker == 0:
-            continue
-        stats.merge(_counters_for_worker(by_worker[worker]))
-
-    stats.incumbent_broadcasts = sum(
-        1 for event in run if event.type == "incumbent_broadcast"
-    )
     done = next((e for e in reversed(run) if e.type == "solve_done"), None)
     if done is not None:
-        stats.workers = int(done.data.get("workers", 0))
-        stats.workers_requested = int(done.data.get("workers_requested", 0))
         if stats.nodes == 0 and stats.lp_solves == 0:
             # Coarse backend (HiGHS): no per-node stream; trust the summary.
             stats.nodes = int(done.data.get("nodes", 0))

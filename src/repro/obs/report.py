@@ -4,8 +4,8 @@
 plain-text report with three sections:
 
 * a **bound-convergence timeline** — one row per milestone event
-  (``solve_started``, ``incumbent_found``, ``incumbent_broadcast``,
-  ``sweep_step``, ``solve_done``) annotated with the best dual bound
+  (``solve_started``, ``incumbent_found``, ``sweep_step``,
+  ``solve_done``) annotated with the best dual bound
   tracked from the ``node_opened`` stream;
 * a **per-phase profile** — seconds per named phase, LP time included;
 * a **per-worker profile** — events, nodes, LP solves, and LP seconds
@@ -27,7 +27,6 @@ _TIMELINE_TYPES = frozenset(
     {
         "solve_started",
         "incumbent_found",
-        "incumbent_broadcast",
         "sweep_step",
         "solve_done",
     }
@@ -53,8 +52,6 @@ def _timeline_detail(event: TraceEvent) -> str:
             f"objective={_fmt(data.get('objective'))} "
             f"node={data.get('node')} source={data.get('source')}"
         )
-    if event.type == "incumbent_broadcast":
-        return f"objective={_fmt(data.get('objective'))}"
     if event.type == "sweep_step":
         return (
             f"index={data.get('index')} kind={data.get('kind')} "

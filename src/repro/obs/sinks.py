@@ -5,13 +5,12 @@ A sink is anything with ``emit(event)`` and ``close()``
 
 * :class:`JsonlTraceSink` — append one JSON object per line to a file;
   the durable, replayable format ``sos trace`` consumes.
-* :class:`MemoryTraceSink` — an in-memory ring buffer; what parallel
-  subtree workers use before their events are merged into the parent's
-  sink at join, and what tests inspect.
+* :class:`MemoryTraceSink` — an in-memory ring buffer; what tests
+  inspect.
 * :class:`NullTraceSink` — discard everything (an always-on instrument
   point with zero retention).
 
-:class:`Tracer` is the emitter half: solvers hold one per worker, and it
+:class:`Tracer` is the emitter half: solvers hold one per solve, and it
 stamps the clock and worker id onto every event before the sink sees it.
 """
 
@@ -134,16 +133,15 @@ class JsonlTraceSink:
 
 
 class Tracer:
-    """Per-worker event emitter: stamps clock + worker id onto payloads.
+    """Event emitter: stamps clock + worker id onto payloads.
 
-    Solvers hold one ``Tracer`` per logical worker and call
+    Solvers hold one ``Tracer`` per solve and call
     :meth:`emit`; a ``None`` tracer (tracing disabled) costs a single
     ``is not None`` check on the hot path.
 
     Args:
         sink: Destination sink (shared between tracers is fine within one
-            process; parallel workers use a private :class:`MemoryTraceSink`
-            merged at join).
+            process).
         worker: Worker id stamped onto every event.
         clock: Timestamp source; injectable for deterministic tests.
     """

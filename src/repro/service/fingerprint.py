@@ -64,8 +64,7 @@ _SOLVER_FIELDS = (
 )
 
 #: SolverOptions fields that provably cannot change the returned solution
-#: — ``workers``/``frontier_target``/``clamp_workers`` (documented
-#: byte-identical scheduling), ``trace``/``on_progress``/
+#: — ``workers`` (deprecated and ignored), ``trace``/``on_progress``/
 #: ``progress_interval`` (observation only), ``presolve``
 #: (optimum-preserving numerics), ``should_stop``
 #: (external cancellation, surfaces as an *aborted* result that is never
@@ -76,12 +75,10 @@ _SOLVER_FIELDS = (
 RESULT_INVARIANT_SOLVER_FIELDS = (
     "presolve",
     "workers",
-    "frontier_target",
     "trace",
     "on_progress",
     "progress_interval",
     "should_stop",
-    "clamp_workers",
 )
 
 #: FormulationOptions fields baked into every model this request builds.

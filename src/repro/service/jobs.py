@@ -13,19 +13,15 @@ bookkeeping.  What the manager adds over a bare thread pool:
   rebuilding the result object.
 * **Single-flight dedup** — while a job for fingerprint ``F`` is queued
   or running, submitting an identical request returns *that job* instead
-  of enqueueing a second solve, mirroring the shared-incumbent idea of
-  the parallel sweep: concurrent identical work is done once and the
-  result shared.
+  of enqueueing a second solve: concurrent identical work is done once
+  and the result shared.
 * **Cooperative cancellation** — ``cancel(job_id)`` sets a
   ``threading.Event`` that the solvers poll once per branch-and-bound
   node through :attr:`SolverOptions.should_stop
   <repro.solvers.base.SolverOptions.should_stop>`; a running solve
   unwinds with :class:`~repro.errors.CancelledError` within one node.
-  Parallel solves bridge the hook across the process boundary: the
-  driver polls it while subtree leases are in flight and sets the
-  persistent pool's shared ``multiprocessing.Event``, which every pool
-  worker polls as *its* ``should_stop`` — so DELETE on a parallel job
-  stops the in-flight subtree solves too, not just the driver thread.
+  Under ``executor="process"`` the hook crosses into the solve pool
+  through its shared cancel flags (below).
 * **Per-job deadlines** — a wall-clock budget counted from submission,
   mapped onto ``SolverOptions.time_limit`` for each underlying solve and
   enforced between solves through the same ``should_stop`` hook (a sweep

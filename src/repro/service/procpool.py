@@ -1,9 +1,8 @@
 """Persistent multi-process solve pool for the job service.
 
 Solves are CPU-bound Python: the GIL caps a thread pool at one core, so
-the service's execution tier runs them in *processes*.  Mirroring the
-idioms of :mod:`repro.solvers.pool` (the branch-and-bound worker pool),
-a :class:`SolvePool` owns a fixed set of persistent worker processes
+the service's execution tier runs them in *processes*.  A
+:class:`SolvePool` owns a fixed set of persistent worker processes
 created once and reused by every job — the process-spawn cost is paid at
 startup, not per request:
 
@@ -56,8 +55,7 @@ from repro.solvers.base import SolverOptions
 
 #: Environment override for the pool's multiprocessing start method
 #: (``fork``, ``spawn``, or ``forkserver``); empty picks ``fork`` where
-#: available and ``spawn`` elsewhere — same convention as the
-#: branch-and-bound pool (:data:`repro.solvers.pool.START_METHOD_ENV`).
+#: available and ``spawn`` elsewhere.
 START_METHOD_ENV = "REPRO_SOLVE_POOL_START_METHOD"
 
 #: Seconds the driver (or a cancel poll) waits per queue poll.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
+import warnings
 from typing import Callable, Mapping, Optional
 
 from repro.milp.model import Model
@@ -30,23 +31,12 @@ class SolverOptions:
             most-fractional branching gambles on the vertex it is handed.
         presolve: Run bound-propagation presolve before branch and bound
             (Bozo only; HiGHS presolves internally).
-        workers: Parallel branch-and-bound workers (Bozo only).  ``1``
-            keeps the serial search; ``N > 1`` ramps the tree serially
-            until a frontier of open subtrees exists, then dispatches the
-            subtrees to a persistent worker pool with a shared incumbent
-            bound.  Subtrees are dispatched in deterministic key order,
-            solved independently, and merged by replaying incumbents in
-            that order.  Under ``most_fractional`` branching the Solution
-            (status, objective, values, best bound) is byte-identical to
-            the ``workers=1`` run; under ``pseudocost`` status, objective
-            and best bound are identical, but the values may be a
-            different optimal vertex.  Requires
-            ``best_first`` node selection — depth-first searches fall
-            back to the serial path.
-        frontier_target: Open-node count at which the parallel ramp stops
-            and dispatches subtrees (``0`` = automatic,
-            ``max(4 * workers, 8)``).  Exposed mainly so tests can force
-            partitioning on tiny trees.
+        workers: Deprecated and ignored (a value other than ``1`` warns
+            with ``DeprecationWarning``).  It used to request parallel
+            branch and bound, which lost to the serial search on every
+            measured workload and was removed in 2.3.0; every Bozo solve
+            runs the serial tree search.  The field will be removed in
+            the next major release.
         incumbent: Optional warm incumbent: a mapping of variable *names*
             to values describing a known feasible integral point (e.g. a
             heuristic schedule from :mod:`repro.baselines`).  Bozo
@@ -62,11 +52,9 @@ class SolverOptions:
             cover cuts from the ``<=`` rows, filtered through a cut pool
             and appended to the standing LP with a dual-simplex warm
             restart per round.  The cut-augmented relaxation is inherited
-            by the whole tree (cut-and-branch) and, in a parallel solve,
-            published to the workers' shared-memory form, so serial and
-            parallel searches branch on the same strengthened LP.
-            ``"off"`` disables separation.  Cuts are valid for every
-            integral point, so the optimal objective never changes.
+            by the whole tree (cut-and-branch).  ``"off"`` disables
+            separation.  Cuts are valid for every integral point, so the
+            optimal objective never changes.
         cut_rounds: Maximum root separation rounds when ``cuts="auto"``
             (each round separates, appends at most a pool-capped batch,
             and re-solves).  The loop also stops early when no violated
@@ -85,10 +73,7 @@ class SolverOptions:
         seed: Tie-breaking seed for randomized choices.
         trace: A :class:`~repro.obs.sinks.TraceSink` receiving structured
             solve events (``node_opened``, ``lp_solved``,
-            ``incumbent_found``, ...).  ``None`` disables tracing.  The
-            sink never crosses a process boundary: parallel subtree
-            workers buffer events privately and the driver merges them
-            into this sink at join, in dispatch order.
+            ``incumbent_found``, ...).  ``None`` disables tracing.
         on_progress: Callback invoked with a
             :class:`~repro.obs.progress.ProgressUpdate` (nodes, incumbent,
             bound, gap, elapsed) at most once per ``progress_interval``
@@ -101,17 +86,6 @@ class SolverOptions:
             :class:`~repro.errors.CancelledError` instead of producing a
             Solution.  Must be cheap (it sits on the node loop) and
             thread-safe (the job service polls a ``threading.Event``).
-            Like ``trace``/``on_progress`` it never crosses a process
-            boundary: parallel subtree workers run with it stripped, and
-            the driving process polls it between pool operations.
-        clamp_workers: Cap effective ``workers`` at ``os.cpu_count()``
-            (default on).  Requesting more processes than cores makes
-            parallel tree search *slower* than serial — the clamp falls
-            all the way back to the serial path on a single-core machine.
-            The requested count is recorded in
-            ``SolveStats.workers_requested`` either way.  ``False``
-            restores the literal request (tests force this to exercise
-            the pool on small machines).
     """
 
     time_limit: float = math.inf
@@ -122,7 +96,6 @@ class SolverOptions:
     branching: str = "pseudocost"
     presolve: bool = True
     workers: int = 1
-    frontier_target: int = 0
     incumbent: Optional[Mapping[str, float]] = None
     cuts: str = "auto"
     cut_rounds: int = 5
@@ -132,7 +105,16 @@ class SolverOptions:
     on_progress: Optional[Callable[[ProgressUpdate], None]] = None
     progress_interval: float = 1.0
     should_stop: Optional[Callable[[], bool]] = None
-    clamp_workers: bool = True
+
+    def __post_init__(self) -> None:
+        if self.workers != 1:
+            warnings.warn(
+                "SolverOptions.workers is deprecated and ignored: parallel "
+                "branch and bound was removed in 2.3.0 and every solve runs "
+                "the serial search",
+                DeprecationWarning,
+                stacklevel=3,
+            )
 
 
 class Solver(abc.ABC):

@@ -21,28 +21,20 @@ Features (selectable through :class:`~repro.solvers.base.SolverOptions`):
   the model, not an option),
 * incumbent rounding/repair for near-integral LP solutions,
 * wall-clock and node limits with a FEASIBLE (incumbent, gap > 0) result,
-* parallel tree search (``workers=N``): a serial ramp opens a frontier of
-  subtrees that are dispatched to a persistent shared-memory worker pool
-  with a shared incumbent bound (:mod:`repro.solvers.parallel`) and
-  merged deterministically: byte-identical to serial under
-  most-fractional branching, the same status, objective and bound under
-  pseudocost branching,
 * full :class:`~repro.milp.solution.SolveStats` telemetry on every result.
 
 Determinism: nodes are ordered by ``(parent LP bound, path id)`` where the
 path id encodes the branching path from the root (root ``1``, down child
 ``2 i``, up child ``2 i + 1``).  Unlike the previous insertion-order
 counter, path ids are independent of how much of the tree was pruned
-before a node was created, so serial reruns — and any partition of the
-tree across workers — explore ties in the same order and return the same
-incumbent.
+before a node was created, so reruns explore ties in the same order and
+return the same incumbent.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -85,11 +77,6 @@ class _Node:
     ``tiebreak`` is the node's path id: ``1`` at the root, ``2 i`` for the
     down child of node ``i`` and ``2 i + 1`` for the up child.  Equal ids
     name equal subtrees, regardless of exploration or pruning history.
-
-    Nodes never cross a process boundary whole: the parallel pool ships
-    them as explicit bound *deltas* against the root bounds (see
-    :func:`repro.solvers.pool.encode_node`), so a work unit costs
-    O(branched bounds + basis), never a constraint-matrix copy.
     """
 
     bound: float
@@ -142,25 +129,23 @@ class _Pseudocosts:
 class _LPBackend:
     """Per-MILP LP engine: one standard form, bound mutation, warm starts.
 
-    One instance lives for the duration of a solve (or of one subtree in a
-    parallel solve).  It owns the :class:`StandardFormLP` built from the
-    (presolved) matrix form and funnels every relaxation — root, dive
-    steps, tree nodes — through :meth:`solve`, accumulating telemetry in a
-    shared :class:`SolveStats`.  Workers of a parallel solve pass the
-    fork-inherited standard form via ``sf`` instead of rebuilding it.
+    One instance lives for the duration of a solve.  It owns the
+    :class:`StandardFormLP` built from the (presolved) matrix form and
+    funnels every relaxation — root, dive steps, tree nodes — through
+    :meth:`solve`, accumulating telemetry in the solve's
+    :class:`SolveStats`.
     """
 
     def __init__(
         self,
         form: MatrixForm,
         stats: SolveStats,
-        sf: Optional[StandardFormLP] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.form = form
         self.stats = stats
         self.tracer = tracer
-        self.sf = sf if sf is not None else StandardFormLP.from_matrix_form(form)
+        self.sf = StandardFormLP.from_matrix_form(form)
 
     def _absorb_counters(self, counters) -> None:
         """Fold one solve's kernel counters into the run's SolveStats."""
@@ -260,43 +245,18 @@ class _LPBackend:
 
 @dataclass
 class _SearchOutcome:
-    """What one tree (or subtree) search produced.
-
-    ``incumbent_key`` is the ``(bound, path id)`` of the node being
-    processed when the final incumbent was adopted — the node's position
-    in the deterministic global exploration order.  Parallel merges use it
-    to pick, among equal-objective incumbents from different subtrees, the
-    one the serial search would have found first.
-    """
+    """What one tree search produced."""
 
     incumbent_x: Optional[np.ndarray] = None
     incumbent_obj: float = math.inf
-    incumbent_key: Optional[Tuple[float, int]] = None
     nodes: int = 0
     hit_limit: bool = False
     root_unbounded: bool = False
     best_open_bound: float = -math.inf
-    open_nodes: List[_Node] = field(default_factory=list)
 
 
 class _TreeSearch:
-    """One branch-and-bound tree walk over a fixed LP backend.
-
-    The same engine drives three regimes:
-
-    * the plain serial solve (``run`` from the root until exhaustion),
-    * the parallel *ramp* (``frontier_target`` set: stop once the open
-      list holds that many subtree roots and return them), and
-    * a parallel *subtree* worker (seeded ``incumbent_obj``, a
-      ``foreign_best`` callable for conservative cross-worker pruning, a
-      ``publish`` callback broadcasting improvements, dives disabled).
-
-    Cross-worker pruning is deliberately conservative (strictly worse than
-    the foreign bound, no adoption): it can only discard nodes whose whole
-    subtree is provably worse than the global optimum, so each subtree's
-    reported incumbent is independent of broadcast timing — the property
-    the deterministic merge in :mod:`repro.solvers.parallel` relies on.
-    """
+    """One branch-and-bound tree walk over a fixed LP backend."""
 
     def __init__(
         self,
@@ -305,13 +265,6 @@ class _TreeSearch:
         lp: _LPBackend,
         *,
         start: float,
-        incumbent_obj: float = math.inf,
-        foreign_best=None,
-        publish=None,
-        allow_dives: bool = True,
-        allow_cuts: bool = True,
-        treat_root_unbounded: bool = True,
-        node_budget: int = 0,
         tracer: Optional[Tracer] = None,
         reporter: Optional[ProgressReporter] = None,
     ) -> None:
@@ -324,42 +277,24 @@ class _TreeSearch:
         self.integral = np.where(form.integrality)[0]
         self.pseudo = _Pseudocosts(form.c.shape[0])
         self.incumbent_x: Optional[np.ndarray] = None
-        self.incumbent_obj = incumbent_obj
-        self.incumbent_key: Optional[Tuple[float, int]] = None
-        self.foreign_best = foreign_best
-        self.publish = publish
-        self.allow_dives = allow_dives
-        # Cuts are a *root* mechanism: the serial solve and the parallel
-        # ramp separate them (tiebreak == 1), subtree workers never do —
-        # they inherit the cut-augmented form through shared memory.
-        self.allow_cuts = allow_cuts
+        self.incumbent_obj = math.inf
         #: ``(coefficients, rhs)`` of every cut row appended to the
         #: standard form, in application order — the cut-augmented root
         #: relaxation is the original rows plus exactly these.
         self.applied_cuts: List[Tuple[np.ndarray, float]] = []
-        self.treat_root_unbounded = treat_root_unbounded
-        self.node_budget = node_budget if node_budget else options.node_limit
         self.nodes_processed = 0
 
     # -- driver -------------------------------------------------------------
-    def run(
-        self, roots: List[_Node], frontier_target: int = 0
-    ) -> _SearchOutcome:
-        """Search from ``roots``; stop at exhaustion, a limit, or a frontier.
-
-        With ``frontier_target > 0`` (best-first only) the walk stops as
-        soon as the open list holds at least that many nodes and returns
-        them in ``open_nodes`` for a caller to dispatch as subtrees.
-        """
+    def run(self, root: _Node) -> _SearchOutcome:
+        """Search from ``root``; stop at exhaustion or a limit."""
         options = self.options
         depth_first = options.node_selection == "depth_first"
         heap: List[_Node] = []
         stack: List[_Node] = []
         if depth_first:
-            stack = list(roots)
+            stack = [root]
         else:
-            heap = list(roots)
-            heapq.heapify(heap)
+            heap = [root]
 
         def pop_node() -> Optional[_Node]:
             if depth_first:
@@ -381,27 +316,15 @@ class _TreeSearch:
                 raise CancelledError(
                     f"solve cancelled after {self.nodes_processed} nodes"
                 )
-            if (
-                frontier_target
-                and not depth_first
-                and self.nodes_processed >= 1
-                and len(heap) >= frontier_target
-            ):
-                out.open_nodes = heap
-                break
             node = pop_node()
             if node is None:
                 break
             if node.bound >= self.incumbent_obj - options.gap_tolerance * max(
                 1.0, abs(self.incumbent_obj)
             ):
-                continue  # pruned by own incumbent
-            if self.foreign_best is not None:
-                foreign = self.foreign_best()
-                if node.bound > foreign + 1e-9 * max(1.0, abs(foreign)):
-                    continue  # conservatively pruned by a broadcast incumbent
+                continue  # pruned by the incumbent
             if time.monotonic() - self.start > options.time_limit or (
-                self.node_budget and self.nodes_processed >= self.node_budget
+                options.node_limit and self.nodes_processed >= options.node_limit
             ):
                 out.hit_limit = True
                 out.best_open_bound = min(
@@ -424,11 +347,10 @@ class _TreeSearch:
                     incumbent=self.incumbent_obj,
                     bound=node.bound,
                 )
-            key = (node.bound, node.tiebreak)
             if result.status is LPStatus.INFEASIBLE:
                 continue
             if result.status is LPStatus.UNBOUNDED:
-                if self.nodes_processed == 1 and self.treat_root_unbounded:
+                if self.nodes_processed == 1:
                     out.root_unbounded = True
                     break
                 continue
@@ -438,11 +360,7 @@ class _TreeSearch:
 
             assert result.x is not None
             lp_obj = result.objective
-            if (
-                node.tiebreak == 1
-                and self.allow_cuts
-                and options.cuts == "auto"
-            ):
+            if node.tiebreak == 1 and options.cuts == "auto":
                 result, node_basis = self._root_cut_loop(node, result, node_basis)
                 if result.status is not LPStatus.OPTIMAL or result.x is None:
                     # A post-cut root LP can only fail numerically (every
@@ -452,9 +370,8 @@ class _TreeSearch:
                     continue
                 lp_obj = result.objective
             self.pseudo.observe_child(node, lp_obj)
-            if self.allow_dives and (
-                (self.nodes_processed == 1 and self.incumbent_x is None)
-                or (self.incumbent_x is None and self.nodes_processed % 16 == 0)
+            if self.incumbent_x is None and (
+                self.nodes_processed == 1 or self.nodes_processed % 16 == 0
             ):
                 # Rounding dive for a quick incumbent: always at the root,
                 # then periodically for as long as the tree has none —
@@ -463,7 +380,7 @@ class _TreeSearch:
                 if dived is not None:
                     objective = float(form.c @ dived) + form.c0
                     if objective < self.incumbent_obj - 1e-12:
-                        self._adopt(dived, objective, key, source="dive")
+                        self._adopt(dived, objective, node.tiebreak, source="dive")
             if lp_obj >= self.incumbent_obj - options.gap_tolerance * max(
                 1.0, abs(self.incumbent_obj)
             ):
@@ -482,7 +399,7 @@ class _TreeSearch:
                 if self._is_feasible(form, x):
                     obj = float(form.c @ x) + form.c0
                     if obj < self.incumbent_obj - 1e-12:
-                        self._adopt(x, obj, key, source="integral")
+                        self._adopt(x, obj, node.tiebreak, source="integral")
                 continue
 
             if (
@@ -536,7 +453,6 @@ class _TreeSearch:
 
         out.incumbent_x = self.incumbent_x
         out.incumbent_obj = self.incumbent_obj
-        out.incumbent_key = self.incumbent_key
         out.nodes = self.nodes_processed
         return out
 
@@ -544,18 +460,15 @@ class _TreeSearch:
         self,
         x: np.ndarray,
         objective: float,
-        key: Tuple[float, int],
+        node_id: int,
         source: str = "integral",
     ) -> None:
         self.incumbent_x = x
         self.incumbent_obj = objective
-        self.incumbent_key = key
         if self.tracer is not None:
             self.tracer.emit(
-                "incumbent_found", objective=objective, node=key[1], source=source
+                "incumbent_found", objective=objective, node=node_id, source=source
             )
-        if self.publish is not None:
-            self.publish(objective)
 
     def seed_incumbent(self, values: Mapping[str, float]) -> bool:
         """Validate and adopt a caller-supplied incumbent before the root.
@@ -584,7 +497,7 @@ class _TreeSearch:
         objective = float(form.c @ x) + form.c0
         if objective >= self.incumbent_obj - 1e-12:
             return False
-        self._adopt(x, objective, (-math.inf, 0), source="seed")
+        self._adopt(x, objective, 0, source="seed")
         self.lp.stats.seeded_incumbent = 1
         return True
 
@@ -601,9 +514,8 @@ class _TreeSearch:
         appends a pool-filtered batch to the standing standard form, and
         dual-reoptimizes from the extended basis (the appended slacks stay
         dual feasible, so re-solves are a short warm repair, not a
-        rebuild).  The augmented form is inherited by every tree node —
-        and, in a parallel solve, shipped to the workers via shared
-        memory.  Deterministic end to end: same model, same cuts.
+        rebuild).  The augmented form is inherited by every tree node.
+        Deterministic end to end: same model, same cuts.
 
         Separation stops early when it *tails off*: once some round has
         closed at least :data:`CUT_STALL_EPS` of relative root gap, a
@@ -850,9 +762,9 @@ def _emit_solve_done(tracer: Optional[Tracer], solution: Solution) -> None:
     """Emit the terminal ``solve_done`` event for a finished solution.
 
     The payload carries the summary scalars (status, objective, bound,
-    node count, worker count, wall-clock seconds) that trace replay uses
-    to recover ``workers`` — and, for coarse backends with no per-node
-    stream, ``nodes``/``lp_solves``.
+    node count, wall-clock seconds); for coarse backends with no per-node
+    stream, trace replay takes ``nodes`` from it.  ``workers`` is always
+    0 and stays only because the event schema requires it.
     """
     if tracer is None:
         return
@@ -863,8 +775,7 @@ def _emit_solve_done(tracer: Optional[Tracer], solution: Solution) -> None:
         objective=solution.objective,
         best_bound=solution.best_bound,
         nodes=stats.nodes if stats is not None else 0,
-        workers=stats.workers if stats is not None else 0,
-        workers_requested=stats.workers_requested if stats is not None else 0,
+        workers=0,
         seconds=solution.solve_seconds,
     )
 
@@ -876,39 +787,16 @@ class BozoSolver(Solver):
 
     def __init__(self, options: Optional[SolverOptions] = None) -> None:
         super().__init__(options)
-        #: Ramp-phase telemetry of the last parallel solve (``None`` after
-        #: a serial solve).
-        self.last_ramp_stats: Optional[SolveStats] = None
-        #: Per-subtree worker telemetry of the last parallel solve.
-        self.last_worker_stats: List[SolveStats] = []
         #: ``(coefficients, rhs)`` of the root cuts applied by the last
-        #: solve (serial, or the ramp of a parallel solve): the
-        #: cut-augmented root relaxation is the presolved model's rows
-        #: plus exactly these ``<=`` rows.
+        #: solve: the cut-augmented root relaxation is the presolved
+        #: model's rows plus exactly these ``<=`` rows.
         self.last_root_cuts: List[Tuple[np.ndarray, float]] = []
 
     def solve(self, model: Model) -> Solution:
         """Solve ``model`` to optimality (or the configured limits)."""
-        options = self.options
-        workers = options.workers
-        if workers > 1 and options.clamp_workers:
-            # More processes than cores makes tree search slower, not
-            # faster; on a single-core machine fall back to serial.
-            workers = min(workers, os.cpu_count() or 1)
-        if workers > 1 and options.node_selection != "depth_first":
-            from repro.solvers.parallel import solve_parallel
-
-            return solve_parallel(self, model, workers=workers)
-        self.last_ramp_stats = None
-        self.last_worker_stats = []
         self.last_root_cuts = []
-        return self._solve_serial(model)
-
-    def _solve_serial(self, model: Model) -> Solution:
         start = time.monotonic()
         stats = SolveStats()
-        if self.options.workers > 1:
-            stats.workers_requested = self.options.workers
         tracer = make_tracer(self.options.trace)
         reporter = ProgressReporter(
             self.options.on_progress, self.options.progress_interval, start=start
@@ -927,13 +815,13 @@ class BozoSolver(Solver):
         if self.options.incumbent is not None:
             engine.seed_incumbent(self.options.incumbent)
         root = _Node(-math.inf, 1, form.lb.copy(), form.ub.copy())
-        outcome = engine.run([root])
+        outcome = engine.run(root)
         self.last_root_cuts = engine.applied_cuts
         return self._assemble(
             form, outcome, stats, start, tracer=tracer, reporter=reporter
         )
 
-    # -- shared pipeline pieces (also used by the parallel driver) ----------
+    # -- pipeline pieces ----------------------------------------------------
     def _prepared_form(
         self,
         model: Model,

@@ -12,8 +12,8 @@ the extended basis (see ``StandardFormLP.append_ub_rows`` /
   :class:`~repro.solvers.revised.TableauAccess`), derive the GMI
   inequality in the nonbasic shift space, and substitute the logical
   (slack) columns back out so the cut is expressed purely over structural
-  variables — which is what lets the parallel drivers publish the
-  cut-augmented form to shared memory unchanged.
+  variables, the form :meth:`StandardFormLP.append_ub_rows
+  <repro.solvers.revised.StandardFormLP.append_ub_rows>` requires.
 * **Knapsack cover cuts** scan the ``<=`` rows of the (presolved) matrix
   form, complement negative-coefficient binaries, relax non-binary terms
   by their minimum contribution, and lift a greedy cover from the

@@ -68,13 +68,6 @@ def _register_builtins() -> None:
 
     register_solver("bozo", lambda options: BozoSolver(options))
 
-    def _parallel(options):
-        from repro.solvers.parallel import ParallelBozoSolver
-
-        return ParallelBozoSolver(options)
-
-    register_solver("bozo-parallel", _parallel)
-
     from repro.solvers.highs import HighsSolver
 
     register_solver("highs", lambda options: HighsSolver(options))

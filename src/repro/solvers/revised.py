@@ -54,7 +54,7 @@ scratch on every call; this module instead keeps one
   reprices from scratch over fixed, index-ordered column blocks scanned
   from a rotating block pointer (models at or below
   :data:`PRICING_SINGLE_BLOCK` columns use one block).  Every rule is
-  deterministic, so serial/parallel byte-identity holds.
+  deterministic, so reruns are byte-identical.
 * **Bound-flipping dual ratio test** — the dual loop walks the sorted
   ratio-test breakpoints and *flips* every boxed candidate whose flip
   keeps the dual slope positive, entering only at the blocking
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import math
 from typing import Dict, List, Optional, Tuple
 
@@ -287,7 +286,6 @@ class StandardFormLP:
         )
         self.cost = np.concatenate([c, np.zeros(m)])
         self.c0 = float(c0)
-        self._fingerprint: Optional[str] = None
         self._adopt_csc(None)
 
     def _adopt_csc(self, a_csc) -> None:
@@ -311,63 +309,11 @@ class StandardFormLP:
             self._adopt_csc(_csc_matrix(self.a))
         return self._a_csc
 
-    def fingerprint(self) -> str:
-        """Stable hash of the immutable part (matrix + rhs + shape).
-
-        Bounds and objective are excluded — they mutate between solves —
-        so one fingerprint identifies the form across the whole life of a
-        branch-and-bound tree.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.sha1()
-            digest.update(f"{self.n}:{self.m}".encode())
-            digest.update(np.ascontiguousarray(self.a).tobytes())
-            digest.update(np.ascontiguousarray(self.b).tobytes())
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
     @classmethod
     def from_matrix_form(cls, form: MatrixForm) -> "StandardFormLP":
         """Build the standard form of a model's :class:`MatrixForm`."""
         return cls(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
                    form.lb, form.ub, c0=form.c0)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        a: np.ndarray,
-        b: np.ndarray,
-        lo: np.ndarray,
-        up: np.ndarray,
-        cost: np.ndarray,
-        c0: float,
-        n: int,
-        m: int,
-        a_csc=None,
-    ) -> "StandardFormLP":
-        """Adopt already-assembled standard-form arrays without copying.
-
-        The constructor assembles the logical block from scratch; this
-        path instead wraps arrays that *are already* in standard form —
-        pool workers use it to adopt zero-copy shared-memory views of the
-        driver's matrices (see :mod:`repro.solvers.shm`).  ``a`` (and
-        ``a_csc`` when given) may be read-only; ``b``/``lo``/``up``/
-        ``cost`` must be private to the caller because solves mutate
-        bounds (and sweeps objectives) in place.
-        """
-        sf = cls.__new__(cls)
-        sf.n = int(n)
-        sf.m = int(m)
-        sf.ncols = int(n) + int(m)
-        sf.a = a
-        sf.b = b
-        sf.lo = lo
-        sf.up = up
-        sf.cost = cost
-        sf.c0 = float(c0)
-        sf._fingerprint = None
-        sf._adopt_csc(a_csc)
-        return sf
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         """Replace the structural variable boxes in place (O(n), no rebuild)."""
@@ -381,8 +327,8 @@ class StandardFormLP:
         after the existing logical block, so the invariant "row ``r``'s
         logical column is ``n + r``" survives: old rows keep their old
         logical indices and new row ``m + i`` owns column ``n + m + i``.
-        The cached CSC form (with its factor cache) and fingerprint are
-        invalidated — the matrix genuinely changed.  Rows must be
+        The cached CSC form (with its factor cache) is invalidated — the
+        matrix genuinely changed.  Rows must be
         expressed purely in structural variables (callers substitute
         slacks out first).
         """
@@ -402,7 +348,6 @@ class StandardFormLP:
         self.m += k
         self.ncols = old_cols + k
         self._adopt_csc(None)
-        self._fingerprint = None
 
     def set_objective(self, c: np.ndarray, c0: float = 0.0) -> None:
         """Replace the structural objective in place (logicals stay at 0)."""

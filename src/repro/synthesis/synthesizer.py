@@ -324,9 +324,6 @@ class Synthesizer:
         successive designs are strictly cheaper and strictly slower.  Each
         step depends only on the previous design's cost, so the front for
         ``max_designs=k`` is the first ``k`` designs of any deeper sweep.
-        For parallel branch and bound inside each solve, construct the
-        synthesizer with ``SolverOptions(workers=N)``; the front is the
-        same.
 
         The whole sweep solves one model: each step re-targets the
         synthesizer's model (new cap, deadline row and objective) rather

@@ -59,12 +59,6 @@ class TestLedger:
         assert warm.warm_fraction == 1.0
         assert all(point.from_cache for point in warm.surface)
 
-    def test_worker_count_is_result_invariant_for_the_cache(self, graph):
-        cache = ResultCache()
-        study(graph, cache=cache, workers=1)
-        warm = study(graph, cache=cache, workers=2)
-        assert warm.solved == 0 and warm.cache_hits == 4
-
     def test_on_point_callback_sees_every_point(self, graph):
         statuses = []
         study(graph, on_point=lambda p, s: statuses.append((p.point_id, s)))

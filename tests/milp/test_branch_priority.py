@@ -9,7 +9,6 @@ from repro.milp.solution import SolveStats
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import _LPBackend, _TreeSearch
 from repro.solvers.presolve import presolve
-from repro.solvers.shm import AttachedForm, FormPublication
 from repro.system.examples import example1_library
 from repro.system.generators import random_library
 from repro.taskgraph.examples import example1
@@ -60,17 +59,6 @@ class TestPlumbing:
         reduced = presolve(form).form
         assert reduced is not None
         assert np.array_equal(reduced.branch_priority, form.branch_priority)
-
-    def test_shared_memory_roundtrip(self, sos):
-        form = sos.model.to_matrices()
-        with FormPublication(form) as publication:
-            attached = AttachedForm(publication.spec)
-            try:
-                assert np.array_equal(
-                    attached.form.branch_priority, form.branch_priority
-                )
-            finally:
-                attached.close()
 
     def test_hand_built_form_defaults_to_zeros(self):
         model = Model("plain")

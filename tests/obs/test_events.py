@@ -21,9 +21,6 @@ GOLDEN_SCHEMA = {
     "cut_round": {"round", "generated", "added", "bound_before", "bound_after"},
     "cuts_added": {"count", "rounds", "gomory", "cover"},
     "strong_branch": {"node", "candidates", "probes", "chosen"},
-    "subtree_dispatched": {"subtree", "node", "bound"},
-    "worker_idle": {"slot"},
-    "incumbent_broadcast": {"objective"},
     "sweep_step": {"index", "kind", "feasible"},
     "phase": {"name", "seconds"},
     "solve_done": {"status", "objective", "best_bound", "nodes", "workers", "seconds"},
@@ -109,7 +106,7 @@ class TestCheckSchema:
         assert "seconds" in problems[0]
 
     def test_envelope_shadowing_is_flagged(self):
-        event = TraceEvent("incumbent_broadcast", 0.0, 1,
-                           {"objective": 2.0, "worker": 9})
+        event = TraceEvent("phase", 0.0, 1,
+                           {"name": "lp", "seconds": 2.0, "worker": 9})
         problems = check_schema([event])
         assert any("shadows envelope" in p for p in problems)

@@ -1,9 +1,9 @@
 """Trace replay: SolveStats rebuilt from the event stream, field for field.
 
 The acceptance bar for the tracing subsystem is that a trace is the
-ground truth: for any single solve — serial or ``workers=4`` — feeding
-the recorded events to :func:`replay_stats` reproduces the returned
-``SolveStats`` exactly, including the floating-point phase timings.
+ground truth: for any single solve, feeding the recorded events to
+:func:`replay_stats` reproduces the returned ``SolveStats`` exactly,
+including the floating-point phase timings.
 """
 
 import repro
@@ -14,62 +14,22 @@ from repro.solvers.bozo import BozoSolver
 from tests.solvers.test_parallel import market_split
 
 
-def _solve_traced(workers: int):
+def _solve_traced():
     """Solve a market-split MILP with a memory sink; (solution, events)."""
     sink = MemoryTraceSink()
-    options = SolverOptions(
-        workers=workers, branching="most_fractional", trace=sink,
-        clamp_workers=False,  # the tests assert on the *requested* pool size
-    )
+    options = SolverOptions(branching="most_fractional", trace=sink)
     solution = BozoSolver(options).solve(market_split(3, 14, 0))
     return solution, sink.events
 
 
 class TestReplayExactness:
     def test_serial_replay_matches_stats_field_for_field(self):
-        solution, events = _solve_traced(workers=1)
+        solution, events = _solve_traced()
         assert solution.stats is not None
         assert check_schema(events) == []
         replayed = replay_stats(events)
         assert replayed == solution.stats
         assert replayed.phase_seconds == solution.stats.phase_seconds
-
-    def test_workers4_replay_matches_stats_field_for_field(self):
-        solution, events = _solve_traced(workers=4)
-        assert solution.stats is not None
-        assert solution.stats.workers == 4
-        assert check_schema(events) == []
-        replayed = replay_stats(events)
-        assert replayed == solution.stats
-        assert replayed.phase_seconds == solution.stats.phase_seconds
-
-    def test_workers2_replay_reproduces_idle_waits(self):
-        # Idle reports are timing-dependent, so the count itself may vary
-        # run to run; the replayed count must match the returned one.
-        sink = MemoryTraceSink()
-        options = SolverOptions(
-            workers=2, branching="most_fractional", trace=sink,
-            clamp_workers=False, frontier_target=2,
-        )
-        solution = BozoSolver(options).solve(market_split(3, 16, 3))
-        idle_events = [e for e in sink.events if e.type == "worker_idle"]
-        replayed = replay_stats(sink.events)
-        assert replayed.worker_idle_waits == solution.stats.worker_idle_waits
-        assert replayed.worker_idle_waits == len(idle_events)
-        assert replayed == solution.stats
-
-    def test_surplus_worker_reports_idle(self):
-        # frontier_target=2 dispatches exactly two subtrees, so the third
-        # worker waits out the whole epoch: load imbalance by construction.
-        sink = MemoryTraceSink()
-        options = SolverOptions(
-            workers=3, branching="most_fractional", trace=sink,
-            clamp_workers=False, frontier_target=2,
-        )
-        solution = BozoSolver(options).solve(market_split(3, 16, 0))
-        assert solution.stats.subtrees_dispatched == 2
-        assert solution.stats.worker_idle_waits >= 1
-        assert replay_stats(sink.events) == solution.stats
 
     def test_seeded_replay_matches_stats(self):
         """seeded_incumbent derives from the incumbent_found event of the
@@ -129,29 +89,13 @@ class TestReplayExactness:
 
 class TestStreamStructure:
     def test_one_run_per_solve_started(self):
-        _, events = _solve_traced(workers=1)
+        _, events = _solve_traced()
         runs = split_runs(events)
         assert len(runs) == 1
         assert runs[0][0].type == "solve_started"
         assert runs[0][-1].type == "solve_done"
 
     def test_node_count_matches_node_opened_events(self):
-        solution, events = _solve_traced(workers=1)
+        solution, events = _solve_traced()
         opened = sum(1 for e in events if e.type == "node_opened")
         assert opened == solution.stats.nodes
-
-    def test_broadcast_counter_matches_events(self):
-        solution, events = _solve_traced(workers=4)
-        broadcasts = sum(1 for e in events if e.type == "incumbent_broadcast")
-        assert broadcasts == solution.stats.incumbent_broadcasts
-
-    def test_worker_events_grouped_in_dispatch_order(self):
-        _, events = _solve_traced(workers=4)
-        worker_ids = [e.worker for e in events if e.worker > 0]
-        assert worker_ids, "parallel solve should record worker events"
-        # Workers are merged one block per worker, ascending dispatch order.
-        blocks = []
-        for wid in worker_ids:
-            if not blocks or blocks[-1] != wid:
-                blocks.append(wid)
-        assert blocks == sorted(set(worker_ids))

@@ -94,8 +94,8 @@ class TestTracer:
         ticks = iter([10.0, 11.5])
         sink = MemoryTraceSink()
         tracer = Tracer(sink, worker=3, clock=lambda: next(ticks))
-        tracer.emit("incumbent_broadcast", objective=7.0)
-        tracer.emit("incumbent_broadcast", objective=6.0)
+        tracer.emit("incumbent_found", objective=7.0)
+        tracer.emit("incumbent_found", objective=6.0)
         first, second = sink.events
         assert (first.t, first.worker) == (10.0, 3)
         assert (second.t, second.worker) == (11.5, 3)

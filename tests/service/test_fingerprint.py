@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.core.designer import DesignerConstraints
 from repro.core.options import FormulationOptions, Objective
 from repro.service.fingerprint import (
@@ -174,18 +176,16 @@ class TestSensitivity:
         assert pinned != no_constraints
 
     def test_result_invariant_options_are_ignored(self, ex1_graph, ex1_library):
-        """Observation and parallelism knobs never change the result, so
-        they must share cache entries."""
+        """Observation knobs and the ignored ``workers`` never change the
+        result, so they must share cache entries."""
         plain = fingerprint_request(
             "synthesize", ex1_graph, ex1_library,
             solver_options=SolverOptions(),
         )
+        with pytest.warns(DeprecationWarning):
+            options = SolverOptions(workers=4, on_progress=print, presolve=False)
         observed = fingerprint_request(
-            "synthesize", ex1_graph, ex1_library,
-            solver_options=SolverOptions(
-                workers=4, on_progress=print, clamp_workers=False,
-                presolve=False, frontier_target=16,
-            ),
+            "synthesize", ex1_graph, ex1_library, solver_options=options,
         )
         assert plain == observed
 

@@ -197,35 +197,6 @@ class TestCancellation:
             assert job.error == "cancelled"
             assert job.result is None
 
-    def test_cancel_parallel_job_stops_pool_workers(
-        self, ex1_graph, ex1_library
-    ):
-        """Acceptance: DELETE on a job running a parallel solve stops the
-        in-flight pool workers — the job reaches CANCELLED within the
-        deadline, no worker process is orphaned mid-epoch, and no
-        shared-memory segment leaks."""
-        from repro.solvers.pool import get_pool
-        from repro.solvers.shm import live_segments
-
-        options = SolverOptions(workers=2, clamp_workers=False)
-        with JobManager(workers=1) as manager:
-            job = manager.submit(
-                SweepRequest(
-                    ex1_graph, ex1_library, solver="bozo",
-                    solver_options=options,
-                )
-            )
-            deadline = time.monotonic() + 30
-            while job.status != "running" and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert job.status == "running"
-            assert manager.cancel(job.id)
-            assert job.wait(15)
-            assert job.status == CANCELLED
-        assert live_segments() == ()
-        pool = get_pool(2)
-        assert pool.alive  # epoch drained; workers idle, not orphaned
-
     def test_cancel_queued_job_is_immediate(
         self, fake_solvers, ex1_graph, ex1_library
     ):

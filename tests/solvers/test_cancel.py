@@ -63,9 +63,12 @@ class TestShouldStop:
             synth.pareto_sweep()
 
     def test_parallel_solve_cancels(self, tiny_graph, tiny_library):
+        # The deprecated workers field runs the serial search, which
+        # still honours should_stop.
+        with pytest.warns(DeprecationWarning):
+            options = SolverOptions(workers=2, should_stop=lambda: True)
         synth = Synthesizer(
-            tiny_graph, tiny_library, solver="bozo",
-            solver_options=SolverOptions(workers=2, should_stop=lambda: True),
+            tiny_graph, tiny_library, solver="bozo", solver_options=options,
         )
         with pytest.raises(CancelledError):
             synth.synthesize()

@@ -57,43 +57,6 @@ class TestObjectivePreservation:
         assert off.stats.root_gap_closed == 0.0
 
 
-class TestParallelIdentity:
-    def test_deterministic_workers4_byte_identical_with_cuts(self):
-        model = market_split(3, 14, 0)
-        serial = _solve(model, cuts="auto", branching="most_fractional")
-        parallel = _solve(
-            model, cuts="auto", branching="most_fractional",
-            workers=4, clamp_workers=False,
-        )
-        assert parallel.status == serial.status
-        assert parallel.objective == serial.objective
-        assert parallel.best_bound == serial.best_bound
-        assert parallel.values == serial.values
-        # Cuts ran once, during the ramp — identically to the serial root.
-        assert parallel.stats.cut_rounds == serial.stats.cut_rounds
-        assert parallel.stats.cuts_added == serial.stats.cuts_added
-
-    def test_pseudocost_workers4_objective_identity_with_cuts(self):
-        model = market_split(3, 13, 1)
-        serial = _solve(model, cuts="auto")
-        parallel = _solve(
-            model, cuts="auto", workers=4, clamp_workers=False,
-        )
-        assert parallel.status == serial.status
-        assert abs(parallel.objective - serial.objective) <= 1e-9
-        assert abs(parallel.best_bound - serial.best_bound) <= 1e-9
-
-    def test_workers_never_separate_cuts(self):
-        sink = MemoryTraceSink()
-        options = SolverOptions(
-            cuts="auto", workers=4, clamp_workers=False, trace=sink,
-        )
-        BozoSolver(options).solve(market_split(3, 14, 0))
-        for event in sink.events:
-            if event.type in ("cut_round", "cuts_added", "strong_branch"):
-                assert event.worker == 0, event.type
-
-
 class TestStrongBranching:
     def test_probes_recorded_under_pseudocost(self):
         solution = _solve(market_split(3, 14, 0), branching="pseudocost")
@@ -150,16 +113,6 @@ class TestEventsAndReplay:
         assert replayed.strong_branch_probes == stats.strong_branch_probes
         assert replayed.root_gap_closed == stats.root_gap_closed  # bit-exact
         assert replayed == stats
-
-    def test_replay_exact_with_workers4_and_cuts(self):
-        sink = MemoryTraceSink()
-        solution = BozoSolver(SolverOptions(
-            cuts="auto", branching="most_fractional",
-            workers=4, clamp_workers=False, trace=sink,
-        )).solve(market_split(3, 14, 0))
-        replayed = replay_stats(sink.events)
-        assert replayed == solution.stats
-
 
 class TestCutPool:
     def _cut(self, coeffs, rhs):

@@ -11,7 +11,7 @@ check both halves of the claim:
   only calls ``splu`` less often.
 * **Safe** — a hit answers FTRAN/BTRAN bit-identically to a fresh
   factor, the cache dies with the CSC matrix it factorized
-  (``append_ub_rows``, ``from_arrays``), it never grows past its bound,
+  (``append_ub_rows``), it never grows past its bound,
   and it never holds a singular factor.
 """
 
@@ -144,20 +144,6 @@ class TestFactorCache:
         extended = np.concatenate([basic, [sf.ncols - 1]])
         del splu_calls[:]
         assert _SparseLUFactor(sf).refactor(extended)
-        assert len(splu_calls) == 1
-
-    def test_from_arrays_form_starts_empty(self, splu_calls):
-        sf = example1_form()
-        basic = optimal_basic(sf)
-        assert _SparseLUFactor(sf).refactor(basic)
-        assert sf._factors
-        adopted = StandardFormLP.from_arrays(
-            sf.a, sf.b.copy(), sf.lo.copy(), sf.up.copy(), sf.cost.copy(),
-            sf.c0, sf.n, sf.m, a_csc=sf.a_csc(),
-        )
-        assert adopted._factors == {}
-        del splu_calls[:]
-        assert _SparseLUFactor(adopted).refactor(basic)
         assert len(splu_calls) == 1
 
     @pytest.mark.parametrize("size", [0, 1, FACTOR_CACHE_SIZE])

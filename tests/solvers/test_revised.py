@@ -234,8 +234,9 @@ class TestWarmStarts:
         """An infeasible LP whose warm start is not dual feasible ends in
         phase 1 at an optimum with residual infeasibility.  The engine
         does not certify that itself: it returns NEEDS_FALLBACK and the
-        dense oracle answers INFEASIBLE.  (This is the one dense fallback
-        a ``workers=2`` Table II sweep takes.)"""
+        dense oracle answers INFEASIBLE.  (A parallel ``workers=2`` Table
+        II sweep took one such fallback before parallel branch and bound
+        was removed; the serial sweep takes none.)"""
         from repro.solvers import revised
 
         exits = []

@@ -85,9 +85,7 @@ class TestCommands:
         assert code == 0
         assert "Non-inferior designs" in capsys.readouterr().out
 
-    def test_sweep_workers_prints_serial_front(self, capsys, tmp_path):
-        # --workers runs parallel branch and bound inside each cost-capped
-        # solve, so the front matches the serial sweep row for row.
+    def test_bozo_sweep_prints_the_highs_front(self, capsys, tmp_path):
         def front(name, *flags):
             out = tmp_path / f"{name}.csv"
             code = main(["sweep", "example1", *flags, "--csv", str(out)])
@@ -97,10 +95,17 @@ class TestCommands:
             return [line.rsplit(",", 1)[0]
                     for line in out.read_text().splitlines()]
 
-        parallel = front("parallel", "--solver", "bozo", "--workers", "2")
-        serial = front("serial", "--solver", "highs")
-        assert parallel == serial
-        assert parallel[1].startswith("1,14,2.5")
+        bozo = front("bozo", "--solver", "bozo")
+        highs = front("highs", "--solver", "highs")
+        assert bozo == highs
+        assert bozo[1].startswith("1,14,2.5")
+
+    @pytest.mark.parametrize("command", ["synthesize", "sweep", "dse run"])
+    def test_workers_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [*command.split(), "example1", "--workers", "2"]
+            )
 
     @pytest.mark.parametrize("command", ["synthesize", "sweep"])
     def test_fast_flag_is_rejected(self, command, capsys):
