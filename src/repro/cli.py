@@ -20,14 +20,13 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.core.options import FormulationOptions, Objective
 from repro.errors import ReproError
-from repro.synthesis.synthesizer import Synthesizer, warn_incremental
+from repro.synthesis.synthesizer import Synthesizer
 from repro.system.examples import example1_library, example2_library
 from repro.system.interconnect import InterconnectStyle
 from repro.system.library import TechnologyLibrary
@@ -79,18 +78,13 @@ def _solver_options(args: argparse.Namespace, sink):
     """
     progress = getattr(args, "progress", False)
     cuts = getattr(args, "cuts", "auto")
-    cut_rounds = getattr(args, "cut_rounds", 5)
-    strong_branching = getattr(args, "strong_branching", 8)
-    non_default_cuts = cuts != "auto" or cut_rounds != 5 or strong_branching != 8
-    if sink is None and not progress and not non_default_cuts:
+    if sink is None and not progress and cuts == "auto":
         return None
     from repro.obs.progress import print_progress
     from repro.solvers.base import SolverOptions
 
     return SolverOptions(
         cuts=cuts,
-        cut_rounds=cut_rounds,
-        strong_branching=strong_branching,
         trace=sink,
         on_progress=print_progress if progress else None,
     )
@@ -140,11 +134,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Enumerate and print the full non-inferior design front."""
-    if args.incremental:
-        # Shown even outside __main__, where Python hides deprecations.
-        with warnings.catch_warnings():
-            warnings.simplefilter("default", DeprecationWarning)
-            warn_incremental(stacklevel=2)
     graph, library = load_problem(args.problem)
     sink = _open_trace_sink(args)
     try:
@@ -577,23 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="root cutting planes (bozo solver): 'auto' runs "
                          "Gomory + cover separation rounds at the root, 'off' "
                          "disables them (default: auto)")
-    p_synth.add_argument("--cut-rounds", type=int, default=5, dest="cut_rounds",
-                         help="maximum root separation rounds with --cuts auto "
-                         "(default: 5)")
-    p_synth.add_argument("--strong-branching", type=int, default=8,
-                         dest="strong_branching", metavar="K",
-                         help="probe the K most fractional root candidates with "
-                         "budgeted dual simplex before the first branch; 0 "
-                         "disables (default: 8)")
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_sweep = sub.add_parser("sweep", help="enumerate all non-inferior designs")
     common(p_sweep)
     p_sweep.add_argument("--max-designs", type=int, default=64)
     p_sweep.add_argument("--csv", help="also write the front to this CSV file")
-    p_sweep.add_argument("--incremental", action="store_true",
-                         help="deprecated and ignored: every sweep builds its "
-                         "MILP once")
     p_sweep.add_argument("--telemetry", action="store_true",
                          help="print solver statistics aggregated over the sweep")
     p_sweep.add_argument("--trace", metavar="FILE", default=None,
@@ -602,13 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print rate-limited progress lines during each solve")
     p_sweep.add_argument("--cuts", choices=("auto", "off"), default="auto",
                          help="root cutting planes (bozo solver); see 'synthesize --cuts'")
-    p_sweep.add_argument("--cut-rounds", type=int, default=5, dest="cut_rounds",
-                         help="maximum root separation rounds with --cuts auto "
-                         "(default: 5)")
-    p_sweep.add_argument("--strong-branching", type=int, default=8,
-                         dest="strong_branching", metavar="K",
-                         help="root strong-branching candidate limit; 0 disables "
-                         "(default: 8)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_paper = sub.add_parser("paper", help="regenerate a paper table/figure")

@@ -38,7 +38,7 @@ from repro.taskgraph.serialization import graph_to_dict
 
 #: Bump when the canonical document's schema changes so stale on-disk
 #: cache entries can never be misread as current ones.
-FINGERPRINT_VERSION = 3
+FINGERPRINT_VERSION = 4
 
 #: SolverOptions fields that can change the *returned solution* (bounds,
 #: limits, tie-breaking).  ``incumbent`` is listed even though it is
@@ -51,15 +51,10 @@ _SOLVER_FIELDS = (
     "gap_tolerance",
     "integrality_tolerance",
     "node_limit",
-    "node_selection",
-    "branching",
     "incumbent",
-    # Cuts and strong branching are optimum-preserving but change
-    # exploration order — a different alternative optimum may be
-    # returned, so they key the cache.
+    # Cuts are optimum-preserving but change exploration order — a
+    # different alternative optimum may be returned, so they key the cache.
     "cuts",
-    "cut_rounds",
-    "strong_branching",
     "seed",
 )
 

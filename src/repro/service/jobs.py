@@ -65,7 +65,7 @@ from repro.obs.sinks import Tracer, make_tracer
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import fingerprint_request
 from repro.solvers.base import SolverOptions
-from repro.synthesis.synthesizer import Synthesizer, warn_incremental
+from repro.synthesis.synthesizer import Synthesizer
 from repro.system.interconnect import InterconnectStyle
 from repro.system.library import TechnologyLibrary
 from repro.taskgraph.graph import TaskGraph
@@ -203,17 +203,10 @@ class SweepRequest(_Request):
     max_designs: int = 64
     cost_step: float = 1e-4
     validate: bool = True
-    #: Deprecated and ignored (every sweep builds its model once); passing
-    #: it warns.
-    incremental: Optional[bool] = None
 
     kind = "sweep"
     #: The :class:`ResultCache` kind tag of this request's stored result.
     cache_kind = "front"
-
-    def __post_init__(self) -> None:
-        if self.incremental is not None:
-            warn_incremental(stacklevel=4)
 
     def _params(self) -> Dict[str, Any]:
         return {"max_designs": self.max_designs, "cost_step": self.cost_step}

@@ -23,12 +23,6 @@ class SolverOptions:
         gap_tolerance: Relative MILP gap at which the search may stop.
         integrality_tolerance: How close to an integer an LP value must be.
         node_limit: Maximum branch-and-bound nodes (``0`` = unlimited).
-        node_selection: ``"best_first"`` or ``"depth_first"`` (Bozo only).
-        branching: ``"pseudocost"`` (default) or ``"most_fractional"``
-            (Bozo only).  Pseudocosts learn per-variable objective
-            degradation from solved children, which keeps the tree small
-            even when the LP returns an unhelpful degenerate vertex;
-            most-fractional branching gambles on the vertex it is handed.
         presolve: Run bound-propagation presolve before branch and bound
             (Bozo only; HiGHS presolves internally).
         workers: Deprecated and ignored (a value other than ``1`` warns
@@ -54,22 +48,10 @@ class SolverOptions:
             restart per round.  The cut-augmented relaxation is inherited
             by the whole tree (cut-and-branch).  ``"off"`` disables
             separation.  Cuts are valid for every integral point, so the
-            optimal objective never changes.
-        cut_rounds: Maximum root separation rounds when ``cuts="auto"``
-            (each round separates, appends at most a pool-capped batch,
-            and re-solves).  The loop also stops early when no violated
-            cut is found or the bound stops improving.
-        strong_branching: Root-node strong-branching candidate budget
-            (Bozo only; ``0`` disables).  At the root, with pseudocost
-            branching, the ``strong_branching`` most-fractional candidates
-            are probed in both directions with budgeted dual-simplex
-            re-solves and the observed objective degradations initialize
-            the pseudocosts — replacing the cold uniform scores that
-            otherwise decide the first branchings blind.  Probes reuse the
-            warm-start machinery and are counted in
-            ``SolveStats.strong_branch_probes``.  Ignored under
-            most-fractional branching, which keeps the deterministic
-            byte-identity contract of that mode untouched.
+            optimal objective never changes.  The round budget is
+            :data:`repro.solvers.bozo.CUT_ROUNDS`, not an option: Bozo's
+            node order, branching rule, strong branching and cut budget
+            are one fixed search policy (see :mod:`repro.solvers.bozo`).
         seed: Tie-breaking seed for randomized choices.
         trace: A :class:`~repro.obs.sinks.TraceSink` receiving structured
             solve events (``node_opened``, ``lp_solved``,
@@ -92,14 +74,10 @@ class SolverOptions:
     gap_tolerance: float = 1e-9
     integrality_tolerance: float = 1e-6
     node_limit: int = 0
-    node_selection: str = "best_first"
-    branching: str = "pseudocost"
     presolve: bool = True
     workers: int = 1
     incumbent: Optional[Mapping[str, float]] = None
     cuts: str = "auto"
-    cut_rounds: int = 5
-    strong_branching: int = 8
     seed: int = 0
     trace: Optional[TraceSink] = None
     on_progress: Optional[Callable[[ProgressUpdate], None]] = None

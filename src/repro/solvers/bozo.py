@@ -11,17 +11,22 @@ tableau (:mod:`repro.solvers.simplex`) whenever the incremental path
 signals trouble.  That warm revised simplex is the only LP path; the
 dense tableau is never selected directly.
 
-Features (selectable through :class:`~repro.solvers.base.SolverOptions`):
+The search has one policy; nothing in it is an option:
 
-* best-first (default) or depth-first node selection,
-* most-fractional or pseudocost branching (pseudocosts learn from the
-  *observed* parent-to-child LP objective degradation), restricted to the
-  fractional candidates of the highest branching priority
+* best-first node selection,
+* pseudocost branching (pseudocosts learn from the *observed*
+  parent-to-child LP objective degradation), restricted to the fractional
+  candidates of the highest branching priority
   (:attr:`~repro.milp.model.MatrixForm.branch_priority`, a property of
-  the model, not an option),
-* incumbent rounding/repair for near-integral LP solutions,
-* wall-clock and node limits with a FEASIBLE (incumbent, gap > 0) result,
-* full :class:`~repro.milp.solution.SolveStats` telemetry on every result.
+  the model),
+* root strong branching on the :data:`STRONG_BRANCH_CANDIDATES` most
+  fractional candidates, which seeds the pseudocosts,
+* at most :data:`CUT_ROUNDS` root separation rounds when
+  ``SolverOptions.cuts`` is ``"auto"``.
+
+Around it: a rounding dive for a quick incumbent, wall-clock and node
+limits with a FEASIBLE (incumbent, gap > 0) result, and full
+:class:`~repro.milp.solution.SolveStats` telemetry on every result.
 
 Determinism: nodes are ordered by ``(parent LP bound, path id)`` where the
 path id encodes the branching path from the root (root ``1``, down child
@@ -58,6 +63,11 @@ from repro.solvers.revised import (
 )
 from repro.solvers.simplex import LPResult, LPStatus
 
+#: Root candidates probed by strong branching (``0`` disables it).  On
+#: the serial Table II sweep, root probes cut the tree from 941 to 783
+#: nodes; docs/solvers.md has the on/off matrix.
+STRONG_BRANCH_CANDIDATES = 8
+
 #: Dual-simplex pivot budget of one strong-branching probe.  Probes that
 #: exhaust it are simply not recorded — a budgeted probe must never be
 #: allowed to trigger the expensive dense fallback.
@@ -68,6 +78,10 @@ STRONG_BRANCH_ITERATIONS = 150
 #: round ends the cut loop early (``reason="tailing_off"`` on its
 #: ``cut_round`` event) instead of paying for more rows in every node LP.
 CUT_STALL_EPS = 1e-6
+
+#: Maximum root separation rounds when ``SolverOptions.cuts="auto"``.
+#: Five was the fastest budget on the serial Table II sweep.
+CUT_ROUNDS = 5
 
 
 @dataclass(order=True)
@@ -288,25 +302,7 @@ class _TreeSearch:
     def run(self, root: _Node) -> _SearchOutcome:
         """Search from ``root``; stop at exhaustion or a limit."""
         options = self.options
-        depth_first = options.node_selection == "depth_first"
-        heap: List[_Node] = []
-        stack: List[_Node] = []
-        if depth_first:
-            stack = [root]
-        else:
-            heap = [root]
-
-        def pop_node() -> Optional[_Node]:
-            if depth_first:
-                return stack.pop() if stack else None
-            return heapq.heappop(heap) if heap else None
-
-        def push_node(node: _Node) -> None:
-            if depth_first:
-                stack.append(node)
-            else:
-                heapq.heappush(heap, node)
-
+        heap: List[_Node] = [root]
         out = _SearchOutcome()
         tol = options.integrality_tolerance
         form = self.form
@@ -316,9 +312,9 @@ class _TreeSearch:
                 raise CancelledError(
                     f"solve cancelled after {self.nodes_processed} nodes"
                 )
-            node = pop_node()
-            if node is None:
+            if not heap:
                 break
+            node = heapq.heappop(heap)
             if node.bound >= self.incumbent_obj - options.gap_tolerance * max(
                 1.0, abs(self.incumbent_obj)
             ):
@@ -327,9 +323,8 @@ class _TreeSearch:
                 options.node_limit and self.nodes_processed >= options.node_limit
             ):
                 out.hit_limit = True
-                out.best_open_bound = min(
-                    node.bound, *(other.bound for other in (heap or stack))
-                ) if (heap or stack) else node.bound
+                # Best-first: the node just popped holds the lowest bound.
+                out.best_open_bound = node.bound
                 break
 
             if self.tracer is not None:
@@ -402,30 +397,28 @@ class _TreeSearch:
                         self._adopt(x, obj, node.tiebreak, source="integral")
                 continue
 
-            if (
+            strong = (
                 node.tiebreak == 1
-                and options.branching == "pseudocost"
-                and options.strong_branching > 0
+                and STRONG_BRANCH_CANDIDATES > 0
                 and node_basis is not None
                 and len(fractional) > 1
-            ):
+            )
+            if strong:
                 # Root-only, candidate-limited strong branching: initialize
                 # the (otherwise cold) pseudocosts with observed objective
                 # degradations so _pick_branch's first decision is informed.
                 candidates, probes = self._strong_branch_root(
                     node, lp_obj, result.x, fractional, node_basis
                 )
-                branch_j, fraction = self._pick_branch(fractional)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "strong_branch",
-                        node=node.tiebreak,
-                        candidates=candidates,
-                        probes=probes,
-                        chosen=int(branch_j),
-                    )
-            else:
-                branch_j, fraction = self._pick_branch(fractional)
+            branch_j, fraction = self._pick_branch(fractional)
+            if strong and self.tracer is not None:
+                self.tracer.emit(
+                    "strong_branch",
+                    node=node.tiebreak,
+                    candidates=candidates,
+                    probes=probes,
+                    chosen=int(branch_j),
+                )
             value = result.x[branch_j]
             floor_value = math.floor(value + tol)
 
@@ -441,15 +434,8 @@ class _TreeSearch:
                 branch_var=branch_j, branch_dir="up", branch_fraction=1.0 - fraction,
             )
             up.lb[branch_j] = float(floor_value + 1)
-            # Depth-first explores the "more integral" child first for quick
-            # incumbents: push the closer-to-value branch last (popped first).
-            # Best-first ignores push order — the heap key decides.
-            if value - floor_value > 0.5:
-                push_node(down)
-                push_node(up)
-            else:
-                push_node(up)
-                push_node(down)
+            heapq.heappush(heap, down)
+            heapq.heappush(heap, up)
 
         out.incumbent_x = self.incumbent_x
         out.incumbent_obj = self.incumbent_obj
@@ -525,8 +511,8 @@ class _TreeSearch:
         tree-node LP.  Instances whose rounds never move the root bound
         at all (degenerate 0/1 models like market split, where Gomory
         rows still prune by cutting fractional vertices off the tree's
-        LPs) are a different regime: there the bounded ``cut_rounds``
-        budget is the cost cap, and the loop runs it in full.
+        LPs) are a different regime: there the :data:`CUT_ROUNDS` budget
+        is the cost cap, and the loop runs it in full.
         """
         options = self.options
         sf = self.lp.sf
@@ -539,7 +525,7 @@ class _TreeSearch:
         total_gomory = 0
         total_cover = 0
         progressed = False  # some round closed >= CUT_STALL_EPS of gap
-        for round_index in range(1, max(options.cut_rounds, 0) + 1):
+        for round_index in range(1, CUT_ROUNDS + 1):
             x = result.x
             if result.status is not LPStatus.OPTIMAL or x is None:
                 break
@@ -634,9 +620,8 @@ class _TreeSearch:
         a huge degradation — branching there closes the subtree outright.
         Returns ``(candidates probed, LP probes run)``.
         """
-        options = self.options
-        tol = options.integrality_tolerance
-        limit = min(options.strong_branching, len(fractional))
+        tol = self.options.integrality_tolerance
+        limit = min(STRONG_BRANCH_CANDIDATES, len(fractional))
         candidates = sorted(
             fractional, key=lambda item: (-min(item[1], 1.0 - item[1]), item[0])
         )[:limit]
@@ -727,23 +712,16 @@ class _TreeSearch:
         """Choose the variable to branch on and its fractional part.
 
         Only the candidates of the highest branching priority present
-        (:attr:`MatrixForm.branch_priority`) compete; the branching rule
-        scores those.  Score ties break toward the lowest variable index,
+        (:attr:`MatrixForm.branch_priority`) compete; their pseudocost
+        scores decide.  Score ties break toward the lowest variable index,
         explicitly, so the chosen branch never depends on how the
         candidate list happened to be assembled.
         """
         priority = self.form.branch_priority
         top = max(priority[j] for j, _ in fractional)
-        fractional = [item for item in fractional if priority[item[0]] == top]
-        if self.options.branching == "pseudocost":
-            return max(
-                fractional,
-                key=lambda item: (self.pseudo.score(item[0], item[1]), -item[0]),
-            )
-        # Most fractional: distance of the fraction from the nearest integer.
         return max(
-            fractional,
-            key=lambda item: (min(item[1], 1.0 - item[1]), -item[0]),
+            (item for item in fractional if priority[item[0]] == top),
+            key=lambda item: (self.pseudo.score(item[0], item[1]), -item[0]),
         )
 
     @staticmethod

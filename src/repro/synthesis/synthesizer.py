@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import List, Optional
 
 from repro.core.formulation import SosModel, SosModelBuilder
@@ -62,9 +61,6 @@ class Synthesizer:
             ``cost_cap``/``deadline``/``objective`` fields.
         constraints: Arbitrary designer constraints (§3.3.2), applied
             once, to the model this synthesizer builds at its first solve.
-        incremental: Deprecated and ignored: every synthesizer now builds
-            its model once.  Passing it warns with ``DeprecationWarning``;
-            it will be removed in the next major release.
         seed_incumbent: Seed every solve with a list-scheduling heuristic
             incumbent (:mod:`repro.core.seeding`): the best ETF/HLFET
             schedule becomes a complete feasible assignment the
@@ -85,11 +81,8 @@ class Synthesizer:
         solver_options: Optional[SolverOptions] = None,
         options: Optional[FormulationOptions] = None,
         constraints: Optional["DesignerConstraints"] = None,
-        incremental: Optional[bool] = None,
         seed_incumbent: bool = False,
     ) -> None:
-        if incremental is not None:
-            warn_incremental()
         self.graph = graph
         self.library = library
         base = options or FormulationOptions()
@@ -328,8 +321,7 @@ class Synthesizer:
         The whole sweep solves one model: each step re-targets the
         synthesizer's model (new cap, deadline row and objective) rather
         than building another, and gets the same matrices a fresh build
-        would.  (``incremental=True``, which used to ask for this, is
-        deprecated and ignored.)
+        would.
 
         Args:
             max_designs: Safety bound on the front size.
@@ -478,21 +470,11 @@ def _check_step(name: str, step: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {step!r}")
 
 
-def warn_incremental(stacklevel: int = 3) -> None:
-    """Warn that an ``incremental`` setting was passed (deprecated, ignored)."""
-    warnings.warn(
-        "incremental is deprecated and ignored: every Synthesizer builds its "
-        "model once and re-targets it for each solve",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
 #: Keyword arguments of :func:`synthesize` that configure the
 #: :class:`Synthesizer` itself rather than the single solve.
 _CONSTRUCTOR_KEYS = frozenset(
     {"style", "solver", "solver_options", "options", "constraints",
-     "incremental", "seed_incumbent"}
+     "seed_incumbent"}
 )
 
 
@@ -506,8 +488,7 @@ def synthesize(graph: TaskGraph, library: TechnologyLibrary, **opts) -> Design:
     ``options``, ``constraints``, ``seed_incumbent``) go to the
     :class:`Synthesizer` constructor, everything else (``cost_cap``,
     ``deadline``, ``objective``, ``minimize_secondary``, ``validate``,
-    ``cache``) to :meth:`Synthesizer.synthesize`.  The deprecated
-    ``incremental`` keyword is accepted, warns and is ignored.
+    ``cache``) to :meth:`Synthesizer.synthesize`.
 
     Example::
 
@@ -519,6 +500,4 @@ def synthesize(graph: TaskGraph, library: TechnologyLibrary, **opts) -> Design:
     """
     constructor = {k: v for k, v in opts.items() if k in _CONSTRUCTOR_KEYS}
     call = {k: v for k, v in opts.items() if k not in _CONSTRUCTOR_KEYS}
-    if constructor.pop("incremental", None) is not None:
-        warn_incremental()
     return Synthesizer(graph, library, **constructor).synthesize(**call)

@@ -79,11 +79,10 @@ def _two_fractional(priorities):
     return model
 
 
-def _first_branch(model, branching):
-    options = SolverOptions(branching=branching)
+def _first_branch(model):
     form = model.to_matrices()
     lp = _LPBackend(form, SolveStats())
-    search = _TreeSearch(options, form, lp, start=0.0)
+    search = _TreeSearch(SolverOptions(), form, lp, start=0.0)
     result, _ = lp.solve(form.lb, form.ub)
     fractional = [
         (j, float(result.x[j] - np.floor(result.x[j])))
@@ -94,11 +93,10 @@ def _first_branch(model, branching):
     return search._pick_branch(fractional)[0]
 
 
-@pytest.mark.parametrize("branching", ["pseudocost", "most_fractional"])
 class TestPriorityDecidesTheBranch:
-    def test_scores_pick_the_most_fractional_without_priorities(self, branching):
-        assert _first_branch(_two_fractional((0, 0, 0)), branching) == 0
+    def test_scores_pick_the_most_fractional_without_priorities(self):
+        assert _first_branch(_two_fractional((0, 0, 0))) == 0
 
-    def test_higher_class_wins_over_a_better_score(self, branching):
+    def test_higher_class_wins_over_a_better_score(self):
         # z holds the top class but is integral, so it does not compete.
-        assert _first_branch(_two_fractional((0, 1, 5)), branching) == 1
+        assert _first_branch(_two_fractional((0, 1, 5))) == 1

@@ -208,15 +208,16 @@ class TestCutAugmentedRootCrossCheck:
     cuts tighten relaxations, never solutions.
     """
 
-    def cross_check(self, model, cut_rounds: int) -> None:
+    def cross_check(self, model, cut_rounds: int, monkeypatch) -> None:
         from repro.obs.sinks import MemoryTraceSink
+        from repro.solvers import bozo
         from repro.solvers.base import SolverOptions
-        from repro.solvers.bozo import BozoSolver
 
+        monkeypatch.setattr(bozo, "CUT_ROUNDS", cut_rounds)
+        monkeypatch.setattr(bozo, "STRONG_BRANCH_CANDIDATES", 0)
         sink = MemoryTraceSink()
-        solver = BozoSolver(SolverOptions(
-            cuts="auto", cut_rounds=cut_rounds, presolve=False,
-            strong_branching=0, node_limit=1, trace=sink,
+        solver = bozo.BozoSolver(SolverOptions(
+            cuts="auto", presolve=False, node_limit=1, trace=sink,
         ))
         solver.solve(model)
         rounds = [e for e in sink.events if e.type == "cut_round"]
@@ -244,17 +245,17 @@ class TestCutAugmentedRootCrossCheck:
         )
         assert augmented.objective >= uncut.objective - 1e-6
 
-    def test_example1(self, ex1_graph, ex1_library):
+    def test_example1(self, ex1_graph, ex1_library, monkeypatch):
         from repro.core.formulation import build_sos_model
 
         built = build_sos_model(ex1_graph, ex1_library)
-        self.cross_check(built.model, cut_rounds=5)
+        self.cross_check(built.model, cut_rounds=5, monkeypatch=monkeypatch)
 
-    def test_example2(self, ex2_graph, ex2_library):
+    def test_example2(self, ex2_graph, ex2_library, monkeypatch):
         # One separation round: Example 2's root LP alone takes tens of
         # seconds cold, and one round already exercises the whole
         # separate -> append -> re-solve -> export pipeline.
         from repro.core.formulation import build_sos_model
 
         built = build_sos_model(ex2_graph, ex2_library)
-        self.cross_check(built.model, cut_rounds=1)
+        self.cross_check(built.model, cut_rounds=1, monkeypatch=monkeypatch)

@@ -10,7 +10,7 @@ from repro.obs.progress import print_progress
 from repro.solvers.base import Solver, SolverOptions
 from repro.solvers.bozo import BozoSolver
 
-from tests.solvers.test_parallel import market_split
+from tests.solvers.instances import market_split
 
 
 class FakeClock:

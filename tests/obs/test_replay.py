@@ -11,14 +11,13 @@ from repro.obs import MemoryTraceSink, check_schema, replay_stats, split_runs
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 
-from tests.solvers.test_parallel import market_split
+from tests.solvers.instances import market_split
 
 
 def _solve_traced():
     """Solve a market-split MILP with a memory sink; (solution, events)."""
     sink = MemoryTraceSink()
-    options = SolverOptions(branching="most_fractional", trace=sink)
-    solution = BozoSolver(options).solve(market_split(3, 14, 0))
+    solution = BozoSolver(SolverOptions(trace=sink)).solve(market_split(3, 14, 0))
     return solution, sink.events
 
 
@@ -26,6 +25,7 @@ class TestReplayExactness:
     def test_serial_replay_matches_stats_field_for_field(self):
         solution, events = _solve_traced()
         assert solution.stats is not None
+        assert solution.stats.strong_branch_probes > 0
         assert check_schema(events) == []
         replayed = replay_stats(events)
         assert replayed == solution.stats
@@ -61,7 +61,7 @@ class TestReplayExactness:
         or the test would pass vacuously."""
         sink = MemoryTraceSink()
         solution = BozoSolver(SolverOptions(
-            cuts="auto", branching="pseudocost", trace=sink,
+            cuts="auto", trace=sink,
         )).solve(market_split(3, 14, 0))
         stats = solution.stats
         assert stats.cuts_added > 0

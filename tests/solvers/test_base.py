@@ -1,5 +1,6 @@
 """Tests for the shared solver interface and options."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,20 +14,28 @@ class TestSolverOptions:
         assert math.isinf(options.time_limit)
         assert options.gap_tolerance == pytest.approx(1e-9)
         assert options.node_limit == 0
-        assert options.node_selection == "best_first"
-        assert options.branching == "pseudocost"
         assert options.cuts == "auto"
         assert options.presolve is True
 
     def test_overrides(self):
-        options = SolverOptions(time_limit=5.0, node_selection="depth_first",
-                                branching="most_fractional", presolve=False,
-                                cuts="off")
+        options = SolverOptions(time_limit=5.0, presolve=False, cuts="off")
         assert options.time_limit == 5.0
-        assert options.node_selection == "depth_first"
-        assert options.branching == "most_fractional"
         assert options.presolve is False
         assert options.cuts == "off"
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_selection", "best_first"),
+        ("branching", "pseudocost"),
+        ("strong_branching", 8),
+        ("cut_rounds", 5),
+    ])
+    def test_removed_search_fields_are_rejected(self, field, value):
+        # Bozo's search policy is fixed; even the old default is refused.
+        with pytest.raises(TypeError, match=field):
+            SolverOptions(**{field: value})
+
+    def test_field_count(self):
+        assert len(dataclasses.fields(SolverOptions)) == 13
 
 
 class TestSolverAbc:

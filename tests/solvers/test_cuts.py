@@ -5,12 +5,13 @@ import pytest
 
 from repro.milp.solution import SolveStatus
 from repro.obs import MemoryTraceSink, check_schema, replay_stats
+from repro.solvers import bozo
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 from repro.solvers.cuts import Cut, CutPool
 from repro.solvers.highs import HighsSolver
 
-from tests.solvers.test_parallel import market_split
+from tests.solvers.instances import market_split
 
 
 def _solve(model, **kwargs):
@@ -57,31 +58,40 @@ class TestObjectivePreservation:
         assert off.stats.root_gap_closed == 0.0
 
 
+def _counters(stats):
+    """Every SolveStats field except the wall-clock phase timings."""
+    document = stats.as_dict()
+    del document["phase_seconds"]
+    return document
+
+
 class TestStrongBranching:
     def test_probes_recorded_under_pseudocost(self):
-        solution = _solve(market_split(3, 14, 0), branching="pseudocost")
+        solution = _solve(market_split(3, 14, 0))
         assert solution.stats.strong_branch_probes > 0
 
-    def test_disabled_with_zero_candidates(self):
-        solution = _solve(
-            market_split(3, 14, 0), branching="pseudocost", strong_branching=0,
-        )
+    def test_disabled_with_zero_candidates(self, monkeypatch):
+        monkeypatch.setattr(bozo, "STRONG_BRANCH_CANDIDATES", 0)
+        solution = _solve(market_split(3, 14, 0))
         assert solution.stats.strong_branch_probes == 0
 
-    def test_most_fractional_regime_untouched(self):
-        # Strong branching must not fire under most_fractional branching:
-        # that regime's byte identity depends on branching being a pure
-        # function of each node.
+    def test_rerun_is_deterministic(self):
+        # Probes, pseudocosts and the heap order are pure functions of the
+        # model: a rerun explores the same tree and returns the same point.
         model = market_split(3, 12, 0)
-        first = _solve(model, branching="most_fractional")
-        second = _solve(model, branching="most_fractional")
-        assert first.stats.strong_branch_probes == 0
+        first = _solve(model)
+        second = _solve(model)
+        assert first.stats.strong_branch_probes > 0
         assert first.values == second.values
+        assert _counters(first.stats) == _counters(second.stats)
 
-    def test_objective_unchanged_by_strong_branching(self):
+    def test_objective_unchanged_by_strong_branching(self, monkeypatch):
         model = market_split(3, 13, 0)
-        with_sb = _solve(model, branching="pseudocost", strong_branching=8)
-        without = _solve(model, branching="pseudocost", strong_branching=0)
+        with_sb = _solve(model)
+        monkeypatch.setattr(bozo, "STRONG_BRANCH_CANDIDATES", 0)
+        without = _solve(model)
+        assert with_sb.stats.strong_branch_probes > 0
+        assert without.stats.strong_branch_probes == 0
         assert with_sb.objective == pytest.approx(without.objective, abs=1e-9)
 
 
@@ -103,7 +113,7 @@ class TestEventsAndReplay:
     def test_replay_reconstructs_cut_and_strong_branch_fields_exactly(self):
         sink = MemoryTraceSink()
         solution = BozoSolver(
-            SolverOptions(cuts="auto", branching="pseudocost", trace=sink)
+            SolverOptions(cuts="auto", trace=sink)
         ).solve(market_split(3, 14, 0))
         stats = solution.stats
         assert stats.cuts_added > 0 and stats.strong_branch_probes > 0
@@ -158,9 +168,10 @@ class TestCutPool:
 
 
 class TestOptions:
-    def test_cut_rounds_cap_respected(self):
-        solution = _solve(market_split(3, 14, 0), cuts="auto", cut_rounds=2)
-        assert solution.stats.cut_rounds <= 2
+    def test_cut_rounds_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(bozo, "CUT_ROUNDS", 2)
+        solution = _solve(market_split(3, 14, 0), cuts="auto")
+        assert 0 < solution.stats.cut_rounds <= 2
 
     def test_fingerprint_distinguishes_cut_options(self, ex1_graph, ex1_library):
         from repro.service.fingerprint import fingerprint_request
@@ -173,6 +184,4 @@ class TestOptions:
 
         baseline = fp()
         assert fp(cuts="off") != baseline
-        assert fp(cut_rounds=3) != baseline
-        assert fp(strong_branching=0) != baseline
         assert fp() == baseline

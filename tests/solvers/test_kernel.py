@@ -26,7 +26,7 @@ import pytest
 
 from repro.milp.model import Model, VarType
 from repro.obs import MemoryTraceSink
-from repro.solvers import revised
+from repro.solvers import bozo, revised
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 from repro.solvers.highs import HighsSolver
@@ -39,7 +39,7 @@ from repro.solvers.revised import (
     solve_revised,
 )
 from repro.solvers.simplex import solve_lp
-from tests.solvers.test_parallel import market_split
+from tests.solvers.instances import market_split
 from tests.solvers.test_revised import (
     OBJECTIVE_TOL,
     assert_matches_oracle,
@@ -102,7 +102,7 @@ class TestDevexAgainstOracle:
     def test_bozo_matches_highs_end_to_end(self):
         """A full MILP solve lands on the HiGHS optimum."""
         model = market_split(3, 10, 0)
-        bozo = BozoSolver(SolverOptions(branching="most_fractional")).solve(model)
+        bozo = BozoSolver().solve(model)
         highs = HighsSolver().solve(model)
         assert bozo.objective == pytest.approx(highs.objective)
 
@@ -267,12 +267,15 @@ class TestMicroKernel:
 
     def test_micro_keeps_the_tree_byte_identical(self, monkeypatch):
         """Disabling the micro kernel must not change the search at all:
-        same objective, same node count, same pivot count."""
+        same objective, same node count, same pivot count.  Root cuts are
+        off: on the cut-augmented root LP the two kernels take different
+        pivot paths to the same optimum (209 against 211 pivots here)."""
         model = market_split(3, 10, 0)
-        options = SolverOptions(branching="most_fractional", cuts="off")
+        options = SolverOptions(cuts="off")
         with_micro = BozoSolver(options).solve(model)
         monkeypatch.setattr(revised, "MICRO_KERNEL_MAX", 0)
         without = BozoSolver(options).solve(model)
+        assert with_micro.stats.strong_branch_probes > 0
         assert with_micro.objective == pytest.approx(without.objective)
         assert with_micro.stats.nodes == without.stats.nodes
         assert with_micro.stats.lp_pivots == without.stats.lp_pivots
@@ -302,12 +305,13 @@ def tailing_model(cycle=5, binaries=8, seed=0):
 
 
 class TestCutTailingOff:
-    def test_cut_loop_exits_early_with_reason(self):
+    def test_cut_loop_exits_early_with_reason(self, monkeypatch):
         """The loop stops as soon as a progressed round closes nothing,
         stamping ``reason="tailing_off"`` on the final cut_round event."""
+        monkeypatch.setattr(bozo, "CUT_ROUNDS", 8)
         sink = MemoryTraceSink()
         solution = BozoSolver(
-            SolverOptions(cuts="auto", cut_rounds=8, trace=sink)
+            SolverOptions(cuts="auto", trace=sink)
         ).solve(tailing_model())
         rounds = [e for e in sink.events if e.type == "cut_round"]
         assert 0 < len(rounds) < 8  # exited before the budget
@@ -315,13 +319,14 @@ class TestCutTailingOff:
         assert all(e.data.get("reason") is None for e in rounds[:-1])
         assert solution.stats.cut_rounds == len(rounds)
 
-    def test_stalled_from_the_start_runs_no_extra_rounds(self):
+    def test_stalled_from_the_start_runs_no_extra_rounds(self, monkeypatch):
         """Pure market split: the bound never moves, so no round ever
         'progresses' and the loop must not claim tailing-off — cuts here
         earn their keep by pruning nodes, not by moving the root bound."""
+        monkeypatch.setattr(bozo, "CUT_ROUNDS", 3)
         sink = MemoryTraceSink()
         BozoSolver(
-            SolverOptions(cuts="auto", cut_rounds=3, trace=sink)
+            SolverOptions(cuts="auto", trace=sink)
         ).solve(market_split(3, 10, 0))
         rounds = [e for e in sink.events if e.type == "cut_round"]
         assert all(e.data.get("reason") is None for e in rounds)

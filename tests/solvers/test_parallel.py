@@ -1,46 +1,21 @@
 """The deprecated parallel surface: ``SolverOptions.workers`` and
-``repro.solvers.parallel.solve_parallel`` both run the serial search.
-
-Also home of :func:`market_split`, the small MILP with a large tree that
-several solver and tracing tests share.
-"""
-
-import random
+``repro.solvers.parallel.solve_parallel`` both run the serial search."""
 
 import pytest
 
 from repro.errors import UnknownSolverError
-from repro.milp.expr import VarType
-from repro.milp.model import Model
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 from repro.solvers.parallel import solve_parallel
 from repro.solvers.registry import get_solver
+
+from tests.solvers.instances import market_split
 
 #: The SolveStats counters that described parallel search; always 0 now.
 WORKER_COUNTERS = (
     "workers", "workers_requested", "subtrees_dispatched",
     "worker_idle_waits", "incumbent_broadcasts",
 )
-
-
-def market_split(rows: int, binaries: int, seed: int) -> Model:
-    """Small equality-balancing MILP with a large branch-and-bound tree."""
-    rng = random.Random(seed)
-    model = Model(f"market_split_{rows}x{binaries}_s{seed}")
-    x = [model.add_var(f"x{j}", vtype=VarType.BINARY) for j in range(binaries)]
-    surplus = [model.add_var(f"sp{i}", lb=0) for i in range(rows)]
-    deficit = [model.add_var(f"sm{i}", lb=0) for i in range(rows)]
-    for i in range(rows):
-        weights = [rng.randrange(100) for _ in range(binaries)]
-        target = sum(weights) // 2
-        model.add(
-            sum(w * xj for w, xj in zip(weights, x))
-            + surplus[i] - deficit[i] == target,
-            name=f"row{i}",
-        )
-    model.minimize(sum(surplus) + sum(deficit))
-    return model
 
 
 def counters(stats):
@@ -60,22 +35,23 @@ def assert_same_solution(got, want):
 
 class TestByteIdentity:
     def test_workers4_matches_serial_exactly(self):
+        # Without root cuts: the deprecated field is ignored whatever the
+        # other options say.
         model = market_split(3, 14, 0)
-        serial = BozoSolver(SolverOptions(branching="most_fractional")).solve(model)
+        serial = BozoSolver(SolverOptions(cuts="off")).solve(model)
         with pytest.warns(DeprecationWarning, match="workers"):
-            options = SolverOptions(workers=4, branching="most_fractional")
+            options = SolverOptions(workers=4, cuts="off")
         assert serial.iterations >= 200  # a real tree, not a root solve
         assert_same_solution(BozoSolver(options).solve(model), serial)
 
     def test_rerun_determinism(self):
         model = market_split(3, 14, 1)
-        options = SolverOptions(branching="most_fractional")
-        first = BozoSolver(options).solve(model)
-        second = BozoSolver(options).solve(model)
+        first = BozoSolver().solve(model)
+        second = BozoSolver().solve(model)
         assert_same_solution(second, first)
 
     def test_pseudocost_objective_identity(self):
-        # The default branching rule: the deprecated field changes nothing.
+        # The default options: the deprecated field changes nothing.
         model = market_split(3, 14, 0)
         serial = BozoSolver().solve(model)
         with pytest.warns(DeprecationWarning):

@@ -28,12 +28,14 @@ def test_bozo_table_ii_sweep_branches_on_the_architecture_first(front):
     ]
     # The serial sweep's counters repeat exactly for the same code, so any
     # change to the search shows here.  If the beta/sigma priorities stop
-    # reaching the branching rule, the sweep grows to ~2136 nodes.
+    # reaching the branching rule, the sweep grows to ~2136 nodes.  The
+    # cut-round and probe counts pin bozo's CUT_ROUNDS and
+    # STRONG_BRANCH_CANDIDATES, which the benchmark does not compare.
     stats = front.stats
     assert (
         stats.nodes, stats.lp_pivots, stats.lp_solves, stats.cuts_added,
-        stats.fallbacks,
-    ) == (783, 9756, 1131, 273, 0)
+        stats.cut_rounds, stats.strong_branch_probes, stats.fallbacks,
+    ) == (783, 9756, 1131, 273, 43, 72, 0)
 
 
 def test_sweep_answered_from_the_cache_keeps_per_design_nodes(

@@ -10,7 +10,6 @@ exactly those of a pipeline that rebuilds the model for every solve.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -282,33 +281,18 @@ class TestIncrementalSweepsMatchCold:
         assert design.violations() == []
 
 
-class TestDeprecatedIncremental:
-    @pytest.mark.parametrize("value", [True, False])
-    def test_synthesizer_keyword_warns_and_is_ignored(
-        self, received, tiny_graph, tiny_library, value
-    ):
-        with pytest.warns(DeprecationWarning, match="incremental"):
-            synth = Synthesizer(tiny_graph, tiny_library, incremental=value)
-        front = synth.pareto_sweep()
-        assert front_fingerprint(front) == front_fingerprint(
-            Synthesizer(tiny_graph, tiny_library).pareto_sweep()
-        )
-        assert len(received.builds) == 2  # one per synthesizer
+class TestRemovedIncremental:
+    def test_synthesizer_keyword_is_rejected(self, tiny_graph, tiny_library):
+        with pytest.raises(TypeError, match="incremental"):
+            Synthesizer(tiny_graph, tiny_library, incremental=True)
 
-    def test_synthesize_keyword_warns(self, tiny_graph, tiny_library):
-        with pytest.warns(DeprecationWarning, match="incremental"):
-            design = repro.synthesize(tiny_graph, tiny_library, incremental=True)
-        assert design_fingerprint(design) == design_fingerprint(
-            repro.synthesize(tiny_graph, tiny_library)
-        )
+    def test_synthesize_keyword_is_rejected(self, tiny_graph, tiny_library):
+        with pytest.raises(TypeError, match="incremental"):
+            repro.synthesize(tiny_graph, tiny_library, incremental=True)
 
-    def test_sweep_request_field_warns(self, tiny_graph, tiny_library):
-        with pytest.warns(DeprecationWarning, match="incremental"):
+    def test_sweep_request_field_is_rejected(self, tiny_graph, tiny_library):
+        with pytest.raises(TypeError, match="incremental"):
             SweepRequest(tiny_graph, tiny_library, incremental=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SweepRequest(tiny_graph, tiny_library)
-            Synthesizer(tiny_graph, tiny_library)
 
 
 class TestSolveStatsSurfaced:

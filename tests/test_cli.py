@@ -79,11 +79,10 @@ class TestCommands:
         assert code == 0
         assert "14" in output and "2.5" in output
 
-    def test_sweep_incremental_flag_warns_and_is_ignored(self, capsys):
-        with pytest.warns(DeprecationWarning, match="incremental"):
-            code = main(["sweep", "example1", "--incremental", "--max-designs", "2"])
-        assert code == 0
-        assert "Non-inferior designs" in capsys.readouterr().out
+    def test_sweep_incremental_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "example1", "--incremental"])
+        assert "unrecognized arguments: --incremental" in capsys.readouterr().err
 
     def test_bozo_sweep_prints_the_highs_front(self, capsys, tmp_path):
         def front(name, *flags):
@@ -116,6 +115,13 @@ class TestCommands:
     def test_pricing_flag_is_rejected(self, command, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "example1", "--pricing", "dantzig"])
+
+    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
+    @pytest.mark.parametrize("flag", ["--cut-rounds", "--strong-branching"])
+    def test_search_policy_flag_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "example1", flag, "3"])
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--threaded", "--no-batching"])
     def test_retired_serve_flag_is_rejected(self, flag, capsys):
