@@ -108,16 +108,15 @@ def lp_relaxation_bound(
 
 
 def cost_lower_bound(graph: TaskGraph, library: TechnologyLibrary) -> float:
-    """No system is cheaper than the cheapest single type set covering all
-    subtasks — a coarse but safe bound used in sweep sanity checks."""
-    cheapest_cover = math.inf
-    for ptype in library.types:
-        if all(ptype.can_execute(subtask.name) for subtask in graph.subtasks):
-            cheapest_cover = min(cheapest_cover, ptype.cost)
-    if math.isfinite(cheapest_cover):
-        return cheapest_cover
-    # No single type covers everything: at least the cheapest capable type
-    # per subtask, maximized over subtasks (all of them must be bought).
+    """No system is cheaper than its dearest subtask's cheapest capable type.
+
+    Every subtask runs on some bought instance, so the system costs at
+    least the cheapest type able to run it, for each subtask alone; the
+    bound is the largest of those per-subtask minima.  It is coarse but
+    safe: two cheap types that each cover part of the graph can undercut
+    the cheapest type covering all of it, so a single-cover price is *not*
+    a valid bound.
+    """
     return max(
         min(ptype.cost for ptype in library.capable_types(subtask.name))
         for subtask in graph.subtasks

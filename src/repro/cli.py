@@ -523,7 +523,10 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"pool: {[inst.name for inst in built.pool]}")
     print(f"model: {built.size_report()} (horizon T_M = {built.horizon:g})")
     print(f"makespan lower bound: {makespan_lower_bound(graph, library):g}")
-    print(f"cost lower bound: {cost_lower_bound(graph, library):g}")
+    print(
+        "cost lower bound (max over subtasks of the cheapest capable type): "
+        f"{cost_lower_bound(graph, library):g}"
+    )
     print("constraints per family:")
     for family, count in sorted(built.family_counts.items()):
         print(f"  {family}: {count}")

@@ -38,7 +38,7 @@ from repro.taskgraph.serialization import graph_to_dict
 
 #: Bump when the canonical document's schema changes so stale on-disk
 #: cache entries can never be misread as current ones.
-FINGERPRINT_VERSION = 4
+FINGERPRINT_VERSION = 5
 
 #: SolverOptions fields that can change the *returned solution* (bounds,
 #: limits, tie-breaking).  ``incumbent`` is listed even though it is
@@ -55,7 +55,6 @@ _SOLVER_FIELDS = (
     # Cuts are optimum-preserving but change exploration order — a
     # different alternative optimum may be returned, so they key the cache.
     "cuts",
-    "seed",
 )
 
 #: SolverOptions fields that provably cannot change the returned solution

@@ -52,7 +52,6 @@ class SolverOptions:
             :data:`repro.solvers.bozo.CUT_ROUNDS`, not an option: Bozo's
             node order, branching rule, strong branching and cut budget
             are one fixed search policy (see :mod:`repro.solvers.bozo`).
-        seed: Tie-breaking seed for randomized choices.
         trace: A :class:`~repro.obs.sinks.TraceSink` receiving structured
             solve events (``node_opened``, ``lp_solved``,
             ``incumbent_found``, ...).  ``None`` disables tracing.
@@ -78,7 +77,6 @@ class SolverOptions:
     workers: int = 1
     incumbent: Optional[Mapping[str, float]] = None
     cuts: str = "auto"
-    seed: int = 0
     trace: Optional[TraceSink] = None
     on_progress: Optional[Callable[[ProgressUpdate], None]] = None
     progress_interval: float = 1.0

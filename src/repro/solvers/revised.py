@@ -116,15 +116,6 @@ ETA_FILL_FACTOR = 6
 DRIFT_TOL = 1e-7
 #: Devex weights above this trigger a reference-framework reset.
 DEVEX_RESET_LIMIT = 1e8
-#: Bases at or below this many rows take the scalar micro kernel for warm
-#: repairs: at a handful of rows every numpy call costs more than the
-#: arithmetic it performs, so the hot branch-and-bound path runs on plain
-#: Python floats and falls back to the vector engine for anything it
-#: cannot certify.
-MICRO_KERNEL_MAX = 16
-#: Pivot budget of one micro-kernel repair; exhausting it hands the basis
-#: to the general engine (same role as the dual loop's crawl budget).
-MICRO_BUDGET = 100
 
 #: Nonbasic at lower bound.
 AT_LB = 0
@@ -225,9 +216,6 @@ class RevisedResult:
             unless OPTIMAL).
         counters: Per-loop pivot attribution (``None`` for results built
             before the engine ran, e.g. trivial infeasibility).
-        reduced_costs: Structural-column reduced costs at the optimum,
-            captured only when the solve was asked for them; ``None``
-            otherwise.
     """
 
     status: RevisedStatus
@@ -236,7 +224,6 @@ class RevisedResult:
     iterations: int
     basis: Optional[Basis]
     counters: Optional[PivotCounters] = None
-    reduced_costs: Optional[np.ndarray] = None
 
 
 class StandardFormLP:
@@ -628,348 +615,11 @@ class TableauAccess:
         """Tableau row ``i`` over all columns: ``(B^{-1} A)[i, :]``."""
         return _row_times_matrix(self.factor.btran_unit(i), self.sf.a)
 
-    def basic_values(self) -> np.ndarray:
-        """``x_B = B^{-1}(b - N x_N)`` under the basis's nonbasic statuses."""
-        sf = self.sf
-        x = np.where(self.basis.status == AT_UB, sf.up, sf.lo)
-        x[self.basis.status == AT_FREE] = 0.0
-        x[self.basis.status == BASIC] = 0.0
-        return self.factor.ftran(sf.b - sf.a @ x)
-
-
-def _micro_lists(sf: StandardFormLP):
-    """Row- and column-major Python lists of ``A``, cached on the form.
-
-    The cache key is the column count: :meth:`StandardFormLP.append_ub_rows`
-    is the only way the matrix changes and it always grows ``ncols``, so a
-    stale cache can never be returned.  Bounds and objective mutate freely
-    without touching the matrix, which is why they are *not* cached here.
-    """
-    cached = getattr(sf, "_micro_cache", None)
-    if cached is not None and cached[0] == sf.ncols:
-        return cached[1], cached[2]
-    rows = sf.a.tolist()
-    cols = sf.a.T.tolist()
-    sf._micro_cache = (sf.ncols, rows, cols)
-    return rows, cols
-
-
-def _solve_micro(
-    sf: StandardFormLP, basis: Basis, max_iterations: int
-) -> Optional[RevisedResult]:
-    """Scalar warm repair for tiny bases; ``None`` means take the general path.
-
-    A warm branch-and-bound re-solve on a basis of a few rows spends an
-    order of magnitude more time in numpy call dispatch than in arithmetic,
-    so this kernel runs the same bounded-variable dual simplex — worst
-    bound violation out, bound-flipping ratio test, product-form inverse
-    update — on plain Python floats.  It is deliberately narrow: it only
-    accepts a dual-feasible start with no free columns, and anything it
-    cannot certify (budget exhausted, tiny pivot, residual or optimality
-    check failure at the end) returns ``None`` so the vector engine redoes
-    the solve from the same input basis.  The input ``sf``/``basis`` are
-    never mutated.
-    """
-    m, n, ncols = sf.m, sf.n, sf.ncols
-    status = basis.status.tolist()
-    if AT_FREE in status:
-        return None
-    basic = basis.basic.tolist()
-    lo = sf.lo.tolist()
-    up = sf.up.tolist()
-    cost = sf.cost.tolist()
-    rows_l, cols = _micro_lists(sf)
-    try:
-        binv = np.linalg.inv(sf.a[:, basis.basic]).tolist()
-    except np.linalg.LinAlgError:
-        return None
-    refactors = 1
-
-    # x_B = B^{-1} (b - N x_N) with every nonbasic at its status bound.
-    r = sf.b.tolist()
-    for j in range(ncols):
-        s = status[j]
-        if s == BASIC:
-            continue
-        v = up[j] if s == AT_UB else lo[j]
-        if v != 0.0:
-            cj = cols[j]
-            for i in range(m):
-                r[i] -= v * cj[i]
-    xb = [0.0] * m
-    for i in range(m):
-        bi = binv[i]
-        acc = 0.0
-        for k in range(m):
-            acc += bi[k] * r[k]
-        xb[i] = acc
-
-    # Reduced costs d = c - (c_B B^{-1}) A, plus the dual-feasibility gate:
-    # a start the dual simplex cannot repair goes to the general engine.
-    y = [0.0] * m
-    for i in range(m):
-        cb = cost[basic[i]]
-        if cb != 0.0:
-            bi = binv[i]
-            for k in range(m):
-                y[k] += cb * bi[k]
-    d = [0.0] * ncols
-    for j in range(ncols):
-        cj = cols[j]
-        acc = 0.0
-        for k in range(m):
-            acc += y[k] * cj[k]
-        dj = cost[j] - acc
-        d[j] = dj
-        s = status[j]
-        if s == BASIC or up[j] - lo[j] <= FEAS_TOL:
-            continue
-        if s == AT_LB:
-            if dj < -DUAL_TOL:
-                return None
-        elif dj > DUAL_TOL:
-            return None
-
-    iters = 0
-    flips_total = 0
-    ftran_sparse = 0
-    budget = min(max_iterations, MICRO_BUDGET)
-    while True:
-        # Leaving row: worst absolute bound violation (first max wins).
-        row = -1
-        worst = FEAS_TOL
-        row_below = False
-        for i in range(m):
-            xi = xb[i]
-            bj = basic[i]
-            v = lo[bj] - xi
-            if v > worst:
-                worst = v
-                row = i
-                row_below = True
-            v = xi - up[bj]
-            if v > worst:
-                worst = v
-                row = i
-                row_below = False
-        if row < 0:
-            break  # primal feasible — certify optimality below
-        if iters >= budget:
-            return None  # crawling: the general engine takes over
-
-        # Tableau row alpha = (row of B^{-1}) A over the movable nonbasics;
-        # eligible candidates keep d sign-feasible after the pivot.
-        yr = binv[row]
-        alphas: List[Tuple[int, float]] = []
-        cand: List[Tuple[float, int, float]] = []
-        for j in range(ncols):
-            s = status[j]
-            if s == BASIC or up[j] - lo[j] <= FEAS_TOL:
-                continue
-            cj = cols[j]
-            aj = 0.0
-            for k in range(m):
-                aj += yr[k] * cj[k]
-            alphas.append((j, aj))
-            dirj = -aj if row_below else aj
-            if s == AT_LB:
-                if dirj > PIVOT_TOL:
-                    cand.append((abs(d[j]) / dirj, j, dirj))
-            elif dirj < -PIVOT_TOL:
-                cand.append((abs(d[j]) / -dirj, j, dirj))
-        if not cand:
-            return RevisedResult(
-                RevisedStatus.INFEASIBLE, None, math.nan, iters, None,
-                counters=PivotCounters(
-                    dual_pivots=iters, refactorizations=refactors,
-                    bound_flips=flips_total, ftran_sparsity=ftran_sparse,
-                ),
-            )
-        cand.sort(key=lambda t: t[0])
-
-        # Bound-flipping ratio test: flip boxed candidates while the dual
-        # slope stays positive; the first blocker enters.
-        slope = worst
-        flips: List[int] = []
-        entering = -1
-        for ratio, j, dirj in cand:
-            gain = dirj if dirj > 0.0 else -dirj
-            gain *= up[j] - lo[j]
-            if math.isfinite(gain) and slope - gain > FEAS_TOL:
-                flips.append(j)
-                slope -= gain
-            else:
-                entering = j
-                break
-        if entering == -1:
-            return RevisedResult(
-                RevisedStatus.INFEASIBLE, None, math.nan, iters, None,
-                counters=PivotCounters(
-                    dual_pivots=iters, refactorizations=refactors,
-                    bound_flips=flips_total, ftran_sparsity=ftran_sparse,
-                ),
-            )
-
-        # Entering column w = B^{-1} A_q and the pivot element.
-        ce = cols[entering]
-        w = [0.0] * m
-        nnz = 0
-        for i in range(m):
-            bi = binv[i]
-            acc = 0.0
-            for k in range(m):
-                acc += bi[k] * ce[k]
-            w[i] = acc
-            if acc != 0.0:
-                nnz += 1
-        if 2 * nnz <= m:
-            ftran_sparse += 1
-        wr = w[row]
-        if -PIVOT_TOL < wr < PIVOT_TOL:
-            return None  # tiny pivot: let the vector engine sort it out
-
-        if flips:
-            # Status swaps plus the rhs shift of each flipped column.
-            for j in flips:
-                span = up[j] - lo[j]
-                if status[j] == AT_LB:
-                    status[j] = AT_UB
-                    delta = span
-                else:
-                    status[j] = AT_LB
-                    delta = -span
-                cj = cols[j]
-                for i in range(m):
-                    bi = binv[i]
-                    acc = 0.0
-                    for k in range(m):
-                        acc += bi[k] * cj[k]
-                    xb[i] -= delta * acc
-            flips_total += len(flips)
-
-        leaving = basic[row]
-        # Dual step: d stays current through one scalar AXPY over the
-        # movable nonbasics; the leaving column lands on -theta exactly.
-        theta = d[entering] / wr
-        if theta != 0.0:
-            for j, aj in alphas:
-                if aj != 0.0:
-                    d[j] -= theta * aj
-        d[entering] = 0.0
-        d[leaving] = -theta
-
-        # Primal step: leaving travels to its violated bound.
-        target = lo[leaving] if row_below else up[leaving]
-        v_ent = up[entering] if status[entering] == AT_UB else lo[entering]
-        t_primal = (xb[row] - target) / wr
-        if t_primal != 0.0:
-            for i in range(m):
-                xb[i] -= w[i] * t_primal
-        xb[row] = v_ent + t_primal
-
-        status[entering] = BASIC
-        status[leaving] = AT_LB if row_below else AT_UB
-        basic[row] = entering
-
-        # Product-form inverse update.
-        brow = binv[row]
-        for k in range(m):
-            brow[k] /= wr
-        for i in range(m):
-            if i == row:
-                continue
-            wi = w[i]
-            if wi != 0.0:
-                bi = binv[i]
-                for k in range(m):
-                    bi[k] -= wi * brow[k]
-        iters += 1
-        if iters % REFACTOR_EVERY == 0:
-            # Same safeguard cadence as the dense kernel; at this size a
-            # fresh inverse costs a few microseconds.
-            try:
-                binv = np.linalg.inv(sf.a[:, basic]).tolist()
-            except np.linalg.LinAlgError:
-                return None
-            refactors += 1
-
-    # Certify: recompute reduced costs from scratch and require dual
-    # feasibility (any improving column means primal work remains — the
-    # general engine finishes it), then verify the assembled point.
-    y = [0.0] * m
-    for i in range(m):
-        cb = cost[basic[i]]
-        if cb != 0.0:
-            bi = binv[i]
-            for k in range(m):
-                y[k] += cb * bi[k]
-    for j in range(ncols):
-        s = status[j]
-        if s == BASIC or up[j] - lo[j] <= FEAS_TOL:
-            continue
-        cj = cols[j]
-        acc = 0.0
-        for k in range(m):
-            acc += y[k] * cj[k]
-        dj = cost[j] - acc
-        if s == AT_LB:
-            if dj < -DUAL_TOL:
-                return None
-        elif dj > DUAL_TOL:
-            return None
-
-    xs = [0.0] * ncols
-    for j in range(ncols):
-        xs[j] = up[j] if status[j] == AT_UB else lo[j]
-    for i in range(m):
-        xs[basic[i]] = xb[i]
-    scale = 1.0
-    for v in sf.b.tolist():
-        av = -v if v < 0.0 else v
-        if av + 1.0 > scale:
-            scale = av + 1.0
-    tol = 1e-6 * scale
-    bl = sf.b.tolist()
-    for i in range(m):
-        ar = rows_l[i]
-        acc = 0.0
-        for j in range(ncols):
-            xj = xs[j]
-            if xj != 0.0:
-                acc += ar[j] * xj
-        if not (-tol <= acc - bl[i] <= tol):
-            return None
-    for j in range(ncols):
-        xj = xs[j]
-        if xj < lo[j] - 1e-6 or xj > up[j] + 1e-6:
-            return None
-
-    objective = sf.c0
-    for j in range(n):
-        cj = cost[j]
-        if cj != 0.0:
-            objective += cj * xs[j]
-    return RevisedResult(
-        RevisedStatus.OPTIMAL,
-        np.array(xs[:n]),
-        float(objective),
-        iters,
-        Basis(
-            np.array(basic, dtype=basis.basic.dtype),
-            np.array(status, dtype=basis.status.dtype),
-        ),
-        counters=PivotCounters(
-            dual_pivots=iters, refactorizations=refactors,
-            bound_flips=flips_total, ftran_sparsity=ftran_sparse,
-        ),
-    )
-
 
 def solve_revised(
     sf: StandardFormLP,
     basis: Optional[Basis] = None,
     max_iterations: int = 20_000,
-    want_reduced_costs: bool = False,
 ) -> RevisedResult:
     """Solve ``sf``, optionally warm-starting from a previous basis.
 
@@ -979,8 +629,6 @@ def solve_revised(
             input is copied, never mutated.  ``None`` means cold start
             from the all-logical basis.
         max_iterations: Pivot budget; exceeding it yields NEEDS_FALLBACK.
-        want_reduced_costs: Capture structural reduced costs on the
-            optimal result (costs one extra BTRAN + pricing product).
 
     Returns:
         A :class:`RevisedResult`; on OPTIMAL its ``basis`` warm-starts the
@@ -991,17 +639,9 @@ def solve_revised(
     if sf.m == 0:
         return RevisedResult(RevisedStatus.NEEDS_FALLBACK, None, math.nan, 0, None)
     warm = basis is not None
-    if warm and not want_reduced_costs and sf.m <= MICRO_KERNEL_MAX:
-        micro = _solve_micro(sf, basis, max_iterations)
-        if micro is not None:
-            return micro
     if basis is None:
         basis = sf.logical_basis()
-    engine = _Engine(
-        sf, basis.copy(), max_iterations, warm=warm,
-        want_reduced_costs=want_reduced_costs,
-    )
-    return engine.run()
+    return _Engine(sf, basis.copy(), max_iterations, warm=warm).run()
 
 
 def solve_with_fallback(
@@ -1059,14 +699,12 @@ class _Engine:
         basis: Basis,
         max_iterations: int,
         warm: bool = False,
-        want_reduced_costs: bool = False,
     ) -> None:
         self.sf = sf
         self.basic = basis.basic
         self.status = basis.status
         self.max_iterations = max_iterations
         self.warm = warm
-        self.want_reduced_costs = want_reduced_costs
         self.iterations = 0
         self.counters = PivotCounters()
         self.factor = _pick_factor(sf)
@@ -1264,14 +902,10 @@ class _Engine:
             return self._bail()
         structural = x[: sf.n].copy()
         objective = float(sf.cost[: sf.n] @ structural) + sf.c0
-        reduced = None
-        if self.want_reduced_costs:
-            reduced = self.reduced_costs()[: sf.n].copy()
         return RevisedResult(
             RevisedStatus.OPTIMAL, structural, objective, self.iterations,
             Basis(self.basic.copy(), self.status.copy()),
             counters=self.counters,
-            reduced_costs=reduced,
         )
 
     # -- dual simplex -------------------------------------------------------

@@ -91,7 +91,7 @@ class TestLpRelaxationBound:
 
 class TestCostBound:
     def test_single_covering_type(self):
-        # p2 covers all of example1 at cost 5; p1 covers all at cost 4.
+        # Some example1 subtask runs only on types costing 4 or more.
         assert cost_lower_bound(example1(), example1_library()) == 4.0
 
     def test_safe_against_table_ii(self):
@@ -113,3 +113,25 @@ class TestCostBound:
         )
         # Both must be bought; the bound is the max of per-task cheapest.
         assert cost_lower_bound(graph, library) == 9.0
+
+    def test_partial_types_undercut_the_full_cover(self):
+        """Two cheap types that each cover part of the graph beat the one
+        type covering all of it, so the bound must not be the cover price."""
+        from tests.conftest import make_library
+
+        from repro.taskgraph.graph import TaskGraph
+
+        graph = TaskGraph()
+        for name in ("A", "B", "C"):
+            graph.add_subtask(name)
+        graph.connect("A", "B")
+        graph.connect("B", "C")
+        library = make_library(
+            {
+                "full": (7, {"A": 1, "B": 1, "C": 1}),
+                "left": (2, {"A": 1, "B": 1}),
+                "right": (2, {"B": 1, "C": 1}),
+            }
+        )
+        # "left" + "right" cost 4 < 7 and run every subtask.
+        assert cost_lower_bound(graph, library) == 2.0

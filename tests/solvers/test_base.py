@@ -28,6 +28,7 @@ class TestSolverOptions:
         ("branching", "pseudocost"),
         ("strong_branching", 8),
         ("cut_rounds", 5),
+        ("seed", 0),  # nothing read it: bozo makes no randomized choice
     ])
     def test_removed_search_fields_are_rejected(self, field, value):
         # Bozo's search policy is fixed; even the old default is refused.
@@ -35,7 +36,7 @@ class TestSolverOptions:
             SolverOptions(**{field: value})
 
     def test_field_count(self):
-        assert len(dataclasses.fields(SolverOptions)) == 13
+        assert len(dataclasses.fields(SolverOptions)) == 12
 
 
 class TestSolverAbc:

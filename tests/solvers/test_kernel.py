@@ -1,7 +1,7 @@
-"""Property tests for the simplex hot path: devex, flips, micro kernel.
+"""Property tests for the simplex hot path: devex, flips, cut tailing-off.
 
-Four claims the hot path makes, each checked against the dense tableau
-oracle, HiGHS, or the solver's own alternative code path:
+Three claims the hot path makes, checked against the dense tableau
+oracle, HiGHS, or the cut loop's own trace events:
 
 * **Devex pricing is exact** — the only pricing rule must land on the
   oracle's optimal objective on every LP, cold and warm, and Bozo's
@@ -9,10 +9,6 @@ oracle, HiGHS, or the solver's own alternative code path:
 * **The bound-flipping ratio test is exact** — long dual steps through
   boxed columns must reproduce the oracle objective while actually
   flipping (the counter proves the path is exercised).
-* **The scalar micro kernel is invisible** — on tiny warm re-solves it
-  must agree with the vector engine, decline anything it cannot certify
-  (free columns), never mutate its inputs, and leave the branch-and-bound
-  tree byte-identical to the general path.
 * **The cut loop knows when to stop** — once cuts stop closing root gap
   the loop exits early with ``reason="tailing_off"`` on its trace event.
 """
@@ -26,25 +22,14 @@ import pytest
 
 from repro.milp.model import Model, VarType
 from repro.obs import MemoryTraceSink
-from repro.solvers import bozo, revised
+from repro.solvers import bozo
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 from repro.solvers.highs import HighsSolver
-from repro.solvers.revised import (
-    AT_FREE,
-    Basis,
-    RevisedStatus,
-    StandardFormLP,
-    _solve_micro,
-    solve_revised,
-)
+from repro.solvers.revised import RevisedStatus, StandardFormLP, solve_revised
 from repro.solvers.simplex import solve_lp
 from tests.solvers.instances import market_split
-from tests.solvers.test_revised import (
-    OBJECTIVE_TOL,
-    assert_matches_oracle,
-    random_sos_like_lp,
-)
+from tests.solvers.test_revised import assert_matches_oracle, random_sos_like_lp
 
 
 def branch_chain(rng, sf, lb, ub, steps=6):
@@ -191,94 +176,6 @@ class TestDegeneracy:
         result = solve_revised(sf)
         assert result.status is RevisedStatus.OPTIMAL
         assert result.objective == pytest.approx(0.0)
-
-
-class TestMicroKernel:
-    def _warm_pairs(self, seed, cases=15):
-        """(sf, basis, lb, ub) tuples whose next solve is micro-eligible."""
-        rng = np.random.default_rng(seed)
-        for _ in range(cases):
-            c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
-            sf = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            if sf.m > revised.MICRO_KERNEL_MAX:
-                continue
-            root = solve_revised(sf)
-            if root.status is not RevisedStatus.OPTIMAL:
-                continue
-            yield rng, sf, root.basis, lb, ub, (c, a_ub, b_ub, a_eq, b_eq)
-
-    def test_micro_agrees_with_general_engine(self):
-        """Wherever the micro kernel answers, the vector engine (forced
-        via want_reduced_costs) must produce the same status/objective."""
-        answered = 0
-        for rng, sf, basis, lb, ub, data in self._warm_pairs(51):
-            c, a_ub, b_ub, a_eq, b_eq = data
-            for cur_lb, cur_ub in branch_chain(rng, sf, lb, ub):
-                sf.set_bounds(cur_lb, cur_ub)
-                micro = _solve_micro(sf, basis, 20_000)
-                general = solve_revised(sf, basis, want_reduced_costs=True)
-                if micro is None:
-                    continue
-                answered += 1
-                assert micro.status == general.status
-                if micro.status is RevisedStatus.OPTIMAL:
-                    scale = 1.0 + abs(general.objective)
-                    assert abs(micro.objective - general.objective) <= (
-                        OBJECTIVE_TOL * scale
-                    )
-                    dense = solve_lp(
-                        c, a_ub, b_ub, a_eq, b_eq, cur_lb, cur_ub
-                    )
-                    assert_matches_oracle(micro, dense)
-                    basis = micro.basis
-        assert answered >= 25  # the kernel must actually engage
-
-    def test_micro_declines_free_columns(self):
-        """A basis carrying AT_FREE is outside the kernel's contract."""
-        c = np.array([1.0, 1.0])
-        sf = StandardFormLP(
-            c, np.array([[1.0, 1.0]]), np.array([1.5]),
-            np.zeros((0, 2)), np.zeros(0),
-            np.array([-np.inf, 0.0]), np.array([np.inf, 1.0]),
-        )
-        basis = sf.logical_basis()
-        assert AT_FREE in basis.status.tolist()
-        assert _solve_micro(sf, basis, 20_000) is None
-
-    def test_micro_never_mutates_inputs(self):
-        """The input form and basis must survive a micro solve untouched
-        (branch-and-bound children share a parent's basis)."""
-        c = np.array([1.0, 2.0])
-        sf = StandardFormLP(
-            c, np.array([[1.0, 1.0]]), np.array([1.5]),
-            np.zeros((0, 2)), np.zeros(0), np.zeros(2), np.ones(2),
-        )
-        root = solve_revised(sf)
-        assert root.status is RevisedStatus.OPTIMAL
-        snapshot = Basis(root.basis.basic.copy(), root.basis.status.copy())
-        lo, up = sf.lo.copy(), sf.up.copy()
-        sf.set_bounds(np.zeros(2), np.array([1.0, 0.0]))
-        lo2, up2 = sf.lo.copy(), sf.up.copy()
-        result = _solve_micro(sf, root.basis, 20_000)
-        assert result is not None
-        assert np.array_equal(root.basis.basic, snapshot.basic)
-        assert np.array_equal(root.basis.status, snapshot.status)
-        assert np.array_equal(sf.lo, lo2) and np.array_equal(sf.up, up2)
-
-    def test_micro_keeps_the_tree_byte_identical(self, monkeypatch):
-        """Disabling the micro kernel must not change the search at all:
-        same objective, same node count, same pivot count.  Root cuts are
-        off: on the cut-augmented root LP the two kernels take different
-        pivot paths to the same optimum (209 against 211 pivots here)."""
-        model = market_split(3, 10, 0)
-        options = SolverOptions(cuts="off")
-        with_micro = BozoSolver(options).solve(model)
-        monkeypatch.setattr(revised, "MICRO_KERNEL_MAX", 0)
-        without = BozoSolver(options).solve(model)
-        assert with_micro.stats.strong_branch_probes > 0
-        assert with_micro.objective == pytest.approx(without.objective)
-        assert with_micro.stats.nodes == without.stats.nodes
-        assert with_micro.stats.lp_pivots == without.stats.lp_pivots
 
 
 def tailing_model(cycle=5, binaries=8, seed=0):

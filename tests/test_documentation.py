@@ -113,6 +113,8 @@ CITING_DOCS = [
 CITED_PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|tests|sosbench)/[\w./-]*)")
 #: A bench cited by bare file name, e.g. ``bench_table_ii.py``.
 CITED_BENCH = re.compile(r"(?<![\w/.-])(bench_\w+\.py)\b")
+#: A module constant cited with its value, e.g. ``DENSE_KERNEL_MAX`` = 96.
+CITED_CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]*)` = (-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)")
 
 
 class TestCitedPaths:
@@ -123,3 +125,19 @@ class TestCitedPaths:
         cited += [f"benchmarks/{name}" for name in CITED_BENCH.findall(text)]
         missing = sorted({path for path in cited if not (REPO_ROOT / path).exists()})
         assert not missing, f"{doc.name} cites missing files: {missing}"
+
+    @pytest.mark.parametrize("doc", CITING_DOCS, ids=lambda p: p.name)
+    def test_every_cited_constant_has_its_value(self, doc):
+        """A knob the docs quote must exist in some module with that value,
+        so deleting or retuning it cannot leave the docs stale."""
+        defined = {}
+        for module in ALL_MODULES:
+            for name, value in vars(module).items():
+                if name.isupper() and type(value) in (int, float):
+                    defined.setdefault(name, set()).add(value)
+        stale = sorted(
+            f"{name} = {text}"
+            for name, text in CITED_CONSTANT.findall(doc.read_text())
+            if float(text) not in defined.get(name, set())
+        )
+        assert not stale, f"{doc.name} cites constants no module defines: {stale}"

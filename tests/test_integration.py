@@ -8,7 +8,7 @@ whole chain on random instances with both solver backends.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.bounds import cost_lower_bound, makespan_lower_bound
 from repro.baselines.heuristic_synthesis import heuristic_pareto
@@ -69,6 +69,7 @@ class TestMilpSimulatorCrossValidation:
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10_000))
+@example(seed=2755)  # two partial types undercut the one full-cover type
 def test_random_instance_full_chain(seed):
     """Exact synthesis on random instances: validator-clean designs whose
     makespan respects the analytic lower bounds and heuristic upper bounds."""
