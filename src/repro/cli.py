@@ -376,18 +376,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.service.asgi import create_async_server
 
-    executor = "thread" if args.solve_processes < 1 else "process"
+    solve_processes = max(0, args.solve_processes)
     server = create_async_server(
         host=args.host, port=args.port, workers=args.job_workers,
         cache=cache, trace=sink, verbose=args.verbose,
-        executor=executor, solve_processes=max(1, args.solve_processes),
-        max_queued=args.max_queued,
+        solve_processes=solve_processes, max_queued=args.max_queued,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst,
     ).start()
     print(f"serving on {server.url} "
-          f"({args.job_workers} job worker(s), {executor} executor"
-          + (f", {max(1, args.solve_processes)} solve process(es)"
-             if executor == "process" else "")
+          f"({args.job_workers} job worker(s), "
+          + (f"process executor, {solve_processes} solve process(es)"
+             if solve_processes else "thread executor")
           + f", cache budget {args.cache_bytes} bytes"
           + (f", disk tier {args.cache_dir}" if args.cache_dir else "")
           + ")")

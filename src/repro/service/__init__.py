@@ -4,9 +4,8 @@ The serving layer over :mod:`repro.synthesis` (see ``docs/service.md``):
 
 * :mod:`~repro.service.fingerprint` — canonical, ``PYTHONHASHSEED``-stable
   content hashes of synthesis requests;
-* :mod:`~repro.service.cache` — a content-addressed result store built
-  on the :class:`~repro.service.cache.CacheBackend` protocol (in-memory
-  LRU, sharded disk, composable tiers);
+* :mod:`~repro.service.cache` — the content-addressed result store: a
+  byte-bounded in-memory LRU, optionally over a sharded disk directory;
 * :mod:`~repro.service.jobs` — the job manager: priority queue,
   single-flight dedup, per-job deadlines, cooperative cancellation,
   retries, backpressure, and dispatch onto threads or the process pool;
@@ -31,15 +30,7 @@ Quick start::
 
 from repro.service.api import ApiResponse, ServiceApi
 from repro.service.asgi import AsgiApp, AsyncHTTPServer, create_app, create_async_server
-from repro.service.cache import (
-    DEFAULT_BYTE_BUDGET,
-    CacheBackend,
-    CacheEntryError,
-    MemoryCacheBackend,
-    ResultCache,
-    ShardedDiskBackend,
-    TieredCacheBackend,
-)
+from repro.service.cache import DEFAULT_BYTE_BUDGET, CacheEntryError, ResultCache
 from repro.service.fingerprint import (
     FINGERPRINT_VERSION,
     canonical_request,
@@ -66,7 +57,6 @@ __all__ = [
     "AsgiApp",
     "AsyncHTTPServer",
     "CANCELLED",
-    "CacheBackend",
     "CacheEntryError",
     "DEFAULT_BYTE_BUDGET",
     "DONE",
@@ -75,19 +65,16 @@ __all__ = [
     "Job",
     "JobManager",
     "LatencyHistogram",
-    "MemoryCacheBackend",
     "QUEUED",
     "QueueFullError",
     "RUNNING",
     "ResultCache",
     "ServiceApi",
     "ServiceMetrics",
-    "ShardedDiskBackend",
     "SolvePool",
     "SolvePoolBrokenError",
     "SweepRequest",
     "SynthesizeRequest",
-    "TieredCacheBackend",
     "TokenBucket",
     "create_app",
     "create_async_server",

@@ -543,6 +543,8 @@ class ServiceApi:
         counter("cache_hits_total", "Result-cache hits.", cache.get("hits"))
         counter("cache_misses_total", "Result-cache misses.", cache.get("misses"))
         counter("cache_stores_total", "Result-cache stores.", cache.get("stores"))
+        counter("cache_store_errors_total",
+                "Result-cache disk writes that failed.", cache.get("store_errors"))
         gauge("cache_entries", "Result-cache entries resident.",
               cache.get("entries"))
         gauge("cache_bytes", "Result-cache bytes resident.", cache.get("bytes"))

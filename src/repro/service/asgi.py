@@ -134,7 +134,6 @@ def create_app(
     workers: int = 2,
     cache: Optional[ResultCache] = None,
     trace=None,
-    executor: str = "process",
     solve_processes: int = 2,
     max_queued: Optional[int] = None,
     rate_limit: Optional[float] = None,
@@ -147,8 +146,8 @@ def create_app(
         workers: Job-manager dispatcher threads.
         cache: Shared result cache; defaults to a fresh in-memory cache.
         trace: Optional trace sink for ``job_status``/``cache_*`` events.
-        executor: ``"process"`` (default — real cores) or ``"thread"``.
-        solve_processes: Solve pool size for the process executor.
+        solve_processes: Solve pool size (default 2 — real cores); ``0``
+            runs solves on the dispatcher threads.
         max_queued: Queue bound; excess submissions answer 429.
         rate_limit: Sustained submissions/second (token bucket); ``None``
             disables rate limiting.
@@ -159,7 +158,7 @@ def create_app(
         if cache is None:
             cache = ResultCache(trace=trace)
         manager = JobManager(
-            workers=workers, cache=cache, trace=trace, executor=executor,
+            workers=workers, cache=cache, trace=trace,
             solve_processes=solve_processes, max_queued=max_queued,
         )
     api = ServiceApi(manager, rate_limit=rate_limit, rate_burst=rate_burst)
@@ -458,7 +457,6 @@ def create_async_server(
     cache: Optional[ResultCache] = None,
     trace=None,
     verbose: bool = False,
-    executor: str = "process",
     solve_processes: int = 2,
     max_queued: Optional[int] = None,
     rate_limit: Optional[float] = None,
@@ -472,7 +470,7 @@ def create_async_server(
     :meth:`AsyncHTTPServer.serve_forever` (blocking).
     """
     app = create_app(
-        workers=workers, cache=cache, trace=trace, executor=executor,
+        workers=workers, cache=cache, trace=trace,
         solve_processes=solve_processes, max_queued=max_queued,
         rate_limit=rate_limit, rate_burst=rate_burst,
     )

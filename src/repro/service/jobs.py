@@ -20,7 +20,7 @@ bookkeeping.  What the manager adds over a bare thread pool:
   node through :attr:`SolverOptions.should_stop
   <repro.solvers.base.SolverOptions.should_stop>`; a running solve
   unwinds with :class:`~repro.errors.CancelledError` within one node.
-  Under ``executor="process"`` the hook crosses into the solve pool
+  With a solve pool (``solve_processes >= 1``) the hook crosses into it
   through its shared cancel flags (below).
 * **Per-job deadlines** — a wall-clock budget counted from submission,
   mapped onto ``SolverOptions.time_limit`` for each underlying solve and
@@ -30,7 +30,7 @@ bookkeeping.  What the manager adds over a bare thread pool:
   pool, an OS-level hiccup) are retried with exponential backoff capped
   at the job's remaining deadline budget; infeasibility, unknown
   solvers, and cancellations are permanent and never retried.
-* **Multi-process execution** (``executor="process"``) — solves run on a
+* **Multi-process execution** (``solve_processes >= 1``) — solves run on a
   persistent :class:`~repro.service.procpool.SolvePool` of worker
   *processes* instead of the manager's own threads, so CPU-bound jobs
   scale past the GIL.  The manager threads become dispatchers: they poll
@@ -349,11 +349,10 @@ class JobManager:
             themselves stay available through the cache.
         trace: Optional :class:`~repro.obs.sinks.TraceSink` receiving
             ``job_status`` events at every state transition.
-        executor: ``"thread"`` runs solves on the manager's own worker
-            threads (the PR 4 behaviour); ``"process"`` runs them on a
-            persistent :class:`~repro.service.procpool.SolvePool` so
-            CPU-bound solves use real cores.
-        solve_processes: Pool size for ``executor="process"``.
+        solve_processes: Size of a persistent
+            :class:`~repro.service.procpool.SolvePool` the solves run on,
+            so CPU-bound solves use real cores.  ``0`` (default) runs
+            solves on the manager's own worker threads.
         max_queued: Bound on QUEUED jobs; submissions past it raise
             :class:`QueueFullError`.  Cache and dedup hits are never
             refused.  ``None`` (default) is unbounded.
@@ -367,16 +366,15 @@ class JobManager:
         retry_backoff: float = 0.1,
         max_finished_jobs: int = 256,
         trace=None,
-        executor: str = "thread",
-        solve_processes: int = 2,
+        solve_processes: int = 0,
         max_queued: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("JobManager needs at least one worker thread")
         if max_finished_jobs < 0:
             raise ValueError("max_finished_jobs must be nonnegative")
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
+        if solve_processes < 0:
+            raise ValueError("solve_processes must be nonnegative")
         if max_queued is not None and max_queued < 1:
             raise ValueError("max_queued must be at least 1 (or None)")
         self.cache = cache
@@ -385,7 +383,7 @@ class JobManager:
         self.max_finished_jobs = max_finished_jobs
         self.max_queued = max_queued
         self._pool = None
-        if executor == "process":
+        if solve_processes > 0:
             from repro.service.procpool import SolvePool
 
             self._pool = SolvePool(processes=solve_processes)

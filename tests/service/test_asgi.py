@@ -284,7 +284,7 @@ class TestLegacyCompat:
 class TestBackpressure:
     def test_rate_limit_answers_429_with_retry_after(self):
         server = create_async_server(
-            workers=1, executor="thread", rate_limit=0.5, rate_burst=1,
+            workers=1, solve_processes=0, rate_limit=0.5, rate_burst=1,
         ).start()
         try:
             status, _, _ = call(server, "POST", "/v1/synthesize", {
@@ -302,7 +302,7 @@ class TestBackpressure:
 
     def test_queue_full_answers_429(self, gate_solver):
         server = create_async_server(
-            workers=1, executor="thread", max_queued=1,
+            workers=1, solve_processes=0, max_queued=1,
         ).start()
         try:
             bodies = [
@@ -332,7 +332,7 @@ class TestBackpressure:
         """A hit is answered on admission: not queued behind the gated
         solve, not counted against max_queued, 200 whatever ``wait`` says."""
         server = create_async_server(
-            workers=1, executor="thread", max_queued=1,
+            workers=1, solve_processes=0, max_queued=1,
         ).start()
         try:
             cached = {"problem": "example1", "solver": "highs", "wait": True}
@@ -399,7 +399,7 @@ class TestAsyncServerMechanics:
         assert reply.startswith(b"HTTP/1.1 413 ")
 
     def test_close_is_idempotent(self):
-        server = create_async_server(workers=1, executor="thread").start()
+        server = create_async_server(workers=1, solve_processes=0).start()
         server.close()
         server.close()
 
@@ -481,7 +481,7 @@ class TestAsgiContract:
             manager.shutdown()
 
     def test_lifespan_startup_shutdown(self):
-        app = create_app(workers=1, executor="thread")
+        app = create_app(workers=1, solve_processes=0)
         scope = {"type": "lifespan"}
         messages = [{"type": "lifespan.startup"},
                     {"type": "lifespan.shutdown"}]

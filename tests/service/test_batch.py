@@ -141,8 +141,7 @@ class TestBatchedFrontsByteIdentical:
         self, ex1_graph, ex1_library
     ):
         targets = [2, 3, 4]
-        with JobManager(workers=2, executor="process",
-                        solve_processes=2) as manager:
+        with JobManager(workers=2, solve_processes=2) as manager:
             jobs = [
                 manager.submit(SweepRequest(ex1_graph, ex1_library,
                                             max_designs=t))

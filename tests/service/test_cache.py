@@ -1,13 +1,18 @@
 """Tests for the content-addressed result cache."""
 
+import errno
 import json
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.obs.events import check_schema
 from repro.obs.sinks import MemoryTraceSink
-from repro.service.cache import ResultCache
+from repro.service.cache import CacheEntryError, ResultCache
 from repro.service.fingerprint import fingerprint_request
+from repro.service.jobs import DONE, JobManager, SynthesizeRequest
 from repro.synthesis.io import design_to_document
 from repro.synthesis.synthesizer import Synthesizer
 
@@ -142,11 +147,13 @@ class TestTypedHelpers:
         assert json.dumps(design_to_document(restored), sort_keys=True) == \
             json.dumps(design_to_document(design), sort_keys=True)
 
-    def test_kind_mismatch_returns_none(self, solved):
+    def test_kind_mismatch_raises(self, solved):
         graph, library, design = solved
         cache = ResultCache()
         cache.put_design("aa" * 32, design)
-        assert cache.get_front("aa" * 32, graph, library) is None
+        with pytest.raises(CacheEntryError):
+            cache.get_front("aa" * 32, graph, library)
+        assert cache.stats()["stores"] == 1  # never re-solved or overwritten
 
     def test_front_round_trip_via_sweep_cache(self, solved):
         """Acceptance: cached and fresh Table II fronts are byte-identical."""
@@ -160,89 +167,172 @@ class TestTypedHelpers:
 
 
 class TestCacheBackends:
-    """The pluggable CacheBackend tier implementations."""
-
-    def test_memory_backend_reports_evictions_via_callback(self):
-        from repro.service.cache import MemoryCacheBackend
-
-        evicted = []
-        backend = MemoryCacheBackend(
-            byte_budget=64, on_evict=lambda key, size: evicted.append(key)
-        )
-        backend.put("a", b"x" * 40)
-        backend.put("b", b"y" * 40)  # over budget: "a" must go
-        assert backend.get("a") is None
-        assert backend.get("b") == b"y" * 40
-        assert evicted == ["a"]
-        assert backend.stats()["evictions"] == 1
-
-    def test_sharded_disk_layout_and_atomic_survival(self, tmp_path):
-        from repro.service.cache import ShardedDiskBackend
-
-        backend = ShardedDiskBackend(tmp_path)
-        backend.put("abcdef", b"{}")
-        assert (tmp_path / "ab" / "abcdef.json").is_file()
-        assert not list(tmp_path.glob("**/.*tmp"))  # no temp litter
-        # A fresh backend over the same directory sees the entry.
-        assert ShardedDiskBackend(tmp_path).get("abcdef") == b"{}"
-        backend.clear()  # persistent tier: clear is a no-op by contract
-        assert backend.contains("abcdef")
+    """The memory LRU and the disk directory behind the one ResultCache
+    (the ``backend`` block of its stats)."""
 
     def test_tiered_readthrough_promotes_deep_hits(self, tmp_path):
-        from repro.service.cache import (
-            MemoryCacheBackend,
-            ShardedDiskBackend,
-            TieredCacheBackend,
-        )
-
-        memory = MemoryCacheBackend(byte_budget=1 << 20)
-        disk = ShardedDiskBackend(tmp_path)
-        tiered = TieredCacheBackend(memory, disk)
-        disk.put("deep", b'{"k": 1}')  # only on disk, as after a restart
-        assert memory.get("deep") is None
-        assert tiered.get("deep") == b'{"k": 1}'
-        # The hit was re-admitted into the faster tier.
-        assert memory.get("deep") == b'{"k": 1}'
-        tiered.put("both", b"{}")
-        assert memory.contains("both") and disk.contains("both")
-        stats = tiered.stats()
-        assert [t["backend"] for t in stats["tiers"]] == ["memory", "disk"]
+        ResultCache(directory=tmp_path).put("deep", "design", doc("k"))
+        reborn = ResultCache(directory=tmp_path)
+        assert len(reborn) == 0 and "deep" in reborn
+        assert reborn.get("deep")["payload"] == doc("k")
+        assert len(reborn) == 1
+        (tmp_path / "de" / "deep.json").unlink()
+        assert reborn.get("deep")["payload"] == doc("k")  # from memory now
 
     def test_oversized_entries_skip_memory_but_reach_disk(self, tmp_path):
-        from repro.service.cache import (
-            MemoryCacheBackend,
-            ShardedDiskBackend,
-            TieredCacheBackend,
-        )
+        cache = ResultCache(byte_budget=16, directory=tmp_path)
+        cache.put("big", "design", doc("z", pad=64))
+        assert len(cache) == 0 and cache.stats()["bytes"] == 0
+        assert (tmp_path / "bi" / "big.json").is_file()
+        assert cache.get("big")["payload"] == doc("z", pad=64)
+        assert len(cache) == 0  # a disk hit too big for memory stays out
 
-        memory = MemoryCacheBackend(byte_budget=16)
-        tiered = TieredCacheBackend(memory, ShardedDiskBackend(tmp_path))
-        big = b"z" * 64
-        tiered.put("big", big)
-        assert len(memory) == 0
-        assert tiered.get("big") == big  # served by the disk tier
+    def test_sharded_disk_layout_and_atomic_survival(self, tmp_path):
+        cache = ResultCache(directory=tmp_path)
+        for key in ("abcdef", "abcdef", "ab1234"):
+            cache.put(key, "design", doc(key))
+        # No temp file is left behind.
+        assert sorted(p.name for p in tmp_path.rglob("*")) == \
+            ["ab", "ab1234.json", "abcdef.json"]
 
-    def test_result_cache_accepts_custom_backend(self, tmp_path):
-        from repro.service.cache import (
-            MemoryCacheBackend,
-            ResultCache,
-            ShardedDiskBackend,
-            TieredCacheBackend,
-        )
-
-        backend = TieredCacheBackend(
-            MemoryCacheBackend(byte_budget=1 << 20),
-            ShardedDiskBackend(tmp_path),
-        )
-        cache = ResultCache(backend=backend)
+    def test_second_cache_on_the_directory_reads_cold(self, tmp_path):
+        cache = ResultCache(directory=tmp_path)
         cache.put("k1", "design", doc("one"))
-        assert cache.get("k1")["payload"] == doc("one")
-        assert cache.directory == tmp_path
-        assert cache.stats()["backend"]["backend"] == "tiered"
-        # A second cache over the same disk tier sees the entry cold.
-        other = ResultCache(
-            backend=ShardedDiskBackend(tmp_path)
-        )
+        other = ResultCache(directory=tmp_path)
         assert other.get("k1")["payload"] == doc("one")
-        cache.close()
-        other.close()
+        assert other.stats()["hits"] == 1 and other.stats()["stores"] == 0
+
+    def test_clear_empties_memory_only(self, tmp_path):
+        cache = ResultCache(directory=tmp_path)
+        cache.put("k1", "design", doc("one"))
+        cache.clear()
+        assert len(cache) == 0 and "k1" in cache
+        assert cache.get("k1")["payload"] == doc("one")
+
+    def test_accounting_holds_under_concurrent_use(self, tmp_path):
+        cache = ResultCache(byte_budget=600, directory=tmp_path)
+        keys = [f"{n:02d}" * 32 for n in range(24)]
+
+        def hammer(offset):
+            for step in range(150):
+                key = keys[(offset + step) % len(keys)]
+                if cache.get(key) is None:
+                    cache.put(key, "design", doc(key[:2], pad=step % 90))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,))
+                       for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == 6 * 150
+        assert stats["stores"] == stats["misses"] and stats["store_errors"] == 0
+        assert cache._bytes == sum(map(len, cache._entries.values())) <= 600
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_stats_backend_shape_without_directory(self):
+        cache = ResultCache(byte_budget=1 << 20)
+        cache.put("k1", "design", doc("one"))
+        stats = cache.stats()
+        assert stats["backend"] == {
+            "backend": "memory", "entries": 1, "bytes": stats["bytes"],
+            "byte_budget": 1 << 20, "evictions": 0,
+        }
+        assert list(stats) == [
+            "hits", "misses", "stores", "store_errors", "evictions",
+            "entries", "bytes", "byte_budget", "directory", "backend",
+        ]
+
+    def test_stats_backend_shape_with_directory(self, tmp_path):
+        stats = ResultCache(byte_budget=1 << 20, directory=tmp_path).stats()
+        assert stats["directory"] == str(tmp_path)
+        assert stats["backend"] == {"backend": "tiered", "tiers": [
+            {"backend": "memory", "entries": 0, "bytes": 0,
+             "byte_budget": 1 << 20, "evictions": 0},
+            {"backend": "disk", "directory": str(tmp_path)},
+        ]}
+
+
+def _fill_disk_halfway(monkeypatch):
+    """Make every temp-file write store half its bytes, then hit ENOSPC."""
+    write_bytes = Path.write_bytes
+
+    def torn_write(path, data):
+        if not path.name.endswith(".tmp"):
+            return write_bytes(path, data)
+        write_bytes(path, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+
+
+def _untimed(document: dict) -> dict:
+    return {k: v for k, v in document.items() if k != "solve_seconds"}
+
+
+class TestDiskWriteFault:
+    def test_failed_write_keeps_the_entry_in_memory_only(self, tmp_path,
+                                                        monkeypatch):
+        sink = MemoryTraceSink()
+        cache = ResultCache(directory=tmp_path, trace=sink)
+        _fill_disk_halfway(monkeypatch)
+        cache.put("ab" * 32, "design", doc("a"))
+        assert list(tmp_path.rglob("*.*")) == []
+        stats = cache.stats()
+        assert (stats["stores"], stats["store_errors"]) == (0, 1)
+        assert cache.get_payload("ab" * 32, "design") == doc("a")
+        assert [e.type for e in sink.events] == ["cache_hit"]
+
+    def test_job_finishes_and_a_later_solve_stores_normally(
+            self, tmp_path, monkeypatch, ex1_graph, ex1_library):
+        def request():
+            return SynthesizeRequest(ex1_graph, ex1_library, solver="highs",
+                                     cost_cap=7.0)
+
+        key = request().fingerprint()
+        shard = tmp_path / key[:2]
+        with monkeypatch.context() as patch:
+            _fill_disk_halfway(patch)
+            with JobManager(workers=1,
+                            cache=ResultCache(directory=tmp_path)) as manager:
+                job = manager.submit(request())
+                assert job.wait(60)
+                cache_stats = manager.stats()["cache"]
+        assert job.status == DONE, job.error
+        fresh = request().document_of(request().run(None))
+        assert _untimed(job.document) == _untimed(fresh)
+        assert list(shard.glob("*.tmp")) == []
+        assert not (shard / f"{key}.json").exists()
+        assert (cache_stats["stores"], cache_stats["store_errors"]) == (0, 1)
+
+        cache = ResultCache(directory=tmp_path)
+        with JobManager(workers=1, cache=cache) as manager:
+            again = manager.submit(request())
+            assert again.wait(60) and again.status == DONE
+        assert not again.cached
+        assert _untimed(again.document) == _untimed(job.document)
+        assert (cache.stats()["stores"], cache.stats()["store_errors"]) == (1, 0)
+        assert json.loads((shard / f"{key}.json").read_bytes())["payload"] \
+            == again.document
+
+
+class TestEnvelopeOnTheLibraryPath:
+    def test_wrong_fingerprint_raises_instead_of_being_served(
+            self, tmp_path, ex1_graph, ex1_library):
+        synthesizer = Synthesizer(ex1_graph, ex1_library, solver="highs")
+        cache = ResultCache(directory=tmp_path)
+        design = synthesizer.synthesize(cost_cap=7.0, cache=cache)
+        key = next(tmp_path.rglob("*.json")).stem
+        forged = {"kind": "design", "fingerprint": "0" * 64,
+                  "payload": design_to_document(design)}
+        (tmp_path / key[:2] / f"{key}.json").write_text(json.dumps(forged))
+        with pytest.raises(CacheEntryError):
+            synthesizer.synthesize(cost_cap=7.0,
+                                   cache=ResultCache(directory=tmp_path))

@@ -82,15 +82,18 @@ class TestStoredDocumentServed:
         assert hit.result is result  # rebuilt once
 
     @pytest.mark.parametrize("mismatch", ["kind", "fingerprint"])
-    def test_mismatched_entry_answers_500_and_is_never_served(self, mismatch):
-        cache = ResultCache()
+    def test_mismatched_entry_answers_500_and_is_never_served(self, mismatch,
+                                                               tmp_path):
+        cache = ResultCache(directory=tmp_path)
         with served(cache) as api:
             miss = post(api, "synthesize", BODIES["synthesize"])
             key = miss.document["fingerprint"]
             entry = {"kind": "design", "fingerprint": key,
                      "payload": miss.document["result"]}
             entry[mismatch] = {"kind": "front", "fingerprint": "0" * 64}[mismatch]
-            cache.backend.put(key, json.dumps(entry).encode())
+            # A stale or tampered disk entry, read once memory is emptied.
+            (tmp_path / key[:2] / f"{key}.json").write_text(json.dumps(entry))
+            cache.clear()
             for _ in range(2):
                 response = post(api, "synthesize", BODIES["synthesize"])
                 assert response.status == 500

@@ -190,8 +190,7 @@ class TestSolvePool:
 
 class TestManagerProcessExecutor:
     def test_jobs_complete_on_process_pool(self, ex1_graph, ex1_library):
-        with JobManager(workers=1, executor="process",
-                        solve_processes=2) as manager:
+        with JobManager(workers=1, solve_processes=2) as manager:
             sweep = manager.submit(SweepRequest(ex1_graph, ex1_library,
                                                 max_designs=2))
             single = manager.submit(SynthesizeRequest(ex1_graph, ex1_library))
@@ -205,8 +204,7 @@ class TestManagerProcessExecutor:
     def test_delete_bridges_cancellation_into_worker(
         self, pool_solvers, ex1_graph, ex1_library
     ):
-        with JobManager(workers=1, executor="process",
-                        solve_processes=1) as manager:
+        with JobManager(workers=1, solve_processes=1) as manager:
             job = manager.submit(
                 SynthesizeRequest(ex1_graph, ex1_library, solver="stall")
             )
@@ -221,8 +219,7 @@ class TestManagerProcessExecutor:
     def test_dead_worker_falls_back_inline(
         self, pool_solvers, ex1_graph, ex1_library
     ):
-        with JobManager(workers=1, executor="process",
-                        solve_processes=1) as manager:
+        with JobManager(workers=1, solve_processes=1) as manager:
             job = manager.submit(
                 SynthesizeRequest(ex1_graph, ex1_library, solver="paused")
             )
@@ -250,8 +247,7 @@ class TestManagerProcessExecutor:
         monkeypatch.setattr(SynthesizeRequest, "result_from_document",
                             counting_rebuild)
         cache = ResultCache()
-        with JobManager(workers=1, cache=cache, executor="process",
-                        solve_processes=1) as manager:
+        with JobManager(workers=1, cache=cache, solve_processes=1) as manager:
             returned = []
             run = manager._pool.run
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.service.api import ServiceApi, _wants_prometheus
 from repro.service.asgi import create_async_server
+from repro.service.cache import ResultCache
 from repro.service.jobs import JobManager
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 
@@ -82,6 +83,18 @@ class TestExposition:
         assert "sos_rate_limit_tokens" in text
         assert text.endswith("\n")
 
+    def test_cache_counters_include_store_errors(self):
+        with JobManager(workers=1, cache=ResultCache()) as manager:
+            api = ServiceApi(manager)
+            api.handle(
+                "POST", "/v1/synthesize",
+                json.dumps({"problem": "example1", "wait": True}).encode(),
+            )
+            text = self._text(api)
+        assert "sos_cache_stores_total 1" in text
+        assert "# TYPE sos_cache_store_errors_total counter" in text
+        assert "sos_cache_store_errors_total 0" in text
+
     def test_histogram_buckets_are_cumulative_and_terminated(self, api):
         api.handle(
             "POST", "/v1/synthesize",
@@ -148,7 +161,7 @@ class TestLatencyHistogramCumulative:
 class TestOverHttp:
     def test_async_server_serves_both_formats(self):
         server = create_async_server(
-            host="127.0.0.1", port=0, workers=1, executor="thread"
+            host="127.0.0.1", port=0, workers=1, solve_processes=0
         ).start()
         try:
             request = urllib.request.Request(
