@@ -11,22 +11,11 @@ from __future__ import annotations
 
 import io
 import math
-import re
 from typing import TextIO
 
-from repro.milp.constraint import Sense
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model
-
-_NAME_SANITIZER = re.compile(r"[^A-Za-z0-9_.]")
-
-
-def _sanitize(name: str) -> str:
-    """Make a variable/constraint name legal in LP format."""
-    clean = _NAME_SANITIZER.sub("_", name)
-    if not clean or clean[0].isdigit():
-        clean = "v_" + clean
-    return clean
+from repro.milp.mps import _sanitize
 
 
 def _format_expr(expr: LinExpr, name_of: dict) -> str:

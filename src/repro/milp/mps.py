@@ -21,12 +21,20 @@ from typing import Dict, List, TextIO, Tuple
 from repro.errors import ModelError
 from repro.milp.constraint import Constraint, Sense
 from repro.milp.expr import LinExpr, VarType
-from repro.milp.lpwriter import _sanitize
 from repro.milp.model import Model
 
 _OBJECTIVE_ROW = "obj"
+_NAME_SANITIZER = re.compile(r"[^A-Za-z0-9_.]")
 _ROW_SENSE = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
 _SENSE_OF = {"L": Sense.LE, "G": Sense.GE, "E": Sense.EQ}
+
+
+def _sanitize(name: str) -> str:
+    """Make a variable/row name legal in MPS (and LP) files."""
+    clean = _NAME_SANITIZER.sub("_", name)
+    if not clean or clean[0].isdigit():
+        clean = "v_" + clean
+    return clean
 
 
 def write_mps(model: Model, stream: TextIO) -> None:

@@ -55,8 +55,11 @@ class SolveStats:
         lp_pivots: Total simplex pivots across every LP solve.
         warm_starts: LP solves attempted from an inherited basis.
         warm_start_hits: Warm-started solves that finished on the revised
-            path (no dense cold-start fallback needed).
-        fallbacks: LP solves that fell back to the dense tableau oracle.
+            path.  Every warm start does since 2.7.0, which removed the
+            dense fallback, so this equals ``warm_starts``.
+        fallbacks: Always 0 since 2.7.0: bozo no longer re-solves any LP
+            with the dense tableau.  The field stays because result
+            objects only gain fields; renamed or removed in 3.0.0.
         workers: Always 0.  This and the next four counters described
             parallel branch and bound, which was removed in 2.3.0; they
             stay because result objects only gain fields, and documents
@@ -118,7 +121,7 @@ class SolveStats:
 
     @property
     def warm_start_hit_rate(self) -> float:
-        """Fraction of warm-start attempts that avoided a cold fallback."""
+        """Fraction of warm-start attempts that finished on the revised path."""
         if not self.warm_starts:
             return 0.0
         return self.warm_start_hits / self.warm_starts

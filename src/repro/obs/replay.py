@@ -85,8 +85,8 @@ def _replay_run(run: List[TraceEvent]) -> SolveStats:
                     stats.warm_start_hits += 1
             if event.data["fallback"]:
                 stats.fallbacks += 1
-            # Kernel counters ride as optional extras (absent when the
-            # dense oracle answered, exactly as the solver absorbs them).
+            # Kernel counters ride as optional extras (absent where a
+            # pre-2.7.0 trace records a dense-oracle answer).
             stats.bound_flips += int(event.data.get("bound_flips", 0))
             stats.devex_resets += int(event.data.get("devex_resets", 0))
             stats.ftran_sparsity += int(event.data.get("ftran_sparsity", 0))

@@ -2,9 +2,10 @@
 an independent HiGHS (scipy) cross-check, behind one interface.
 
 The LP pipeline is layered: :class:`StandardFormLP` is built once per MILP
-and mutated in place, :func:`solve_revised` warm-starts from a previous
-basis, and the dense tableau :func:`solve_lp` remains the cold-start
-fallback and correctness oracle."""
+and mutated in place, and :func:`solve_revised`, bozo's only LP path,
+warm-starts from a previous basis.  The dense tableau :func:`solve_lp` is
+the reference oracle tests compare against; :func:`solve_with_fallback`
+is a deprecated alias kept until 3.0.0."""
 
 from repro.milp.solution import SolveStats
 from repro.solvers.base import Solver, SolverOptions

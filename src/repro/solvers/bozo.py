@@ -6,10 +6,10 @@ reproduction's equivalent: LP-relaxation branch and bound layered on an
 incremental LP pipeline.  The standard form is built **once** at the root
 (:class:`~repro.solvers.revised.StandardFormLP`); each node mutates only
 the branched variable bound in place and warm-starts the revised simplex
-from its parent's optimal basis, falling back to the dense two-phase
-tableau (:mod:`repro.solvers.simplex`) whenever the incremental path
-signals trouble.  That warm revised simplex is the only LP path; the
-dense tableau is never selected directly.
+from its parent's optimal basis.  That revised simplex is the only LP
+path, as XLP was the paper's: a relaxation it cannot answer raises
+:class:`~repro.errors.SolverError` rather than being re-solved by
+another LP code.
 
 The search has one policy; nothing in it is an option:
 
@@ -46,7 +46,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import CancelledError
+from repro.errors import CancelledError, SolverError
 from repro.milp.model import MatrixForm, Model
 from repro.milp.solution import Solution, SolveStats, SolveStatus, root_gap_closed
 from repro.obs.progress import ProgressReporter
@@ -55,23 +55,28 @@ from repro.solvers.base import Solver, SolverOptions
 from repro.solvers.cuts import CutPool, separate_cover, separate_gomory
 from repro.solvers.revised import (
     Basis,
+    RevisedResult,
     RevisedStatus,
     StandardFormLP,
     extend_basis,
     solve_revised,
-    solve_with_fallback,
+    # Not called here; the deprecated name stays bound in this module
+    # until 3.0.0 for callers that look it up or patch it on bozo.
+    solve_with_fallback,  # noqa: F401
 )
-from repro.solvers.simplex import LPResult, LPStatus
 
 #: Root candidates probed by strong branching (``0`` disables it).  On
 #: the serial Table II sweep, root probes cut the tree from 941 to 783
 #: nodes; docs/solvers.md has the on/off matrix.
 STRONG_BRANCH_CANDIDATES = 8
 
-#: Dual-simplex pivot budget of one strong-branching probe.  Probes that
-#: exhaust it are simply not recorded — a budgeted probe must never be
-#: allowed to trigger the expensive dense fallback.
+#: Pivot budget of one strong-branching probe.  A probe that exhausts it
+#: is simply not recorded: it only skips that direction.
 STRONG_BRANCH_ITERATIONS = 150
+
+#: Pivot budget of one full relaxation (root, dive step or tree node).
+#: Exhausting it raises :class:`~repro.errors.SolverError`.
+LP_ITERATIONS = 20_000
 
 #: Relative root-gap closure below which a separation round counts as
 #: stalled.  Once any round clears this threshold, a later sub-threshold
@@ -161,100 +166,81 @@ class _LPBackend:
         self.tracer = tracer
         self.sf = StandardFormLP.from_matrix_form(form)
 
-    def _absorb_counters(self, counters) -> None:
-        """Fold one solve's kernel counters into the run's SolveStats."""
-        if counters is None:
-            return
+    def _run(
+        self,
+        lb: np.ndarray,
+        ub: np.ndarray,
+        basis: Optional[Basis],
+        max_iterations: int,
+    ) -> RevisedResult:
+        """One revised solve under ``lb``/``ub``, counted and traced."""
+        start = time.monotonic()
+        self.sf.set_bounds(lb, ub)
+        result = solve_revised(self.sf, basis, max_iterations=max_iterations)
+        elapsed = time.monotonic() - start
         stats = self.stats
-        stats.bound_flips += counters.bound_flips
-        stats.devex_resets += counters.devex_resets
-        stats.ftran_sparsity += counters.ftran_sparsity
-        stats.refactorizations += counters.refactorizations
-
-    def _trace_lp(
-        self, result: LPResult, warm: bool, fallback: bool, seconds: float
-    ) -> None:
-        """Emit the ``lp_solved`` event for one finished relaxation."""
-        if self.tracer is None:
-            return
-        extra = result.counters.as_dict() if result.counters is not None else {}
-        self.tracer.emit(
-            "lp_solved",
-            pivots=result.iterations,
-            status=result.status.value,
-            warm=warm,
-            fallback=fallback,
-            seconds=seconds,
-            **extra,
-        )
+        stats.lp_solves += 1
+        stats.lp_pivots += result.iterations
+        if basis is not None:
+            stats.warm_starts += 1
+            stats.warm_start_hits += 1
+        counters = result.counters
+        if counters is not None:
+            stats.bound_flips += counters.bound_flips
+            stats.devex_resets += counters.devex_resets
+            stats.ftran_sparsity += counters.ftran_sparsity
+            stats.refactorizations += counters.refactorizations
+        stats.add_phase("lp", elapsed)
+        if self.tracer is not None:
+            extra = counters.as_dict() if counters is not None else {}
+            self.tracer.emit(
+                "lp_solved",
+                pivots=result.iterations,
+                status=result.status.value,
+                warm=basis is not None,
+                fallback=False,
+                seconds=elapsed,
+                **extra,
+            )
+        return result
 
     def solve(
         self,
         lb: np.ndarray,
         ub: np.ndarray,
         basis: Optional[Basis] = None,
-    ) -> Tuple[LPResult, Optional[Basis]]:
-        """Solve the relaxation under ``lb``/``ub``; returns (result, basis)."""
-        start = time.monotonic()
-        self.stats.lp_solves += 1
-        self.sf.set_bounds(lb, ub)
-        if basis is not None:
-            self.stats.warm_starts += 1
-        result, final_basis, fell_back = solve_with_fallback(self.sf, basis)
-        self.stats.lp_pivots += result.iterations
-        self._absorb_counters(result.counters)
-        if fell_back:
-            self.stats.fallbacks += 1
-        elif basis is not None:
-            self.stats.warm_start_hits += 1
-        elapsed = time.monotonic() - start
-        self.stats.add_phase("lp", elapsed)
-        self._trace_lp(
-            result, warm=basis is not None, fallback=fell_back, seconds=elapsed
-        )
-        return result, final_basis
+    ) -> RevisedResult:
+        """Solve the relaxation under ``lb``/``ub``.
+
+        Returns an OPTIMAL, INFEASIBLE or UNBOUNDED result; its ``basis``
+        warm-starts the children when OPTIMAL.
+
+        Raises:
+            SolverError: The engine gave up on this relaxation.
+        """
+        result = self._run(lb, ub, basis, LP_ITERATIONS)
+        if result.status is RevisedStatus.NEEDS_FALLBACK:
+            raise SolverError(
+                f"LP relaxation unsolved: the revised simplex gave up after "
+                f"{result.iterations} pivots on {self.sf.m} rows "
+                f"({'warm' if basis is not None else 'cold'} start)"
+            )
+        return result
 
     def probe(
         self,
         lb: np.ndarray,
         ub: np.ndarray,
         basis: Optional[Basis],
-        max_iterations: int = STRONG_BRANCH_ITERATIONS,
-    ) -> Tuple[RevisedStatus, float]:
-        """Budgeted strong-branching probe on the revised path only.
+    ) -> RevisedResult:
+        """Budgeted strong-branching probe.
 
-        Unlike :meth:`solve`, a probe never falls back to the dense
-        oracle: blowing the pivot budget (or any numerical trouble)
-        returns ``NEEDS_FALLBACK`` and the caller simply learns nothing
-        from that direction.  Probes emit ordinary ``lp_solved`` events
-        and accumulate into the same counters, so trace replay stays
-        exact for free.
+        Unlike :meth:`solve`, a probe that blows its
+        :data:`STRONG_BRANCH_ITERATIONS` budget (or hits any numerical
+        trouble) returns ``NEEDS_FALLBACK`` and the caller simply learns
+        nothing from that direction.
         """
-        start = time.monotonic()
-        self.stats.lp_solves += 1
-        self.sf.set_bounds(lb, ub)
-        if basis is not None:
-            self.stats.warm_starts += 1
-            # A probe can't fall back, so every warm attempt is a "hit" in
-            # the sense the replay derives from the event stream.
-            self.stats.warm_start_hits += 1
-        revised = solve_revised(self.sf, basis, max_iterations=max_iterations)
-        self.stats.lp_pivots += revised.iterations
-        self._absorb_counters(revised.counters)
-        elapsed = time.monotonic() - start
-        self.stats.add_phase("lp", elapsed)
-        if self.tracer is not None:
-            extra = revised.counters.as_dict() if revised.counters is not None else {}
-            self.tracer.emit(
-                "lp_solved",
-                pivots=revised.iterations,
-                status=revised.status.value,
-                warm=basis is not None,
-                fallback=False,
-                seconds=elapsed,
-                **extra,
-            )
-        return revised.status, revised.objective
+        return self._run(lb, ub, basis, STRONG_BRANCH_ITERATIONS)
 
 
 @dataclass
@@ -334,7 +320,7 @@ class _TreeSearch:
                     bound=node.bound,
                     depth=node.depth,
                 )
-            result, node_basis = self.lp.solve(node.lb, node.ub, node.basis)
+            result = self.lp.solve(node.lb, node.ub, node.basis)
             self.nodes_processed += 1
             if self.reporter is not None:
                 self.reporter.report(
@@ -342,28 +328,23 @@ class _TreeSearch:
                     incumbent=self.incumbent_obj,
                     bound=node.bound,
                 )
-            if result.status is LPStatus.INFEASIBLE:
+            if result.status is RevisedStatus.INFEASIBLE:
                 continue
-            if result.status is LPStatus.UNBOUNDED:
+            if result.status is RevisedStatus.UNBOUNDED:
                 if self.nodes_processed == 1:
                     out.root_unbounded = True
                     break
                 continue
-            if result.status is LPStatus.ITERATION_LIMIT:
-                # Treat as unexplored; keep the parent bound so the gap stays valid.
-                continue
 
-            assert result.x is not None
-            lp_obj = result.objective
             if node.tiebreak == 1 and options.cuts == "auto":
-                result, node_basis = self._root_cut_loop(node, result, node_basis)
-                if result.status is not LPStatus.OPTIMAL or result.x is None:
-                    # A post-cut root LP can only fail numerically (every
-                    # integer point satisfies every cut); treat it like an
-                    # infeasible/unexplored root and let the terminal
-                    # status logic answer from whatever incumbent exists.
+                result = self._root_cut_loop(node, result)
+                if result.status is not RevisedStatus.OPTIMAL:
+                    # Every integer point satisfies every cut, so an
+                    # infeasible cut-augmented root means no integer
+                    # point exists.
                     continue
-                lp_obj = result.objective
+            lp_obj = result.objective
+            node_basis = result.basis
             self.pseudo.observe_child(node, lp_obj)
             if self.incumbent_x is None and (
                 self.nodes_processed == 1 or self.nodes_processed % 16 == 0
@@ -400,7 +381,6 @@ class _TreeSearch:
             strong = (
                 node.tiebreak == 1
                 and STRONG_BRANCH_CANDIDATES > 0
-                and node_basis is not None
                 and len(fractional) > 1
             )
             if strong:
@@ -488,12 +468,7 @@ class _TreeSearch:
         return True
 
     # -- root cut-and-branch ------------------------------------------------
-    def _root_cut_loop(
-        self,
-        node: _Node,
-        result: LPResult,
-        node_basis: Optional[Basis],
-    ) -> Tuple[LPResult, Optional[Basis]]:
+    def _root_cut_loop(self, node: _Node, result: RevisedResult) -> RevisedResult:
         """Bounded root separation: Gomory + cover cuts, re-solve per round.
 
         Each round separates violated cuts at the current root optimum,
@@ -527,7 +502,7 @@ class _TreeSearch:
         progressed = False  # some round closed >= CUT_STALL_EPS of gap
         for round_index in range(1, CUT_ROUNDS + 1):
             x = result.x
-            if result.status is not LPStatus.OPTIMAL or x is None:
+            if result.status is not RevisedStatus.OPTIMAL:
                 break
             if not any(
                 min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j]) > tol
@@ -539,11 +514,7 @@ class _TreeSearch:
             )
             if result.objective >= threshold:
                 break  # root already pruned by the incumbent: cuts are moot
-            gomory = (
-                separate_gomory(sf, node_basis, x, self.integral)
-                if node_basis is not None
-                else []
-            )
+            gomory = separate_gomory(sf, result.basis, x, self.integral)
             cover = separate_cover(self.form, x)
             pool.add(gomory + cover)
             chosen = pool.select(x)
@@ -555,15 +526,15 @@ class _TreeSearch:
                 (rows[k].copy(), float(rhs[k])) for k in range(len(chosen))
             )
             sf.append_ub_rows(rows, rhs)
-            if node_basis is not None:
-                node_basis = extend_basis(node_basis, sf, len(chosen))
-            result, node_basis = self.lp.solve(node.lb, node.ub, node_basis)
+            result = self.lp.solve(
+                node.lb, node.ub, extend_basis(result.basis, sf, len(chosen))
+            )
             rounds_run += 1
             total_added += len(chosen)
             total_gomory += sum(1 for cut in chosen if cut.kind == "gomory")
             total_cover += sum(1 for cut in chosen if cut.kind == "cover")
             improved = (
-                result.status is LPStatus.OPTIMAL
+                result.status is RevisedStatus.OPTIMAL
                 and math.isfinite(result.objective)
             )
             bound_after = result.objective if improved else bound_before
@@ -600,7 +571,7 @@ class _TreeSearch:
                     gomory=total_gomory,
                     cover=total_cover,
                 )
-        return result, node_basis
+        return result
 
     def _strong_branch_root(
         self,
@@ -636,18 +607,18 @@ class _TreeSearch:
                     ub[j] = float(floor_value)
                 else:
                     lb[j] = float(floor_value + 1)
-                status, objective = self.lp.probe(lb, ub, basis)
+                probe = self.lp.probe(lb, ub, basis)
                 probes += 1
-                if status is RevisedStatus.OPTIMAL:
+                if probe.status is RevisedStatus.OPTIMAL:
                     self.pseudo.record(
-                        j, direction, max(objective - lp_obj, 0.0), frac_dir
+                        j, direction, max(probe.objective - lp_obj, 0.0), frac_dir
                     )
-                elif status is RevisedStatus.INFEASIBLE:
+                elif probe.status is RevisedStatus.INFEASIBLE:
                     self.pseudo.record(
                         j, direction, infeasible_degradation, frac_dir
                     )
                 # NEEDS_FALLBACK / UNBOUNDED: budget blown or numerics —
-                # learn nothing, never escalate to the dense oracle.
+                # learn nothing from this direction.
         self.lp.stats.strong_branch_probes += probes
         return len(candidates), probes
 
@@ -697,11 +668,11 @@ class _TreeSearch:
                 try_lb, try_ub = lb.copy(), ub.copy()
                 try_lb[j] = fixed
                 try_ub[j] = fixed
-                result, next_basis = self.lp.solve(try_lb, try_ub, basis)
-                if result.status is LPStatus.OPTIMAL and result.x is not None:
-                    lb, ub, basis = try_lb, try_ub, next_basis
+                result = self.lp.solve(try_lb, try_ub, basis)
+                if result.status is RevisedStatus.OPTIMAL:
+                    lb, ub, basis = try_lb, try_ub, result.basis
                     break
-            if result is None or result.status is not LPStatus.OPTIMAL or result.x is None:
+            if result is None or result.status is not RevisedStatus.OPTIMAL:
                 return None
             current = result.x
         return None

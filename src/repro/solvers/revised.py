@@ -1,12 +1,13 @@
 """Bounded-variable revised simplex with warm starts.
 
-This is the incremental LP engine underneath :mod:`repro.solvers.bozo`.
-Branch and bound solves hundreds of LP relaxations that differ from their
-parent in exactly one variable bound, and the Pareto sweep re-solves
-near-identical LPs with only one right-hand side moving.  The dense
-two-phase tableau in :mod:`repro.solvers.simplex` rebuilds everything from
-scratch on every call; this module instead keeps one
-:class:`StandardFormLP` per MILP and re-solves after in-place mutations:
+This is the LP engine underneath :mod:`repro.solvers.bozo`, and its only
+one: every relaxation branch and bound solves goes through
+:func:`solve_revised`.  Branch and bound solves hundreds of LP
+relaxations that differ from their parent in exactly one variable bound,
+and the Pareto sweep re-solves near-identical LPs with only one
+right-hand side moving.  Instead of rebuilding anything per solve, this
+module keeps one :class:`StandardFormLP` per MILP and re-solves after
+in-place mutations:
 
 * **Standard form** — rows ``A x = b`` with one logical column per row
   (a slack in ``[0, inf)`` for every ``<=`` row, a fixed artificial in
@@ -21,12 +22,18 @@ scratch on every call; this module instead keeps one
   primal phase 1 (minimize total infeasibility), then phase 2.  The dual
   simplex is reserved for starts with only a few violated basics — the
   warm-start regime where it shines; deeply infeasible starts crawl under
-  dual pivoting, so they take the phase-1 route instead.
-* **Fallback** — anything numerically suspicious (singular basis, cycling,
-  residual drift, a start that is neither primal nor dual feasible)
-  returns :attr:`RevisedStatus.NEEDS_FALLBACK` so callers can re-solve with
-  the dense tableau oracle.  :func:`solve_with_fallback` packages that
-  policy; correctness never depends on the incremental path.
+  dual pivoting, so they take the phase-1 route instead.  An LP with no
+  rows is answered from the logical basis itself.
+* **Verdicts** — the engine certifies OPTIMAL, INFEASIBLE and UNBOUNDED
+  on its own.  Infeasibility comes from the dual ratio test (no entering
+  column, or an unbounded dual ray) or from a phase-1 optimum with
+  residual infeasibility that a fresh factorization confirms; the phase-1
+  duals ``y = B^-T w`` are then the Farkas certificate.  What it cannot
+  finish reliably (pivot budget, singular basis, residual drift) returns
+  :attr:`RevisedStatus.NEEDS_FALLBACK`, and :mod:`repro.solvers.bozo`
+  turns that into a loud :class:`~repro.errors.SolverError`.  The dense
+  tableau :func:`repro.solvers.simplex.solve_lp` is not a runtime path;
+  it stays as the oracle the engine is tested against.
 * **Two basis kernels** — bases above :data:`DENSE_KERNEL_MAX` rows are
   factorized with ``scipy.sparse.linalg.splu`` on the CSC form of the
   constraint matrix and kept current between refactorizations by an eta
@@ -69,6 +76,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,7 +85,6 @@ from scipy.sparse import csc_matrix as _csc_matrix
 from scipy.sparse.linalg import splu as _splu
 
 from repro.milp.model import MatrixForm
-from repro.solvers.simplex import LPResult, LPStatus, solve_lp
 
 #: Primal feasibility tolerance on variable bounds.
 FEAS_TOL = 1e-7
@@ -134,9 +141,9 @@ class RevisedStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    #: The incremental path could not finish reliably (numerical trouble,
-    #: iteration cap, or a start that was neither primal nor dual
-    #: feasible); re-solve with the dense tableau oracle.
+    #: The engine gave up (pivot budget, singular basis or residual
+    #: drift).  The name stays because traces carry its value; it is
+    #: renamed in 3.0.0.
     NEEDS_FALLBACK = "needs_fallback"
 
 
@@ -636,8 +643,6 @@ def solve_revised(
     """
     if np.any(sf.lo > sf.up + FEAS_TOL):
         return RevisedResult(RevisedStatus.INFEASIBLE, None, math.nan, 0, None)
-    if sf.m == 0:
-        return RevisedResult(RevisedStatus.NEEDS_FALLBACK, None, math.nan, 0, None)
     warm = basis is not None
     if basis is None:
         basis = sf.logical_basis()
@@ -648,46 +653,21 @@ def solve_with_fallback(
     sf: StandardFormLP,
     basis: Optional[Basis] = None,
     max_iterations: int = 20_000,
-) -> Tuple[LPResult, Optional[Basis], bool]:
-    """Solve via the revised path, falling back to the dense tableau.
+) -> Tuple[RevisedResult, Optional[Basis], bool]:
+    """Deprecated: call :func:`solve_revised`.
 
-    This is the policy branch and bound uses per node: try the
-    incremental engine (warm when ``basis`` is given); if it signals
-    NEEDS_FALLBACK, re-solve cold with :func:`repro.solvers.simplex.solve_lp`,
-    which is slower but oracle-grade.
-
-    Returns:
-        ``(result, final_basis, fell_back)`` — ``final_basis`` is ``None``
-        whenever the dense path produced the result (it has no basis to
-        hand to children), and ``fell_back`` says which path answered.
+    The dense fallback is gone, so this only keeps the old call shape:
+    it warns and returns ``(solve_revised(...), its basis, False)``.
+    Removed in 3.0.0.
     """
-    revised = solve_revised(sf, basis, max_iterations=max_iterations)
-    if revised.status is not RevisedStatus.NEEDS_FALLBACK:
-        status = {
-            RevisedStatus.OPTIMAL: LPStatus.OPTIMAL,
-            RevisedStatus.INFEASIBLE: LPStatus.INFEASIBLE,
-            RevisedStatus.UNBOUNDED: LPStatus.UNBOUNDED,
-        }[revised.status]
-        return (
-            LPResult(
-                status, revised.x, revised.objective, revised.iterations,
-                counters=revised.counters,
-            ),
-            revised.basis,
-            False,
-        )
-    n = sf.n
-    # Select rows by their logical column's box, not by position: appended
-    # cut rows put ``<=`` rows after the equality block, so the row order
-    # is no longer [ub..., eq...].
-    ub_rows = np.isinf(sf.up[n:])
-    dense = solve_lp(
-        sf.cost[:n],
-        sf.a[ub_rows, :n], sf.b[ub_rows],
-        sf.a[~ub_rows, :n], sf.b[~ub_rows],
-        sf.lo[:n], sf.up[:n], c0=sf.c0,
+    warnings.warn(
+        "solve_with_fallback is deprecated and has no fallback; "
+        "call solve_revised",
+        DeprecationWarning,
+        stacklevel=2,
     )
-    return dense, None, True
+    result = solve_revised(sf, basis, max_iterations=max_iterations)
+    return result, result.basis, False
 
 
 class _Engine:
@@ -884,13 +864,14 @@ class _Engine:
         return self.finish()
 
     def _bail(self) -> RevisedResult:
+        """The give-up result: the engine cannot finish this LP reliably."""
         return RevisedResult(
             RevisedStatus.NEEDS_FALLBACK, None, math.nan, self.iterations, None,
             counters=self.counters,
         )
 
     def finish(self) -> RevisedResult:
-        """Assemble and verify the optimal point; drift means fallback."""
+        """Assemble and verify the optimal point; drift means give up."""
         sf = self.sf
         x = self.nonbasic_point()
         x[self.basic] = self.x_basic
@@ -1093,13 +1074,17 @@ class _Engine:
         Pivots are short-step — the entering variable blocks at the first
         breakpoint, which includes an infeasible basic *reaching* its
         violated bound (it leaves the basis feasible).  Returns ``None``
-        once primal feasible; a local optimum with residual infeasibility
-        yields NEEDS_FALLBACK so the dense oracle delivers the verdict.
+        once primal feasible.  A phase-1 optimum with residual
+        infeasibility is checked once more on a fresh factorization: if
+        the re-price still finds no improving column the LP is
+        INFEASIBLE, with the phase-1 duals ``y`` as the Farkas
+        certificate; if it finds one, phase 1 goes on.
         """
         sf = self.sf
         stall = 0
         use_bland = False
         last_infeas = math.inf
+        fresh = False  # basics recomputed on a new factorization, no pivot since
         while True:
             violations = self.primal_violations()
             below = violations < -FEAS_TOL
@@ -1119,8 +1104,19 @@ class _Engine:
             candidate = self._price(y, use_bland=use_bland)
             if candidate is None:
                 # Local (hence global) phase-1 optimum with residual
-                # infeasibility; let the oracle certify infeasibility.
-                return self._bail()
+                # infeasibility.  Confirm it free of update error before
+                # certifying.
+                if fresh:
+                    return RevisedResult(
+                        RevisedStatus.INFEASIBLE, None, math.nan,
+                        self.iterations, None, counters=self.counters,
+                    )
+                if not self.refactor():
+                    return self._bail()
+                self.recompute_basics()
+                fresh = True
+                continue
+            fresh = False
             entering, d_entering = candidate
             if self.status[entering] == AT_UB or (
                 self.status[entering] == AT_FREE and d_entering > 0

@@ -1,12 +1,12 @@
-"""A from-scratch dense two-phase primal simplex solver.
+"""A from-scratch dense two-phase primal simplex solver: the LP oracle.
 
-This is the correctness oracle and fallback path underneath
-:mod:`repro.solvers.bozo` (the branch-and-bound reimplementation of
-Hafer's *Bozo*, which the paper used through the commercial XLP
-simplex).  Bozo's only LP path is the incremental revised simplex in
-:mod:`repro.solvers.revised`; this tableau engine re-solves anything the
-incremental path declines to certify and serves as the ground truth the
-revised engine is property-tested against.  It is deliberately a classic textbook tableau
+Hafer's *Bozo*, which the paper used, ran branch and bound over one LP
+code, the commercial XLP simplex; the reproduction's
+:mod:`repro.solvers.bozo` likewise runs every relaxation through one
+engine, the revised simplex in :mod:`repro.solvers.revised`.  This
+tableau engine is not on that path.  It is the independent reference the
+revised engine is property-tested against, public so tests and users
+can cross-check any LP.  It is deliberately a classic textbook tableau
 method, vectorized with numpy:
 
 * variables are shifted/split so every column is nonnegative,
@@ -54,17 +54,12 @@ class LPResult:
             unless status is OPTIMAL).
         objective: ``c @ x + c0`` at the solution.
         iterations: Total simplex pivots across both phases.
-        counters: Per-loop pivot attribution when the revised-simplex
-            engine produced this result (see
-            :class:`repro.solvers.revised.PivotCounters`); ``None`` on
-            the dense tableau path, which does not break pivots down.
     """
 
     status: LPStatus
     x: Optional[np.ndarray]
     objective: float
     iterations: int
-    counters: Optional[object] = None
 
 
 def solve_lp(

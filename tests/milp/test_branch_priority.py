@@ -83,7 +83,7 @@ def _first_branch(model):
     form = model.to_matrices()
     lp = _LPBackend(form, SolveStats())
     search = _TreeSearch(SolverOptions(), form, lp, start=0.0)
-    result, _ = lp.solve(form.lb, form.ub)
+    result = lp.solve(form.lb, form.ub)
     fractional = [
         (j, float(result.x[j] - np.floor(result.x[j])))
         for j in search.integral

@@ -84,6 +84,33 @@ class TestWriting:
         assert "y[p1a,S1]" not in text
         assert "y_p1a_S1_" in text
 
+    def test_sanitize_collision_disambiguated(self):
+        m = Model()
+        m.add_var("a,b", ub=1)
+        m.add_var("a;b", ub=1)  # both sanitize to a_b
+        text = mps_string(m)
+        assert "a_b_0" in text and "a_b_1" in text
+
+    def test_leading_digit_prefixed(self):
+        m = Model()
+        m.add_var("3x", ub=1)
+        assert "v_3x" in mps_string(m)
+
+    def test_infinite_and_free_bounds(self):
+        m = Model()
+        m.add_var("up_free")  # [0, inf): LO only
+        m.add_var("low_free", lb=-math.inf, ub=2)
+        m.add_var("free", lb=-math.inf)
+        text = mps_string(m)
+        assert " LO BND  up_free  0\n" in text and "UP BND  up_free" not in text
+        assert " MI BND  low_free\n UP BND  low_free  2\n" in text
+        assert " FR BND  free\n" in text
+        restored = read_mps(text)
+        assert restored.var_by_name("up_free").ub == math.inf
+        assert restored.var_by_name("low_free").lb == -math.inf
+        free = restored.var_by_name("free")
+        assert (free.lb, free.ub) == (-math.inf, math.inf)
+
     def test_unreferenced_variable_still_written(self):
         m = Model()
         m.add_var("orphan", ub=3)
@@ -103,6 +130,23 @@ class TestParsing:
         assert m.objective.coefficient(x) == 2.0
         assert m.objective.coefficient(z) == -1.0
         assert x.ub == 8 and z.lb == 1 and z.ub == 9
+
+    def test_negative_rhs(self):
+        row = next(c for c in read_mps(SAMPLE).constraints if c.name == "low")
+        assert row.rhs == -2.0
+
+    def test_binary_bound_makes_binary(self):
+        text = (
+            "ROWS\n N  obj\nCOLUMNS\n    y  obj  1\n"
+            "BOUNDS\n UP BND  y  7\n BV BND  y\nENDATA\n"
+        )
+        y = read_mps(text).var_by_name("y")
+        assert y.vtype is VarType.BINARY and (y.lb, y.ub) == (0.0, 1.0)
+
+    def test_unsupported_bound_rejected(self):
+        text = "ROWS\n N  obj\nCOLUMNS\n    x  obj  1\nBOUNDS\n SC BND  x  3\nENDATA\n"
+        with pytest.raises(ModelError, match="bound"):
+            read_mps(text)
 
     def test_ranges_rejected(self):
         with pytest.raises(ModelError, match="RANGES"):

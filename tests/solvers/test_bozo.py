@@ -142,8 +142,8 @@ def test_agrees_with_highs_on_random_milps(problem):
 
 
 class TestNoDenseFallback:
-    """Example 1's LPs must all be certified by the revised simplex: the
-    dense tableau is a safety net, not a path Table II relies on."""
+    """Example 1's LPs are all answered by the revised simplex, the only
+    LP path: ``fallbacks`` stays 0."""
 
     @pytest.mark.parametrize("cost_cap", [None, 5.5])
     def test_example1_needs_no_fallback(self, cost_cap):
@@ -154,3 +154,16 @@ class TestNoDenseFallback:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.stats.lp_solves > 0
         assert solution.stats.fallbacks == 0
+
+
+class TestUnsolvedRelaxationIsLoud:
+    def test_exhausted_pivot_budget_raises(self, monkeypatch):
+        """A full relaxation the engine gives up on raises SolverError
+        naming the rows, pivots and start; no answer is returned."""
+        from repro.errors import SolverError
+        from repro.solvers import bozo
+
+        monkeypatch.setattr(bozo, "LP_ITERATIONS", 1)
+        built = SosModelBuilder(example1(), example1_library()).build()
+        with pytest.raises(SolverError, match=r"after 1 pivots on \d+ rows \(cold start\)"):
+            BozoSolver().solve(built.model)

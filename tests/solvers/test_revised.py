@@ -1,8 +1,8 @@
 """Property tests for the warm-started revised simplex.
 
 The dense two-phase tableau in :mod:`repro.solvers.simplex` is the
-correctness oracle: on every LP the revised engine answers, cold or warm,
-the status and objective must match the oracle's to tight tolerance.  The
+correctness oracle: on every LP, cold or warm, the revised engine's
+status and objective must match the oracle's to tight tolerance.  The
 suites below fuzz the three regimes branch and bound exercises — cold
 solves, chains of bound mutations (each warm-started from the previous
 basis), and objective swaps — over randomized SOS-shaped LPs.
@@ -26,7 +26,7 @@ from repro.solvers.revised import (
     solve_revised,
     solve_with_fallback,
 )
-from repro.solvers.simplex import LPStatus, solve_lp
+from repro.solvers.simplex import solve_lp
 from repro.system.examples import example1_library
 from repro.taskgraph.examples import example1
 
@@ -46,6 +46,25 @@ def random_sos_like_lp(rng):
     lb = np.zeros(n)
     ub = np.where(rng.random(n) < 0.5, 1.0, rng.random(n) * 5 + 1)
     b_eq = a_eq @ (lb + 0.3 * (ub - lb)) if m_eq else np.zeros(0)
+    return c, a_ub, b_ub, a_eq, b_eq, lb, ub
+
+
+def random_lp_with_edges(rng):
+    """:func:`random_sos_like_lp`, sometimes with no rows at all (free
+    and negative-cost columns included) and sometimes with an extra row
+    no point of the box satisfies."""
+    c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
+    n = c.shape[0]
+    draw = rng.random()
+    if draw < 0.1:
+        c = rng.normal(size=n)
+        lb = np.where(rng.random(n) < 0.2, -np.inf, lb)
+        ub = np.where(rng.random(n) < 0.2, np.inf, ub)
+        return c, np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0), lb, ub
+    if draw < 0.35:
+        # sum(x) >= 1 + sum(ub): beyond every point of the box.
+        a_ub = np.vstack([a_ub, -np.ones(n)])
+        b_ub = np.append(b_ub, -1.0 - float(np.sum(ub)))
     return c, a_ub, b_ub, a_eq, b_eq, lb, ub
 
 
@@ -96,21 +115,61 @@ class TestStandardFormLP:
 
 
 class TestColdAgainstOracle:
-    def test_fifty_random_sos_shaped_lps(self):
-        """Cold revised solves agree with the dense tableau on ~50 LPs."""
+    def test_random_lps_cold_and_warm(self):
+        """Every cold solve, and every warm re-solve after B&B-style bound
+        changes, agrees with the dense tableau; the draw includes
+        infeasible and zero-row LPs, and none gives up."""
         rng = np.random.default_rng(2024)
-        optimal = 0
-        for _ in range(50):
-            c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
+        seen = set()
+        for _ in range(200):
+            c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_lp_with_edges(rng)
             sf = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
             revised = solve_revised(sf)
-            dense = solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            if revised.status is RevisedStatus.NEEDS_FALLBACK:
-                continue  # fallback policy: the oracle answers instead
-            assert_matches_oracle(revised, dense)
-            if revised.status is RevisedStatus.OPTIMAL:
-                optimal += 1
-        assert optimal >= 40  # the fallback path must stay exceptional
+            assert_matches_oracle(revised, solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub))
+            seen.add((revised.status, sf.m == 0))
+            if revised.status is not RevisedStatus.OPTIMAL:
+                continue
+            basis = revised.basis
+            cur_lb, cur_ub = lb, ub
+            for _ in range(3):
+                j = int(rng.integers(0, sf.n))
+                cur_lb, cur_ub = cur_lb.copy(), cur_ub.copy()
+                if rng.random() < 0.5:
+                    cur_ub[j] = max(cur_lb[j], np.floor(cur_ub[j] * rng.random()))
+                else:
+                    cur_lb[j] = min(cur_ub[j], np.ceil(cur_lb[j] + rng.random()))
+                sf.set_bounds(cur_lb, cur_ub)
+                warm = solve_revised(sf, basis)
+                assert_matches_oracle(
+                    warm, solve_lp(c, a_ub, b_ub, a_eq, b_eq, cur_lb, cur_ub)
+                )
+                if warm.status is RevisedStatus.OPTIMAL:
+                    basis = warm.basis
+        assert {
+            (RevisedStatus.OPTIMAL, False), (RevisedStatus.INFEASIBLE, False),
+            (RevisedStatus.OPTIMAL, True), (RevisedStatus.UNBOUNDED, True),
+        } <= seen
+
+    def test_zero_row_lp_optimal(self):
+        """With no rows every column sits on its cost-side bound."""
+        sf = StandardFormLP(
+            np.array([1.0, -2.0, 0.0]), np.zeros((0, 3)), np.zeros(0),
+            np.zeros((0, 3)), np.zeros(0),
+            np.array([0.5, 0.0, -np.inf]), np.array([1.0, 4.0, np.inf]),
+        )
+        result = solve_revised(sf)
+        assert result.status is RevisedStatus.OPTIMAL
+        assert result.objective == pytest.approx(-7.5)
+        assert np.array_equal(result.x, [0.5, 4.0, 0.0])
+        assert result.basis.basic.size == 0
+
+    def test_zero_row_lp_unbounded(self):
+        """A negative cost on an infinite upper bound is a ray."""
+        sf = StandardFormLP(
+            np.array([1.0, -1.0]), np.zeros((0, 2)), np.zeros(0),
+            np.zeros((0, 2)), np.zeros(0), np.zeros(2), np.array([1.0, np.inf]),
+        )
+        assert solve_revised(sf).status is RevisedStatus.UNBOUNDED
 
     def test_example1_root_relaxation(self):
         """The real Example 1 root LP: same optimum, competitive pivots."""
@@ -125,19 +184,20 @@ class TestColdAgainstOracle:
         assert revised.basis is not None
 
     def test_fallback_wrapper_always_answers(self):
-        """solve_with_fallback returns an oracle-grade result either way."""
+        """solve_with_fallback warns and hands back solve_revised's answer."""
         rng = np.random.default_rng(5)
         for _ in range(20):
             c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
             sf = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            result, basis, fell_back = solve_with_fallback(sf)
-            dense = solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            assert result.status.name == dense.status.name
-            if result.status is LPStatus.OPTIMAL:
-                scale = 1.0 + abs(dense.objective)
-                assert abs(result.objective - dense.objective) <= OBJECTIVE_TOL * scale
-                if not fell_back:
-                    assert basis is not None
+            with pytest.warns(DeprecationWarning, match="solve_revised"):
+                result, basis, fell_back = solve_with_fallback(sf)
+            direct = solve_revised(sf)
+            assert result.status is direct.status
+            assert result.iterations == direct.iterations
+            assert basis is result.basis and not fell_back
+            if direct.status is RevisedStatus.OPTIMAL:
+                assert result.objective == direct.objective
+                assert np.array_equal(basis.basic, direct.basis.basic)
 
 
 class TestWarmStarts:
@@ -168,8 +228,7 @@ class TestWarmStarts:
                 sf.set_bounds(cur_lb, cur_ub)
                 warm = solve_revised(sf, basis)
                 dense = solve_lp(c, a_ub, b_ub, a_eq, b_eq, cur_lb, cur_ub)
-                if warm.status is not RevisedStatus.NEEDS_FALLBACK:
-                    assert_matches_oracle(warm, dense)
+                assert_matches_oracle(warm, dense)
                 if warm.status is RevisedStatus.OPTIMAL:
                     warm_total += warm.iterations
                     dense_total += dense.iterations
@@ -193,8 +252,7 @@ class TestWarmStarts:
                 sf.set_objective(c2)
                 warm = solve_revised(sf, result.basis)
                 dense = solve_lp(c2, a_ub, b_ub, a_eq, b_eq, lb, ub)
-                if warm.status is not RevisedStatus.NEEDS_FALLBACK:
-                    assert_matches_oracle(warm, dense)
+                assert_matches_oracle(warm, dense)
                 if warm.status is RevisedStatus.OPTIMAL:
                     result = warm
 
@@ -228,15 +286,13 @@ class TestWarmStarts:
         child = solve_revised(sf, root.basis)
         assert child.status is RevisedStatus.INFEASIBLE
 
-    def test_phase1_optimum_with_residual_infeasibility_goes_to_oracle(
-        self, monkeypatch
-    ):
+    def test_phase1_residual_infeasibility_is_certified(self, monkeypatch):
         """An infeasible LP whose warm start is not dual feasible ends in
         phase 1 at an optimum with residual infeasibility.  The engine
-        does not certify that itself: it returns NEEDS_FALLBACK and the
-        dense oracle answers INFEASIBLE.  (A parallel ``workers=2`` Table
-        II sweep took one such fallback before parallel branch and bound
-        was removed; the serial sweep takes none.)"""
+        confirms that on a fresh factorization and returns INFEASIBLE
+        itself.  (A parallel ``workers=2`` Table II sweep reached this
+        exit once before parallel branch and bound was removed; the
+        serial sweep never does.)"""
         from repro.solvers import revised
 
         exits = []
@@ -267,13 +323,11 @@ class TestWarmStarts:
         sf.set_bounds(np.zeros(2), np.array([0.4, 0.4]))
         exits.clear()
         warm = solve_revised(sf, root.basis)
-        assert warm.status is RevisedStatus.NEEDS_FALLBACK
+        assert warm.status is RevisedStatus.INFEASIBLE
         assert exits == [
-            ("dual_feasible", False), ("phase1", RevisedStatus.NEEDS_FALLBACK),
+            ("dual_feasible", False), ("phase1", RevisedStatus.INFEASIBLE),
         ]
-        result, basis, fell_back = solve_with_fallback(sf, root.basis)
-        assert fell_back and basis is None
-        assert result.status is LPStatus.INFEASIBLE
+        assert warm.basis is None and warm.counters.refactorizations == 2
 
 
 class TestKernelCounters:
