@@ -28,7 +28,7 @@ from repro.core.options import FormulationOptions, Objective
 from repro.errors import ReproError
 from repro.synthesis.synthesizer import Synthesizer
 from repro.system.examples import example1_library, example2_library
-from repro.system.interconnect import InterconnectStyle
+from repro.system.interconnect import STYLE_NAMES, InterconnectStyle
 from repro.system.library import TechnologyLibrary
 from repro.taskgraph.examples import example1, example2
 from repro.taskgraph.serialization import graph_from_dict
@@ -50,24 +50,30 @@ def load_problem(path: str) -> tuple:
 
     The built-in instances ``example1`` / ``example2`` may be named instead
     of a path.
+
+    Raises:
+        ReproError: When the file cannot be read, is not JSON, or lacks
+            the ``graph`` or ``library`` entry.
     """
     if path == "example1":
         return example1(), example1_library()
     if path == "example2":
         return example2(), example2_library()
-    document = json.loads(Path(path).read_text())
+    try:
+        document = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ReproError(f"cannot read problem file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ReproError(f"problem file {path} is not JSON: {exc}") from None
+    for key in ("graph", "library"):
+        if not isinstance(document, dict) or key not in document:
+            raise ReproError(
+                f"problem file {path} has no {key!r} entry (expected a JSON "
+                "object with 'graph' and 'library')"
+            )
     graph = graph_from_dict(document["graph"])
     library = TechnologyLibrary.from_dict(document["library"])
     return graph, library
-
-
-def _style(name: str) -> InterconnectStyle:
-    return {
-        "p2p": InterconnectStyle.POINT_TO_POINT,
-        "point_to_point": InterconnectStyle.POINT_TO_POINT,
-        "bus": InterconnectStyle.BUS,
-        "ring": InterconnectStyle.RING,
-    }[name]
 
 
 def _solver_options(args: argparse.Namespace, sink):
@@ -77,14 +83,12 @@ def _solver_options(args: argparse.Namespace, sink):
     returned options, so the caller owns closing it after the solve.
     """
     progress = getattr(args, "progress", False)
-    cuts = getattr(args, "cuts", "auto")
-    if sink is None and not progress and cuts == "auto":
+    if sink is None and not progress:
         return None
     from repro.obs.progress import print_progress
     from repro.solvers.base import SolverOptions
 
     return SolverOptions(
-        cuts=cuts,
         trace=sink,
         on_progress=print_progress if progress else None,
     )
@@ -106,9 +110,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     sink = _open_trace_sink(args)
     try:
         synth = Synthesizer(
-            graph, library, style=_style(args.style), solver=args.solver,
+            graph, library, style=STYLE_NAMES[args.style], solver=args.solver,
             solver_options=_solver_options(args, sink),
-            seed_incumbent=args.seed_incumbent,
         )
         design = synth.synthesize(
             cost_cap=args.cost_cap,
@@ -138,7 +141,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sink = _open_trace_sink(args)
     try:
         synth = Synthesizer(
-            graph, library, style=_style(args.style), solver=args.solver,
+            graph, library, style=STYLE_NAMES[args.style], solver=args.solver,
             solver_options=_solver_options(args, sink),
         )
         front = synth.pareto_sweep(max_designs=args.max_designs)
@@ -259,7 +262,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     from repro.baselines.refinement import refine_front
 
     graph, library = load_problem(args.problem)
-    style = _style(args.style)
+    style = STYLE_NAMES[args.style]
     front = heuristic_pareto(graph, library, style=style)
     if args.refine:
         front = refine_front(front)
@@ -326,7 +329,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
     graph, library = load_problem(args.problem)
     if args.design:
-        design = Synthesizer(graph, library, style=_style(args.style),
+        design = Synthesizer(graph, library, style=STYLE_NAMES[args.style],
                              solver=args.solver).synthesize(cost_cap=args.cost_cap)
         text = design_to_dot(design)
     else:
@@ -455,7 +458,7 @@ def cmd_dse_run(args: argparse.Namespace) -> int:
 
     graph, library = load_problem(args.problem)
     axes = [_parse_axis(spec) for spec in args.axis]
-    spec = SpaceSpec(library, axes, style=_style(args.style))
+    spec = SpaceSpec(library, axes, style=STYLE_NAMES[args.style])
     cache = None
     if args.cache_dir or args.cache_bytes:
         from repro.service.cache import ResultCache
@@ -472,8 +475,7 @@ def cmd_dse_run(args: argparse.Namespace) -> int:
     result = run_study(
         graph, spec, solver=args.solver, max_designs=args.max_designs,
         cost_step=args.cost_step, cache=cache,
-        manifest=args.manifest, seed_incumbent=args.seed_incumbent,
-        on_point=progress,
+        manifest=args.manifest, on_point=progress,
     )
     print(result.summary())
     if args.output:
@@ -516,7 +518,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     from repro.core.options import FormulationOptions
 
     built = SosModelBuilder(
-        graph, library, FormulationOptions(style=_style(args.style))
+        graph, library, FormulationOptions(style=STYLE_NAMES[args.style])
     ).build()
     print(f"graph: {graph!r}")
     print(f"pool: {[inst.name for inst in built.pool]}")
@@ -559,15 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--trace", metavar="FILE", default=None,
                          help="stream structured solve events to this JSONL file "
                          "(inspect it with 'sos trace FILE')")
-    p_synth.add_argument("--seed-incumbent", action="store_true",
-                         help="seed the solver with a list-scheduling "
-                              "heuristic incumbent (same optimum, less tree)")
     p_synth.add_argument("--progress", action="store_true",
                          help="print rate-limited progress lines during the solve")
-    p_synth.add_argument("--cuts", choices=("auto", "off"), default="auto",
-                         help="root cutting planes (bozo solver): 'auto' runs "
-                         "Gomory + cover separation rounds at the root, 'off' "
-                         "disables them (default: auto)")
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_sweep = sub.add_parser("sweep", help="enumerate all non-inferior designs")
@@ -580,8 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stream structured sweep/solve events to this JSONL file")
     p_sweep.add_argument("--progress", action="store_true",
                          help="print rate-limited progress lines during each solve")
-    p_sweep.add_argument("--cuts", choices=("auto", "off"), default="auto",
-                         help="root cutting planes (bozo solver); see 'synthesize --cuts'")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_paper = sub.add_parser("paper", help="regenerate a paper table/figure")
@@ -696,9 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse_run.add_argument("--output", metavar="FILE", default=None,
                            help="write the frontier surface JSON here "
                            "(render it later with 'sos dse report')")
-    p_dse_run.add_argument("--seed-incumbent", action="store_true",
-                           help="seed each solve with the list-scheduling "
-                           "incumbent")
     p_dse_run.add_argument("--expect-warm", action="store_true",
                            help="exit nonzero unless every point was answered "
                            "warm (cache hit or manifest replay) — CI guard")

@@ -78,8 +78,3 @@ class FormulationOptions:
             raise ModelError("horizon must be positive")
         if self.memory_cost_per_unit < 0:
             raise ModelError("memory_cost_per_unit must be nonnegative")
-        if self.objective is Objective.MIN_COST and self.deadline is None:
-            # Minimizing cost with no deadline is legal (it finds the
-            # cheapest feasible system regardless of speed), so no error --
-            # but a cost cap then makes no sense to also impose.
-            pass

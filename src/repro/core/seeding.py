@@ -22,9 +22,10 @@ Construction:
 
 Every step is deterministic.  Any inconsistency — a route the style
 forbids, a designer cap the heuristic schedule violates — surfaces as an
-infeasible polish LP and the function returns ``None``; the solver-side
-validation in ``seed_incumbent`` is a second, independent gate, so a bad
-seed can never change the optimum, only the amount of tree explored.
+infeasible polish LP and the function returns ``None``; Bozo's own check
+of :attr:`~repro.solvers.base.SolverOptions.incumbent` is a second,
+independent gate, so a bad seed can never change the optimum, only the
+amount of tree explored.
 """
 
 from __future__ import annotations

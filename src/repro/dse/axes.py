@@ -34,16 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
 
 from repro.errors import SystemModelError
-from repro.system.interconnect import InterconnectStyle
+from repro.system.interconnect import STYLE_NAMES, InterconnectStyle
 from repro.system.library import TechnologyLibrary
 from repro.system.processors import ProcessorType
-
-_STYLES = {
-    "p2p": InterconnectStyle.POINT_TO_POINT,
-    "point_to_point": InterconnectStyle.POINT_TO_POINT,
-    "bus": InterconnectStyle.BUS,
-    "ring": InterconnectStyle.RING,
-}
 
 #: Short, stable display labels per style (used in point ids).
 _STYLE_LABELS = {
@@ -208,11 +201,11 @@ def interconnect_styles(
     for style in styles:
         if isinstance(style, str):
             try:
-                style = _STYLES[style]
+                style = STYLE_NAMES[style]
             except KeyError:
                 raise SystemModelError(
                     f"unknown interconnect style {style!r} "
-                    f"(use {', '.join(sorted(_STYLES))})"
+                    f"(use {', '.join(sorted(STYLE_NAMES))})"
                 ) from None
 
         def transform(

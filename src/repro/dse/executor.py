@@ -149,7 +149,6 @@ def run_study(
     cost_step: float = 1e-4,
     cache: Optional["ResultCache"] = None,
     manifest: Optional[Union[str, Path]] = None,
-    seed_incumbent: bool = False,
     validate: bool = True,
     on_point: Optional[Callable[[GridPoint, str], None]] = None,
 ) -> StudyResult:
@@ -168,8 +167,6 @@ def run_study(
         manifest: Optional JSONL journal path.  Existing entries whose
             fingerprints match are replayed instead of re-solved; new
             completions are appended as they land.
-        seed_incumbent: Seed each solve with the list-scheduling
-            incumbent (part of the cache key).
         validate: Independently validate every design.
         on_point: Optional callback ``(grid_point, status)`` after each
             point, where status is ``"replayed"``, ``"cache_hit"``,
@@ -193,7 +190,6 @@ def run_study(
         result.points_total += 1
         synth = Synthesizer(
             graph, grid_point.library, style=grid_point.style, solver=solver,
-            seed_incumbent=seed_incumbent,
         )
         key = synth.sweep_fingerprint(
             max_designs=max_designs, cost_step=cost_step

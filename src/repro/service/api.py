@@ -52,17 +52,10 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import ServiceMetrics, TokenBucket, _prom_label
 from repro.solvers.registry import available_solvers
-from repro.system.interconnect import InterconnectStyle
+from repro.system.interconnect import STYLE_NAMES, InterconnectStyle
 from repro.system.library import TechnologyLibrary
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.serialization import graph_from_dict
-
-_STYLES = {
-    "p2p": InterconnectStyle.POINT_TO_POINT,
-    "point_to_point": InterconnectStyle.POINT_TO_POINT,
-    "bus": InterconnectStyle.BUS,
-    "ring": InterconnectStyle.RING,
-}
 
 #: Longest a submission will block on ``"wait": true`` before answering
 #: 202.  Bounded so a slow solve cannot pin an HTTP worker forever; the
@@ -162,7 +155,7 @@ def _problem_from_document(spec) -> Tuple[TaskGraph, TechnologyLibrary]:
 
 def _style_from_document(name) -> InterconnectStyle:
     try:
-        return _STYLES[name]
+        return STYLE_NAMES[name]
     except (KeyError, TypeError):
         raise BadRequest(
             f"unknown style {name!r} (use p2p, bus, or ring)"

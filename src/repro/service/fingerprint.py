@@ -38,7 +38,7 @@ from repro.taskgraph.serialization import graph_to_dict
 
 #: Bump when the canonical document's schema changes so stale on-disk
 #: cache entries can never be misread as current ones.
-FINGERPRINT_VERSION = 5
+FINGERPRINT_VERSION = 6
 
 #: SolverOptions fields that can change the *returned solution* (bounds,
 #: limits, tie-breaking).  ``incumbent`` is listed even though it is
@@ -52,22 +52,17 @@ _SOLVER_FIELDS = (
     "integrality_tolerance",
     "node_limit",
     "incumbent",
-    # Cuts are optimum-preserving but change exploration order — a
-    # different alternative optimum may be returned, so they key the cache.
-    "cuts",
 )
 
 #: SolverOptions fields that provably cannot change the returned solution
 #: — ``workers`` (deprecated and ignored), ``trace``/``on_progress``/
-#: ``progress_interval`` (observation only), ``presolve``
-#: (optimum-preserving numerics), ``should_stop``
+#: ``progress_interval`` (observation only), ``should_stop``
 #: (external cancellation, surfaces as an *aborted* result that is never
 #: cached).  Left out of the digest so equivalent requests share cache
 #: entries.  Together with ``_SOLVER_FIELDS`` this partitions every
 #: :class:`SolverOptions` field; a test enforces the partition so new
 #: fields must be classified explicitly.
 RESULT_INVARIANT_SOLVER_FIELDS = (
-    "presolve",
     "workers",
     "trace",
     "on_progress",

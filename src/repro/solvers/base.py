@@ -18,13 +18,15 @@ from repro.obs.sinks import TraceSink
 class SolverOptions:
     """Options understood by every backend (backends ignore what they must).
 
+    None of them tunes Bozo's search: presolve, node order, branching,
+    strong branching and the root cut loop are one fixed policy (see
+    :mod:`repro.solvers.bozo`).
+
     Attributes:
         time_limit: Wall-clock budget in seconds (``inf`` = none).
         gap_tolerance: Relative MILP gap at which the search may stop.
         integrality_tolerance: How close to an integer an LP value must be.
         node_limit: Maximum branch-and-bound nodes (``0`` = unlimited).
-        presolve: Run bound-propagation presolve before branch and bound
-            (Bozo only; HiGHS presolves internally).
         workers: Deprecated and ignored (a value other than ``1`` warns
             with ``DeprecationWarning``).  It used to request parallel
             branch and bound, which lost to the serial search on every
@@ -40,18 +42,6 @@ class SolverOptions:
             is silently ignored — it can slow the search down but never
             change the optimal objective, though tie-broken alternative
             optima may differ from an unseeded run.
-        cuts: Root-node cutting-plane mode (Bozo only).  ``"auto"``
-            (default) runs a bounded separation loop at the root: Gomory
-            mixed-integer cuts from the simplex tableau plus knapsack
-            cover cuts from the ``<=`` rows, filtered through a cut pool
-            and appended to the standing LP with a dual-simplex warm
-            restart per round.  The cut-augmented relaxation is inherited
-            by the whole tree (cut-and-branch).  ``"off"`` disables
-            separation.  Cuts are valid for every integral point, so the
-            optimal objective never changes.  The round budget is
-            :data:`repro.solvers.bozo.CUT_ROUNDS`, not an option: Bozo's
-            node order, branching rule, strong branching and cut budget
-            are one fixed search policy (see :mod:`repro.solvers.bozo`).
         trace: A :class:`~repro.obs.sinks.TraceSink` receiving structured
             solve events (``node_opened``, ``lp_solved``,
             ``incumbent_found``, ...).  ``None`` disables tracing.
@@ -73,10 +63,8 @@ class SolverOptions:
     gap_tolerance: float = 1e-9
     integrality_tolerance: float = 1e-6
     node_limit: int = 0
-    presolve: bool = True
     workers: int = 1
     incumbent: Optional[Mapping[str, float]] = None
-    cuts: str = "auto"
     trace: Optional[TraceSink] = None
     on_progress: Optional[Callable[[ProgressUpdate], None]] = None
     progress_interval: float = 1.0

@@ -21,8 +21,9 @@ The search has one policy; nothing in it is an option:
   the model),
 * root strong branching on the :data:`STRONG_BRANCH_CANDIDATES` most
   fractional candidates, which seeds the pseudocosts,
-* at most :data:`CUT_ROUNDS` root separation rounds when
-  ``SolverOptions.cuts`` is ``"auto"``.
+* bound-propagation presolve (:mod:`repro.solvers.presolve`) before
+  the root,
+* at most :data:`CUT_ROUNDS` root separation rounds.
 
 Around it: a rounding dive for a quick incumbent, wall-clock and node
 limits with a FEASIBLE (incumbent, gap > 0) result, and full
@@ -84,8 +85,8 @@ LP_ITERATIONS = 20_000
 #: ``cut_round`` event) instead of paying for more rows in every node LP.
 CUT_STALL_EPS = 1e-6
 
-#: Maximum root separation rounds when ``SolverOptions.cuts="auto"``.
-#: Five was the fastest budget on the serial Table II sweep.
+#: Maximum root separation rounds (``0`` disables the cut loop).  Five
+#: was the fastest budget on the serial Table II sweep.
 CUT_ROUNDS = 5
 
 
@@ -336,7 +337,7 @@ class _TreeSearch:
                     break
                 continue
 
-            if node.tiebreak == 1 and options.cuts == "auto":
+            if node.tiebreak == 1:
                 result = self._root_cut_loop(node, result)
                 if result.status is not RevisedStatus.OPTIMAL:
                     # Every integer point satisfies every cut, so an
@@ -778,26 +779,26 @@ class BozoSolver(Solver):
         start: float,
         tracer: Optional[Tracer] = None,
     ) -> Union[MatrixForm, Solution]:
-        """Matrix form after optional presolve, or a terminal Solution."""
-        form = model.to_matrices()
-        if self.options.presolve:
-            from repro.solvers.presolve import presolve
+        """Matrix form after presolve, or a terminal Solution."""
+        # Looked up per solve, so a wrapper or stand-in installed on the
+        # presolve module reaches every solve.
+        from repro.solvers.presolve import presolve
 
-            presolve_start = time.monotonic()
-            reduction = presolve(form)
-            presolve_seconds = time.monotonic() - presolve_start
-            stats.add_phase("presolve", presolve_seconds)
-            if tracer is not None:
-                tracer.emit("phase", name="presolve", seconds=presolve_seconds)
-            if reduction.proven_infeasible:
-                return Solution(
-                    SolveStatus.INFEASIBLE, iterations=0,
-                    solve_seconds=time.monotonic() - start, solver_name=self.name,
-                    stats=stats,
-                )
-            assert reduction.form is not None
-            form = reduction.form
-        return form
+        form = model.to_matrices()
+        presolve_start = time.monotonic()
+        reduction = presolve(form)
+        presolve_seconds = time.monotonic() - presolve_start
+        stats.add_phase("presolve", presolve_seconds)
+        if tracer is not None:
+            tracer.emit("phase", name="presolve", seconds=presolve_seconds)
+        if reduction.proven_infeasible:
+            return Solution(
+                SolveStatus.INFEASIBLE, iterations=0,
+                solve_seconds=time.monotonic() - start, solver_name=self.name,
+                stats=stats,
+            )
+        assert reduction.form is not None
+        return reduction.form
 
     def _assemble(
         self,

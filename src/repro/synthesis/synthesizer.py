@@ -61,15 +61,6 @@ class Synthesizer:
             ``cost_cap``/``deadline``/``objective`` fields.
         constraints: Arbitrary designer constraints (§3.3.2), applied
             once, to the model this synthesizer builds at its first solve.
-        seed_incumbent: Seed every solve with a list-scheduling heuristic
-            incumbent (:mod:`repro.core.seeding`): the best ETF/HLFET
-            schedule becomes a complete feasible assignment the
-            branch-and-bound backend adopts before its root node, so
-            pruning starts immediately.  Never changes the optimal
-            objective (an invalid seed is rejected by the solver); among
-            equal-objective alternative optima the tie-break may differ
-            from an unseeded run, so the flag is part of the result-cache
-            fingerprint.
     """
 
     def __init__(
@@ -81,7 +72,6 @@ class Synthesizer:
         solver_options: Optional[SolverOptions] = None,
         options: Optional[FormulationOptions] = None,
         constraints: Optional["DesignerConstraints"] = None,
-        seed_incumbent: bool = False,
     ) -> None:
         self.graph = graph
         self.library = library
@@ -90,7 +80,6 @@ class Synthesizer:
         self.solver_name = solver
         self.solver_options = solver_options
         self.constraints = constraints
-        self.seed_incumbent = seed_incumbent
         #: Total solver wall-clock seconds spent by this synthesizer.
         self.total_solve_seconds = 0.0
         #: The model, built at the first solve and re-targeted since.
@@ -216,10 +205,6 @@ class Synthesizer:
         """
         from repro.service.fingerprint import fingerprint_request
 
-        if self.seed_incumbent:
-            # Only stamped when on, so fingerprints of unseeded requests
-            # stay byte-stable across versions.
-            params["seed_incumbent"] = True
         return fingerprint_request(
             kind, self.graph, self.library,
             solver=self.solver_name, solver_options=self.solver_options,
@@ -264,16 +249,7 @@ class Synthesizer:
 
     def _solve(self, options: FormulationOptions):
         built = self._model_for(options)
-        solver_options = self.solver_options
-        if self.seed_incumbent:
-            from repro.core.seeding import heuristic_incumbent
-
-            seed = heuristic_incumbent(built)
-            if seed is not None:
-                solver_options = dataclasses.replace(
-                    solver_options or SolverOptions(), incumbent=seed
-                )
-        backend = get_solver(self.solver_name, solver_options)
+        backend = get_solver(self.solver_name, self.solver_options)
         solution = backend.solve(built.model)
         self.total_solve_seconds += solution.solve_seconds
         if solution.stats is not None:
@@ -473,8 +449,7 @@ def _check_step(name: str, step: float) -> None:
 #: Keyword arguments of :func:`synthesize` that configure the
 #: :class:`Synthesizer` itself rather than the single solve.
 _CONSTRUCTOR_KEYS = frozenset(
-    {"style", "solver", "solver_options", "options", "constraints",
-     "seed_incumbent"}
+    {"style", "solver", "solver_options", "options", "constraints"}
 )
 
 
@@ -485,7 +460,7 @@ def synthesize(graph: TaskGraph, library: TechnologyLibrary, **opts) -> Design:
     for callers who do not need to hold a :class:`Synthesizer` across
     several solves.  Keyword arguments are split automatically:
     configuration keys (``style``, ``solver``, ``solver_options``,
-    ``options``, ``constraints``, ``seed_incumbent``) go to the
+    ``options``, ``constraints``) go to the
     :class:`Synthesizer` constructor, everything else (``cost_cap``,
     ``deadline``, ``objective``, ``minimize_secondary``, ``validate``,
     ``cache``) to :meth:`Synthesizer.synthesize`.

@@ -37,3 +37,13 @@ class InterconnectStyle(enum.Enum):
     def is_shared_medium(self) -> bool:
         """True when all remote transfers contend for one resource."""
         return self is InterconnectStyle.BUS
+
+
+#: Style names accepted by the CLI, ``/v1`` and :mod:`repro.dse`: each
+#: enum value plus the short alias ``"p2p"``.
+STYLE_NAMES = {
+    "p2p": InterconnectStyle.POINT_TO_POINT,
+    "point_to_point": InterconnectStyle.POINT_TO_POINT,
+    "bus": InterconnectStyle.BUS,
+    "ring": InterconnectStyle.RING,
+}

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+from typing import Iterator
+
 import pytest
 
 from repro.system.examples import example1_library, example2_library
@@ -62,3 +66,19 @@ def make_library(spec, **kwargs) -> TechnologyLibrary:
     defaults = dict(instances_per_type=1, link_cost=1.0, local_delay=0.0, remote_delay=1.0)
     defaults.update(kwargs)
     return TechnologyLibrary(types=types, **defaults)
+
+
+@contextlib.contextmanager
+def presolve_off() -> Iterator[None]:
+    """Bozo solves inside the block skip presolve.
+
+    Bozo always presolves; this puts an identity reduction in place of
+    ``presolve`` on the ``repro.solvers.presolve`` module, so a solve sees
+    the model's matrices exactly as exported.  The module is reached with
+    ``import_module`` because ``repro.solvers`` re-exports a function of
+    the same name.  Usable inside hypothesis tests, unlike ``monkeypatch``.
+    """
+    module = importlib.import_module("repro.solvers.presolve")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "presolve", lambda form: module.PresolveResult(form))
+        yield

@@ -8,6 +8,7 @@ example.
 
 import pytest
 
+import repro
 from repro.core.formulation import SosModelBuilder
 from repro.core.options import FormulationOptions
 from repro.core.seeding import heuristic_incumbent
@@ -123,11 +124,10 @@ class TestSolverSeeding:
 
 
 class TestSynthesizerFlag:
-    def test_seeded_synthesis_matches_unseeded(self, ex1_graph, ex1_library):
-        plain = Synthesizer(ex1_graph, ex1_library).synthesize()
-        seeded = Synthesizer(
-            ex1_graph, ex1_library, seed_incumbent=True
-        ).synthesize()
-        assert seeded.makespan == pytest.approx(plain.makespan)
-        assert seeded.cost == pytest.approx(plain.cost)
-        assert seeded.violations() == []
+    def test_removed_keyword_is_rejected(self, ex1_graph, ex1_library):
+        # Synthesis has no seeding mode; a caller with a model passes
+        # heuristic_incumbent(...) as SolverOptions.incumbent instead.
+        with pytest.raises(TypeError, match="seed_incumbent"):
+            Synthesizer(ex1_graph, ex1_library, seed_incumbent=True)
+        with pytest.raises(TypeError, match="seed_incumbent"):
+            repro.synthesize(ex1_graph, ex1_library, seed_incumbent=True)

@@ -65,6 +65,10 @@ class TestLedger:
         assert len(statuses) == 4
         assert all(status == "solved" for _, status in statuses)
 
+    def test_seed_incumbent_keyword_is_rejected(self, graph):
+        with pytest.raises(TypeError, match="seed_incumbent"):
+            study(graph, seed_incumbent=True)
+
 
 class TestManifestResume:
     def test_finished_study_replays_as_a_pure_noop(self, graph, tmp_path):

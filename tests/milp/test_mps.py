@@ -256,14 +256,14 @@ class TestCutAugmentedRootCrossCheck:
         from repro.obs.sinks import MemoryTraceSink
         from repro.solvers import bozo
         from repro.solvers.base import SolverOptions
+        from tests.conftest import presolve_off
 
         monkeypatch.setattr(bozo, "CUT_ROUNDS", cut_rounds)
         monkeypatch.setattr(bozo, "STRONG_BRANCH_CANDIDATES", 0)
         sink = MemoryTraceSink()
-        solver = bozo.BozoSolver(SolverOptions(
-            cuts="auto", presolve=False, node_limit=1, trace=sink,
-        ))
-        solver.solve(model)
+        solver = bozo.BozoSolver(SolverOptions(node_limit=1, trace=sink))
+        with presolve_off():
+            solver.solve(model)
         rounds = [e for e in sink.events if e.type == "cut_round"]
         assert rounds, "no cuts separated: the cross-check exercised nothing"
         assert len(solver.last_root_cuts) == sum(

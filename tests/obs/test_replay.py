@@ -60,9 +60,9 @@ class TestReplayExactness:
         uses, so all four replay bit-exact — and must be *nonzero* here,
         or the test would pass vacuously."""
         sink = MemoryTraceSink()
-        solution = BozoSolver(SolverOptions(
-            cuts="auto", trace=sink,
-        )).solve(market_split(3, 14, 0))
+        solution = BozoSolver(SolverOptions(trace=sink)).solve(
+            market_split(3, 14, 0)
+        )
         stats = solution.stats
         assert stats.cuts_added > 0
         assert stats.cut_rounds > 0

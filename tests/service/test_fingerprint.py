@@ -183,7 +183,7 @@ class TestSensitivity:
             solver_options=SolverOptions(),
         )
         with pytest.warns(DeprecationWarning):
-            options = SolverOptions(workers=4, on_progress=print, presolve=False)
+            options = SolverOptions(workers=4, on_progress=print)
         observed = fingerprint_request(
             "synthesize", ex1_graph, ex1_library, solver_options=options,
         )

@@ -14,14 +14,12 @@ class TestSolverOptions:
         assert math.isinf(options.time_limit)
         assert options.gap_tolerance == pytest.approx(1e-9)
         assert options.node_limit == 0
-        assert options.cuts == "auto"
-        assert options.presolve is True
+        assert options.incumbent is None
 
     def test_overrides(self):
-        options = SolverOptions(time_limit=5.0, presolve=False, cuts="off")
+        options = SolverOptions(time_limit=5.0, node_limit=7)
         assert options.time_limit == 5.0
-        assert options.presolve is False
-        assert options.cuts == "off"
+        assert options.node_limit == 7
 
     @pytest.mark.parametrize("field, value", [
         ("node_selection", "best_first"),
@@ -29,6 +27,8 @@ class TestSolverOptions:
         ("strong_branching", 8),
         ("cut_rounds", 5),
         ("seed", 0),  # nothing read it: bozo makes no randomized choice
+        ("presolve", True),  # bozo always presolves
+        ("cuts", "auto"),  # bozo always runs the root cut loop
     ])
     def test_removed_search_fields_are_rejected(self, field, value):
         # Bozo's search policy is fixed; even the old default is refused.
@@ -36,7 +36,7 @@ class TestSolverOptions:
             SolverOptions(**{field: value})
 
     def test_field_count(self):
-        assert len(dataclasses.fields(SolverOptions)) == 12
+        assert len(dataclasses.fields(SolverOptions)) == 10
 
 
 class TestSolverAbc:

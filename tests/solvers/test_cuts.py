@@ -11,18 +11,24 @@ from repro.solvers.bozo import BozoSolver
 from repro.solvers.cuts import Cut, CutPool
 from repro.solvers.highs import HighsSolver
 
+from tests.conftest import presolve_off
 from tests.solvers.instances import market_split
 
 
-def _solve(model, **kwargs):
-    return BozoSolver(SolverOptions(**kwargs)).solve(model)
+def _solve(model):
+    return BozoSolver().solve(model)
+
+
+def _solve_without_cuts(model, monkeypatch):
+    monkeypatch.setattr(bozo, "CUT_ROUNDS", 0)
+    return _solve(model)
 
 
 class TestObjectivePreservation:
-    def test_market_split_cuts_on_off_and_highs_agree(self):
+    def test_market_split_cuts_on_off_and_highs_agree(self, monkeypatch):
         model = market_split(3, 14, 0)
-        on = _solve(model, cuts="auto")
-        off = _solve(model, cuts="off")
+        on = _solve(model)
+        off = _solve_without_cuts(model, monkeypatch)
         reference = HighsSolver().solve(model)
         assert on.status is SolveStatus.OPTIMAL
         assert on.objective == pytest.approx(off.objective, abs=1e-9)
@@ -30,29 +36,30 @@ class TestObjectivePreservation:
         assert on.stats.cuts_added > 0
         assert off.stats.cuts_added == 0
 
-    def test_node_count_strictly_decreases_on_market_split_3x16(self):
+    def test_node_count_strictly_decreases_on_market_split_3x16(self, monkeypatch):
         model = market_split(3, 16, 0)
-        on = _solve(model, cuts="auto")
-        off = _solve(model, cuts="off")
+        on = _solve(model)
+        off = _solve_without_cuts(model, monkeypatch)
         assert on.objective == pytest.approx(off.objective, abs=1e-9)
         assert on.stats.nodes < off.stats.nodes
 
     def test_applied_cuts_do_not_cut_the_optimum(self):
         # Every cut row the solver appended must be satisfied by the
         # integer optimum of the *uncut* solve — cuts trim only
-        # fractional vertices.  presolve=False keeps the cut coefficient
-        # space aligned with the model's own column order.
+        # fractional vertices.  Skipping presolve keeps the cut
+        # coefficient space aligned with the model's own column order.
         model = market_split(3, 14, 0)
-        solver = BozoSolver(SolverOptions(cuts="auto", presolve=False))
-        solution = solver.solve(model)
+        solver = BozoSolver()
+        with presolve_off():
+            solution = solver.solve(model)
         assert solver.last_root_cuts
         x = np.array([solution.values[var] for var in model.variables])
         for coeffs, rhs in solver.last_root_cuts:
             assert float(coeffs @ x) <= rhs + 1e-6
 
-    def test_cuts_off_matches_pre_cut_behavior(self):
+    def test_cuts_off_matches_pre_cut_behavior(self, monkeypatch):
         model = market_split(2, 10, 0)
-        off = _solve(model, cuts="off")
+        off = _solve_without_cuts(model, monkeypatch)
         assert off.stats.cuts_added == 0
         assert off.stats.cut_rounds == 0
         assert off.stats.root_gap_closed == 0.0
@@ -98,9 +105,7 @@ class TestStrongBranching:
 class TestEventsAndReplay:
     def test_cut_events_validate_and_match_stats(self):
         sink = MemoryTraceSink()
-        solution = BozoSolver(
-            SolverOptions(cuts="auto", trace=sink)
-        ).solve(market_split(3, 14, 0))
+        solution = BozoSolver(SolverOptions(trace=sink)).solve(market_split(3, 14, 0))
         assert check_schema(sink.events) == []
         rounds = [e for e in sink.events if e.type == "cut_round"]
         summaries = [e for e in sink.events if e.type == "cuts_added"]
@@ -112,9 +117,7 @@ class TestEventsAndReplay:
 
     def test_replay_reconstructs_cut_and_strong_branch_fields_exactly(self):
         sink = MemoryTraceSink()
-        solution = BozoSolver(
-            SolverOptions(cuts="auto", trace=sink)
-        ).solve(market_split(3, 14, 0))
+        solution = BozoSolver(SolverOptions(trace=sink)).solve(market_split(3, 14, 0))
         stats = solution.stats
         assert stats.cuts_added > 0 and stats.strong_branch_probes > 0
         replayed = replay_stats(sink.events)
@@ -170,18 +173,5 @@ class TestCutPool:
 class TestOptions:
     def test_cut_rounds_cap_respected(self, monkeypatch):
         monkeypatch.setattr(bozo, "CUT_ROUNDS", 2)
-        solution = _solve(market_split(3, 14, 0), cuts="auto")
+        solution = _solve(market_split(3, 14, 0))
         assert 0 < solution.stats.cut_rounds <= 2
-
-    def test_fingerprint_distinguishes_cut_options(self, ex1_graph, ex1_library):
-        from repro.service.fingerprint import fingerprint_request
-
-        def fp(**kwargs):
-            return fingerprint_request(
-                "synthesize", ex1_graph, ex1_library, solver="bozo",
-                solver_options=SolverOptions(**kwargs),
-            )
-
-        baseline = fp()
-        assert fp(cuts="off") != baseline
-        assert fp() == baseline

@@ -201,7 +201,7 @@ class TestCutTailingOff:
         monkeypatch.setattr(bozo, "CUT_ROUNDS", 8)
         sink = MemoryTraceSink()
         solution = BozoSolver(
-            SolverOptions(cuts="auto", trace=sink)
+            SolverOptions(trace=sink)
         ).solve(tailing_model())
         rounds = [e for e in sink.events if e.type == "cut_round"]
         assert 0 < len(rounds) < 8  # exited before the budget
@@ -216,7 +216,7 @@ class TestCutTailingOff:
         monkeypatch.setattr(bozo, "CUT_ROUNDS", 3)
         sink = MemoryTraceSink()
         BozoSolver(
-            SolverOptions(cuts="auto", trace=sink)
+            SolverOptions(trace=sink)
         ).solve(market_split(3, 10, 0))
         rounds = [e for e in sink.events if e.type == "cut_round"]
         assert all(e.data.get("reason") is None for e in rounds)

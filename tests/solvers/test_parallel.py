@@ -4,6 +4,7 @@
 import pytest
 
 from repro.errors import UnknownSolverError
+from repro.solvers import bozo
 from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 from repro.solvers.parallel import solve_parallel
@@ -34,13 +35,14 @@ def assert_same_solution(got, want):
 
 
 class TestByteIdentity:
-    def test_workers4_matches_serial_exactly(self):
+    def test_workers4_matches_serial_exactly(self, monkeypatch):
         # Without root cuts: the deprecated field is ignored whatever the
-        # other options say.
+        # search does.
+        monkeypatch.setattr(bozo, "CUT_ROUNDS", 0)
         model = market_split(3, 14, 0)
-        serial = BozoSolver(SolverOptions(cuts="off")).solve(model)
+        serial = BozoSolver().solve(model)
         with pytest.warns(DeprecationWarning, match="workers"):
-            options = SolverOptions(workers=4, cuts="off")
+            options = SolverOptions(workers=4)
         assert serial.iterations >= 200  # a real tree, not a root solve
         assert_same_solution(BozoSolver(options).solve(model), serial)
 

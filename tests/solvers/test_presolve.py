@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.milp.expr import VarType
 from repro.milp.model import Model
 from repro.milp.solution import SolveStatus
-from repro.solvers.base import SolverOptions
 from repro.solvers.bozo import BozoSolver
 from repro.solvers.highs import HighsSolver
 from repro.solvers.presolve import presolve
+from tests.conftest import presolve_off
 
 
 def form_of(build):
@@ -139,9 +139,10 @@ class TestEquivalence:
             return model
 
         rng_state = rng.getstate()
-        with_presolve = BozoSolver(SolverOptions(presolve=True)).solve(build())
+        with_presolve = BozoSolver().solve(build())
         rng.setstate(rng_state)
-        without = BozoSolver(SolverOptions(presolve=False)).solve(build())
+        with presolve_off():
+            without = BozoSolver().solve(build())
         assert with_presolve.status == without.status
         if with_presolve.status is SolveStatus.OPTIMAL:
             assert with_presolve.objective == pytest.approx(without.objective, abs=1e-6)
@@ -162,7 +163,7 @@ class TestEquivalence:
         assert np.all(x <= result.form.ub + 1e-6)
 
 
-def roundtrip_presolve(model, make_solver=None):
+def roundtrip_presolve(model, make_solver=BozoSolver):
     """Assert the presolve round-trip property on one model.
 
     Solving under the presolved (tightened) bounds must produce an
@@ -172,31 +173,30 @@ def roundtrip_presolve(model, make_solver=None):
     backend (default: bozo with its internal presolve off, so the only
     reductions in play are the ones under test).
     """
-    if make_solver is None:
-        make_solver = lambda: BozoSolver(SolverOptions(presolve=False))
-    form = model.to_matrices()
-    result = presolve(form)
-    original = make_solver().solve(model)
-    if result.proven_infeasible:
-        assert not original.status.has_solution
-        return
-    reduced = model.copy(f"{model.name}_presolved")
-    for j, var in enumerate(reduced.variables):
-        var.lb = float(result.form.lb[j])
-        var.ub = float(result.form.ub[j])
-    mapped = make_solver().solve(reduced)
-    assert mapped.status == original.status
-    if original.status is not SolveStatus.OPTIMAL:
-        return
-    assert mapped.objective == pytest.approx(original.objective, abs=1e-6)
-    # Map the reduced solution back by name and check it against the
-    # original model's own constraints and bounds.
-    by_name = mapped.as_name_dict()
-    values = {var: by_name[var.name] for var in model.variables}
-    assert model.infeasibilities(values) == []
-    assert model.objective_value(values) == pytest.approx(
-        original.objective, abs=1e-6
-    )
+    with presolve_off():
+        form = model.to_matrices()
+        result = presolve(form)
+        original = make_solver().solve(model)
+        if result.proven_infeasible:
+            assert not original.status.has_solution
+            return
+        reduced = model.copy(f"{model.name}_presolved")
+        for j, var in enumerate(reduced.variables):
+            var.lb = float(result.form.lb[j])
+            var.ub = float(result.form.ub[j])
+        mapped = make_solver().solve(reduced)
+        assert mapped.status == original.status
+        if original.status is not SolveStatus.OPTIMAL:
+            return
+        assert mapped.objective == pytest.approx(original.objective, abs=1e-6)
+        # Map the reduced solution back by name and check it against the
+        # original model's own constraints and bounds.
+        by_name = mapped.as_name_dict()
+        values = {var: by_name[var.name] for var in model.variables}
+        assert model.infeasibilities(values) == []
+        assert model.objective_value(values) == pytest.approx(
+            original.objective, abs=1e-6
+        )
 
 
 class TestCoefficientReduction:
@@ -247,8 +247,9 @@ class TestCoefficientReduction:
             model.minimize(-5 * x - y)
             return model
 
-        with_presolve = BozoSolver(SolverOptions(presolve=True)).solve(build())
-        without = BozoSolver(SolverOptions(presolve=False)).solve(build())
+        with_presolve = BozoSolver().solve(build())
+        with presolve_off():
+            without = BozoSolver().solve(build())
         reference = HighsSolver().solve(build())
         assert with_presolve.objective == pytest.approx(without.objective)
         assert with_presolve.objective == pytest.approx(reference.objective)
@@ -302,8 +303,9 @@ class TestAgainstBothBackends:
             instances_per_type=2, remote_delay=0.5,
         )
         built = SosModelBuilder(graph, library, FormulationOptions()).build()
-        presolved = BozoSolver(SolverOptions(presolve=True)).solve(built.model)
-        raw = BozoSolver(SolverOptions(presolve=False)).solve(built.model)
+        presolved = BozoSolver().solve(built.model)
+        with presolve_off():
+            raw = BozoSolver().solve(built.model)
         reference = HighsSolver().solve(built.model)
         assert presolved.status == raw.status == reference.status
         if presolved.status is SolveStatus.OPTIMAL:

@@ -197,12 +197,6 @@ class TestRetargetedEqualsFresh:
         assert len(received.builds) == 1
         received.assert_all_fresh(synth)
 
-    def test_seeded_solves(self, received, ex1_graph, ex1_library):
-        synth = Synthesizer(ex1_graph, ex1_library, seed_incumbent=True)
-        synth.synthesize(cost_cap=13)
-        synth.synthesize(cost_cap=5)
-        received.assert_all_fresh(synth)
-
 
 class TestBuildCount:
     def test_synthesize_builds_once(self, received, ex1_graph, ex1_library):

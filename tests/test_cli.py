@@ -51,6 +51,22 @@ class TestLoadProblem:
         graph, library = load_problem(str(path))
         assert len(library.instances()) == 2
 
+    @pytest.mark.parametrize("name, text, problem", [
+        ("missing.json", None, "cannot read"),
+        ("notjson.json", "graph: {}", "is not JSON"),
+        ("nolibrary.json", json.dumps({"graph": {}}), "no 'library' entry"),
+    ])
+    def test_bad_problem_file_is_clean_error(
+        self, name, text, problem, tmp_path, capsys
+    ):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["synthesize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err and problem in err
+
 
 class TestCommands:
     def test_synthesize_example1(self, capsys):
@@ -122,6 +138,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "example1", flag, "3"])
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("synthesize example1", "--cuts off"),
+        ("sweep example1", "--cuts off"),
+        ("synthesize example1", "--seed-incumbent"),
+        ("dse run example1 --axis price=1", "--seed-incumbent"),
+    ])
+    def test_removed_search_switch_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command.split(), *flag.split()])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--threaded", "--no-batching"])
     def test_retired_serve_flag_is_rejected(self, flag, capsys):
