@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ModelError
@@ -37,10 +36,13 @@ class FormulationOptions:
         deadline: Designer constraint ``T_F <= deadline``.
         horizon: Override for the big-M constant ``T_M``; computed tightly
             from the instance when ``None``.
-        prune_ordered_pairs: Skip exclusion constraints between events whose
-            order is already implied by precedence (never changes the
-            optimum; dramatically shrinks the model).  Disable to reproduce
-            the paper's raw constraint structure.
+        prune_ordered_pairs: The default optimum-preserving accelerations:
+            skip exclusion constraints between events whose order is
+            already implied by precedence (dramatically shrinks the model),
+            and add one processor-load row ``T_F >= sum D * sigma`` per
+            pool instance (tightens the relaxation).  Neither changes the
+            optimum.  Disable to reproduce the paper's raw constraint
+            structure.
         symmetry_breaking: Add lexicographic ordering between identical
             processor instances (never changes the optimal cost/performance,
             only which of several symmetric optima is returned).

@@ -67,7 +67,7 @@ from repro.solvers.revised import (
 )
 
 #: Root candidates probed by strong branching (``0`` disables it).  On
-#: the serial Table II sweep, root probes cut the tree from 941 to 783
+#: the serial Table II sweep, root probes cut the tree from 350 to 236
 #: nodes; docs/solvers.md has the on/off matrix.
 STRONG_BRANCH_CANDIDATES = 8
 
@@ -371,9 +371,8 @@ class _TreeSearch:
                 (xi[frac_mask] - np.floor(xi[frac_mask] + tol)).tolist(),
             ))
             if not fractional:
-                x = result.x.copy()
-                x[self.integral] = np.round(x[self.integral])
-                if self._is_feasible(form, x):
+                x = self._integral_point(node.lb, node.ub, result.x, node_basis)
+                if x is not None:
                     obj = float(form.c @ x) + form.c0
                     if obj < self.incumbent_obj - 1e-12:
                         self._adopt(x, obj, node.tiebreak, source="integral")
@@ -651,11 +650,7 @@ class _TreeSearch:
                        math.ceil(current[j]) - current[j]) > tol
             ]
             if not fractional:
-                candidate = current.copy()
-                candidate[integral] = np.round(candidate[integral])
-                if self._is_feasible(self.lp.form, candidate):
-                    return candidate
-                return None
+                return self._integral_point(lb, ub, current, basis)
             j, value = min(
                 fractional,
                 key=lambda item: min(item[1] - math.floor(item[1]),
@@ -677,6 +672,39 @@ class _TreeSearch:
                 return None
             current = result.x
         return None
+
+    def _integral_point(
+        self,
+        lb: np.ndarray,
+        ub: np.ndarray,
+        x: np.ndarray,
+        basis: Optional[Basis],
+    ) -> Optional[np.ndarray]:
+        """``x`` with its integral columns rounded, or ``None`` if infeasible.
+
+        ``x`` is integral only up to the integrality tolerance, and rounding
+        moves each row by up to its coefficients times that tolerance: an
+        equality ``T_SE = T_SS + sum D * sigma`` can then miss by more than
+        the feasibility tolerance.  In that case the LP is re-solved with
+        the integral columns fixed at their rounded values, so that the
+        continuous columns absorb the rounding.
+        """
+        form = self.lp.form
+        integral = self.integral
+        rounded = np.round(x[integral])
+        candidate = x.copy()
+        candidate[integral] = rounded
+        if self._is_feasible(form, candidate):
+            return candidate
+        fixed_lb, fixed_ub = lb.copy(), ub.copy()
+        fixed_lb[integral] = rounded
+        fixed_ub[integral] = rounded
+        result = self.lp.solve(fixed_lb, fixed_ub, basis)
+        if result.status is not RevisedStatus.OPTIMAL:
+            return None
+        candidate = result.x.copy()
+        candidate[integral] = rounded
+        return candidate if self._is_feasible(form, candidate) else None
 
     def _pick_branch(
         self, fractional: List[Tuple[int, float]]

@@ -9,10 +9,12 @@ from repro.core.variables import arc_key
 from repro.core.options import FormulationOptions, Objective
 from repro.errors import SystemModelError
 from repro.milp.constraint import Sense
+from repro.paper.experiments import model_size_report
 from repro.solvers.registry import get_solver
 from repro.system.examples import example1_library
 from repro.system.interconnect import InterconnectStyle
 from repro.taskgraph.examples import example1
+from tests.conftest import make_library
 
 
 @pytest.fixture
@@ -93,6 +95,81 @@ class TestFamilies:
                 count for family, count in full.family_counts.items() if fragment in family
             )
             assert pruned_count == full_count, fragment
+
+
+class TestProcessorLoad:
+    """``T_F >= sum D * sigma`` per instance, on with the default reductions."""
+
+    def test_one_row_per_instance_with_a_capable_subtask(self, built):
+        capable = [
+            inst for inst in built.pool
+            if any(inst.can_execute(name) for name in built.graph.subtask_names)
+        ]
+        assert built.family_counts["processor-load"] == len(capable) == 6
+
+    def test_instances_that_run_nothing_get_no_row(self, tiny_graph):
+        library = make_library({
+            "fast": (10, {"A": 1, "B": 1}),
+            "slow": (3, {"A": 4}),
+            "idle": (1, {"Z": 1}),
+        })
+        built = build_sos_model(tiny_graph, library)
+        loads = {
+            c.name: c for c in built.model.constraints if c.name.startswith("load[")
+        }
+        assert sorted(loads) == ["load[fasta]", "load[slowa]"]
+        assert built.family_counts["processor-load"] == 2
+        row = loads["load[fasta]"]
+        v = built.variables
+        assert row.expr.coefficient(v.t_f) == pytest.approx(1.0)
+        assert row.expr.coefficient(v.sigma[("fasta", "A")]) == pytest.approx(-1.0)
+        assert row.expr.coefficient(v.sigma[("fasta", "B")]) == pytest.approx(-1.0)
+        assert (row.sense, row.rhs) == (Sense.GE, 0.0)
+        slow = loads["load[slowa]"]
+        assert slow.expr.coefficient(v.sigma[("slowa", "A")]) == pytest.approx(-4.0)
+
+    def test_absent_from_the_faithful_formulation(self, ex1_graph, ex1_library):
+        built = build_sos_model(
+            ex1_graph, ex1_library, FormulationOptions(prune_ordered_pairs=False)
+        )
+        assert "processor-load" not in built.family_counts
+        assert not any(c.name.startswith("load[") for c in built.model.constraints)
+
+    def test_faithful_model_sizes_are_unchanged(self):
+        faithful = [
+            line for line in model_size_report().splitlines() if "| faithful |" in line
+        ]
+        assert faithful == [
+            "example1_p2p | faithful | 21     | 82     | 294         | 21/72/174  ",
+            "example2_p2p | faithful | 51     | 196    | 1893        | 47/225/1081",
+            "example2_bus | faithful | 51     | 166    | 663         | 47/153/416 ",
+        ]
+
+    @staticmethod
+    def _root_bound(graph, library, **options):
+        built = build_sos_model(graph, library, FormulationOptions(**options))
+        return get_solver("highs").solve(built.model.relaxed()).objective
+
+    def test_rows_lift_the_root_relaxation_under_a_tight_cap(
+        self, ex1_graph, ex1_library
+    ):
+        # The optimum at this cap is 17.
+        without = self._root_bound(
+            ex1_graph, ex1_library, cost_cap=4.9999, prune_ordered_pairs=False
+        )
+        with_rows = self._root_bound(ex1_graph, ex1_library, cost_cap=4.9999)
+        assert without == pytest.approx(3.0006, abs=1e-4)
+        assert with_rows == pytest.approx(4.1624, abs=1e-4)
+
+    @pytest.mark.parametrize("cost_cap, bound", [
+        (13.9999, 2.5), (12.9999, 2.5), (6.9999, 2.7955),
+    ])
+    def test_looser_caps_keep_their_root_relaxation(
+        self, ex1_graph, ex1_library, cost_cap, bound
+    ):
+        assert self._root_bound(
+            ex1_graph, ex1_library, cost_cap=cost_cap
+        ) == pytest.approx(bound, abs=1e-4)
 
 
 class TestDesignerConstraints:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ModelError
 from repro.milp.expr import VarType
 from repro.milp.model import Model
-from repro.milp.mps import mps_string, read_mps, write_mps
+from repro.milp.mps import mps_string, read_mps
 from repro.solvers.registry import get_solver
 
 SAMPLE = """\

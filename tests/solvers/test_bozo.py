@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.formulation import SosModelBuilder
-from repro.core.options import FormulationOptions
+from repro.core.options import FormulationOptions, Objective
 from repro.milp.expr import VarType
 from repro.milp.model import Model
 from repro.milp.solution import SolveStatus
@@ -16,6 +16,8 @@ from repro.solvers.bozo import BozoSolver
 from repro.solvers.highs import HighsSolver
 from repro.system.examples import example1_library
 from repro.taskgraph.examples import example1
+from repro.taskgraph.generators import layered_random
+from tests.conftest import make_library
 
 
 def knapsack_model(weights, values, capacity):
@@ -167,3 +169,31 @@ class TestUnsolvedRelaxationIsLoud:
         built = SosModelBuilder(example1(), example1_library()).build()
         with pytest.raises(SolverError, match=r"after 1 pivots on \d+ rows \(cold start\)"):
             BozoSolver().solve(built.model)
+
+
+class TestRoundedIntegralPoints:
+    """A node LP whose integral columns sit within the integrality
+    tolerance of integers is answered by the rounded point, re-solved with
+    those columns fixed when rounding alone misses an equality row."""
+
+    def test_near_integral_optimum_is_not_dropped(self):
+        # Rounding the LP optimum moves ``T_SE = T_SS + sum D * sigma`` by
+        # ~2e-6; dropping that node made bozo call a feasible model
+        # infeasible.
+        graph = layered_random(5, 2, seed=3)
+        library = make_library(
+            {
+                "p1": (4, {"S1": 5, "S3": 5, "S4": 1, "S2": 4, "S5": 2}),
+                "p2": (5, {"S3": 5, "S4": 2, "S2": 2}),
+            },
+            instances_per_type=2,
+        )
+        built = SosModelBuilder(
+            graph, library,
+            FormulationOptions(objective=Objective.MIN_COST, deadline=7.000001),
+        ).build()
+        reference = HighsSolver().solve(built.model)
+        ours = BozoSolver().solve(built.model)
+        assert reference.objective == pytest.approx(14.0)
+        assert ours.status is SolveStatus.OPTIMAL
+        assert ours.objective == pytest.approx(reference.objective)

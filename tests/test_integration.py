@@ -115,6 +115,59 @@ def test_bus_never_faster_than_p2p(seed):
     assert bus.makespan >= p2p.makespan - 1e-6
 
 
+class TestProcessorLoadRowsCutNoDesign:
+    """The default model's processor-load rows keep every optimum.
+
+    ``prune_ordered_pairs=False`` builds the paper's rows alone; the
+    default adds the load rows (and drops provably ordered pairs).  Both
+    must reach the same (cost, makespan), and each design must validate.
+    """
+
+    VARIANTS = {
+        "p2p": {},
+        "bus": {"style": InterconnectStyle.BUS},
+        "ring": {"style": InterconnectStyle.RING},
+        "no-io-overlap": {"io_overlap": False},
+        "memory": {"memory_model": True, "memory_cost_per_unit": 0.25},
+    }
+
+    @staticmethod
+    def _design(graph, library, variant, prune, cost_cap):
+        options = FormulationOptions(prune_ordered_pairs=prune, **variant)
+        try:
+            design = Synthesizer(
+                graph, library, style=options.style, solver="bozo", options=options
+            ).synthesize(cost_cap=cost_cap)
+        except InfeasibleError:
+            return None
+        assert design.violations() == []
+        return design.cost, design.makespan
+
+    def _assert_same_optimum(self, graph, library, variant, cost_cap=None):
+        default = self._design(graph, library, variant, True, cost_cap)
+        faithful = self._design(graph, library, variant, False, cost_cap)
+        assert (default is None) == (faithful is None)
+        if faithful is not None:
+            assert default == (pytest.approx(faithful[0]), pytest.approx(faithful[1]))
+
+    @pytest.mark.parametrize("variant, cost_cap", [
+        ("p2p", 6.9999), ("p2p", 4.9999), ("bus", 6.9999), ("bus", 4.9999),
+        ("ring", None), ("ring", 6.9999), ("no-io-overlap", None),
+        ("no-io-overlap", 6.9999), ("memory", None), ("memory", 6.9999),
+    ])
+    def test_example1(self, ex1_graph, ex1_library, variant, cost_cap):
+        self._assert_same_optimum(
+            ex1_graph, ex1_library, self.VARIANTS[variant], cost_cap
+        )
+
+    @pytest.mark.parametrize("variant", ["p2p", "bus", "no-io-overlap"])
+    @pytest.mark.parametrize("seed", [2, 3, 5, 6])
+    def test_layered_random(self, seed, variant):
+        graph = layered_random(5, 2, seed=seed)
+        library = random_library(seed, graph.subtask_names)
+        self._assert_same_optimum(graph, library, self.VARIANTS[variant])
+
+
 class TestDeadlineCostMonotonicity:
     def test_tighter_deadline_costs_more(self, ex1_graph, ex1_library):
         from repro.core.options import Objective
