@@ -50,7 +50,7 @@ from repro.system import (
 )
 from repro.taskgraph import TaskGraph, example1, example2
 
-__version__ = "2.9.0"
+__version__ = "2.10.0"
 
 __all__ = [
     "DesignerConstraints",

@@ -19,7 +19,7 @@ Two classic priority schemes are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SynthesisError
 from repro.schedule.schedule import Schedule
@@ -114,7 +114,7 @@ def etf_schedule(
             missing = [t for t in ready if not any(p.can_execute(t) for p in processors)]
             raise SynthesisError(f"no capable processor in the set for {missing}")
         _, placement, inst = best
-        builder.commit(builder.tentative(placement.task, inst), inst)
+        builder.commit(builder.tentative(placement.task, inst))
         placed.add(placement.task)
         remaining.remove(placement.task)
     return builder.mapping(), builder.schedule()
@@ -161,5 +161,5 @@ def _place_in_order(
         if best is None:
             raise SynthesisError(f"no capable processor in the set for {task}")
         _, placement, inst = best
-        builder.commit(builder.tentative(task, inst), inst)
+        builder.commit(builder.tentative(task, inst))
     return builder.mapping(), builder.schedule()

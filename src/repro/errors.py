@@ -33,14 +33,6 @@ class InfeasibleError(SolverError):
     """The model was proven infeasible."""
 
 
-class UnboundedError(SolverError):
-    """The model was proven unbounded."""
-
-
-class TimeLimitError(SolverError):
-    """The solver hit its time limit before proving optimality."""
-
-
 class CancelledError(ReproError):
     """A solve was cooperatively cancelled.
 

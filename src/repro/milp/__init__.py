@@ -7,8 +7,6 @@ spirit of PuLP, consumed by the solver backends in :mod:`repro.solvers`.
 
 from repro.milp.constraint import Constraint, Sense
 from repro.milp.expr import INTEGRALITY_TOLERANCE, LinExpr, Var, VarType
-from repro.milp.lpreader import read_lp
-from repro.milp.lpwriter import lp_string, write_lp
 from repro.milp.model import MatrixForm, Model, ModelStats
 from repro.milp.mps import mps_string, read_mps, write_mps
 from repro.milp.solution import Solution, SolveStats, SolveStatus
@@ -20,9 +18,6 @@ __all__ = [
     "LinExpr",
     "Var",
     "VarType",
-    "read_lp",
-    "lp_string",
-    "write_lp",
     "read_mps",
     "mps_string",
     "write_mps",

@@ -1,4 +1,4 @@
-"""MPS-format writer and reader — the matrix-file sibling of the LP codec.
+"""MPS-format writer and reader: the package's model-exchange format.
 
 The paper's toolchain exchanged matrix files between the generator and
 XLP; MPS is the modern interchange format every external solver reads.
@@ -30,7 +30,7 @@ _SENSE_OF = {"L": Sense.LE, "G": Sense.GE, "E": Sense.EQ}
 
 
 def _sanitize(name: str) -> str:
-    """Make a variable/row name legal in MPS (and LP) files."""
+    """Make a variable/row name legal in MPS files."""
     clean = _NAME_SANITIZER.sub("_", name)
     if not clean or clean[0].isdigit():
         clean = "v_" + clean

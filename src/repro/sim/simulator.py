@@ -65,7 +65,6 @@ class ScheduleBuilder:
         self._channels: Dict[object, Timeline] = {}
         self._executions: Dict[str, ExecutionEvent] = {}
         self._transfers: List[TransferEvent] = []
-        self._instances: Dict[str, ProcessorInstance] = {}
 
     # -- resource access ------------------------------------------------------
     def _processor_timeline(self, processor: str) -> Timeline:
@@ -157,7 +156,7 @@ class ScheduleBuilder:
             transfers=[event for event, _ in plans],
         )
 
-    def commit(self, placement: Placement, instance: ProcessorInstance) -> ExecutionEvent:
+    def commit(self, placement: Placement) -> ExecutionEvent:
         """Reserve the resources of a tentative placement.
 
         The placement must be re-derived from the current state (i.e. come
@@ -181,7 +180,6 @@ class ScheduleBuilder:
             end=placement.end,
         )
         self._executions[placement.task] = execution
-        self._instances[instance.name] = instance
         return execution
 
     # -- results ------------------------------------------------------------
@@ -195,11 +193,6 @@ class ScheduleBuilder:
     def mapping(self) -> Dict[str, str]:
         """``task -> processor name`` for every placed subtask."""
         return {task: event.processor for task, event in self._executions.items()}
-
-    def instances_used(self) -> List[ProcessorInstance]:
-        """Distinct processor instances hosting at least one placed subtask."""
-        used = {event.processor for event in self._executions.values()}
-        return [self._instances[name] for name in sorted(used)]
 
     @property
     def makespan(self) -> float:
@@ -246,5 +239,5 @@ def simulate_mapping(
         instance = instances.get(name)
         if instance is None:
             raise SimulationError(f"mapping uses unknown processor {name}")
-        builder.commit(builder.tentative(task, instance), instance)
+        builder.commit(builder.tentative(task, instance))
     return builder.schedule()

@@ -29,12 +29,13 @@ Around it: a rounding dive for a quick incumbent, wall-clock and node
 limits with a FEASIBLE (incumbent, gap > 0) result, and full
 :class:`~repro.milp.solution.SolveStats` telemetry on every result.
 
-Determinism: nodes are ordered by ``(parent LP bound, path id)`` where the
-path id encodes the branching path from the root (root ``1``, down child
-``2 i``, up child ``2 i + 1``).  Unlike the previous insertion-order
-counter, path ids are independent of how much of the tree was pruned
-before a node was created, so reruns explore ties in the same order and
-return the same incumbent.
+Determinism: nodes are ordered by ``(parent LP bound, -path id)`` where
+the path id encodes the branching path from the root (root ``1``, down
+child ``2 i``, up child ``2 i + 1``).  Path ids are independent of how
+much of the tree was pruned before a node was created, so reruns explore
+ties in the same order and return the same incumbent.  Negating the id
+pops the deepest of tied nodes first, so a plateau of equal bounds is
+searched depth-first towards an incumbent rather than level by level.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.solvers.revised import (
 )
 
 #: Root candidates probed by strong branching (``0`` disables it).  On
-#: the serial Table II sweep, root probes cut the tree from 350 to 236
+#: the serial Table II sweep, root probes cut the tree from 412 to 182
 #: nodes; docs/solvers.md has the on/off matrix.
 STRONG_BRANCH_CANDIDATES = 8
 
@@ -90,13 +91,15 @@ CUT_STALL_EPS = 1e-6
 CUT_ROUNDS = 5
 
 
-@dataclass(order=True)
+@dataclass
 class _Node:
-    """A branch-and-bound node ordered by ``(parent LP bound, path id)``.
+    """A branch-and-bound node ordered by ``(parent LP bound, -path id)``.
 
     ``tiebreak`` is the node's path id: ``1`` at the root, ``2 i`` for the
     down child of node ``i`` and ``2 i + 1`` for the up child.  Equal ids
     name equal subtrees, regardless of exploration or pruning history.
+    A child's id exceeds every id of a shallower level, so among nodes
+    tied at one bound the deepest is popped first.
     """
 
     bound: float
@@ -112,6 +115,9 @@ class _Node:
     branch_dir: str = field(compare=False, default="")
     #: Fractional distance the branch must close (f down, 1-f up).
     branch_fraction: float = field(compare=False, default=0.0)
+
+    def __lt__(self, other: "_Node") -> bool:
+        return (self.bound, -self.tiebreak) < (other.bound, -other.tiebreak)
 
 
 class _Pseudocosts:

@@ -86,7 +86,7 @@ class TestScheduleBuilder:
     def test_tentative_does_not_commit(self, tiny_graph, tiny_library):
         builder = ScheduleBuilder(tiny_graph, tiny_library)
         instances = {i.name: i for i in tiny_library.instances()}
-        builder.commit(builder.tentative("A", instances["fasta"]), instances["fasta"])
+        builder.commit(builder.tentative("A", instances["fasta"]))
         before = builder.makespan
         builder.tentative("B", instances["fastb"])
         assert builder.makespan == before
@@ -102,14 +102,14 @@ class TestScheduleBuilder:
         builder = ScheduleBuilder(tiny_graph, tiny_library)
         instances = {i.name: i for i in tiny_library.instances()}
         placement = builder.tentative("A", instances["fasta"])
-        builder.commit(placement, instances["fasta"])
+        builder.commit(placement)
         with pytest.raises(SimulationError, match="already placed"):
-            builder.commit(placement, instances["fasta"])
+            builder.commit(placement)
 
     def test_remote_transfer_occupies_channel(self, tiny_graph, tiny_library):
         builder = ScheduleBuilder(tiny_graph, tiny_library)
         instances = {i.name: i for i in tiny_library.instances()}
-        builder.commit(builder.tentative("A", instances["fasta"]), instances["fasta"])
+        builder.commit(builder.tentative("A", instances["fasta"]))
         placement = builder.tentative("B", instances["slowa"])
         # A ends at 1; remote transfer of volume 2 takes 2 -> arrival 3.
         assert placement.start == pytest.approx(3.0)
@@ -126,7 +126,7 @@ class TestScheduleBuilder:
         )
         instances = {i.name: i for i in library.instances()}
         builder = ScheduleBuilder(graph, library)
-        builder.commit(builder.tentative("A", instances["pa"]), instances["pa"])
+        builder.commit(builder.tentative("A", instances["pa"]))
         placement = builder.tentative("B", instances["pb"])
         # Output at 1.0, transfer 1.0-2.0, B may start at 2.0 - 0.5*2 = 1.0.
         assert placement.start == pytest.approx(1.0)

@@ -1,8 +1,6 @@
 """Tests for the from-scratch branch-and-bound MILP solver ("Bozo"),
 including agreement property tests against HiGHS."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,6 +167,23 @@ class TestUnsolvedRelaxationIsLoud:
         built = SosModelBuilder(example1(), example1_library()).build()
         with pytest.raises(SolverError, match=r"after 1 pivots on \d+ rows \(cold start\)"):
             BozoSolver().solve(built.model)
+
+
+class TestTiedBounds:
+    """Nodes tied at one bound are popped deepest first."""
+
+    def test_load_plateau_reaches_optimum_within_node_limit(self):
+        # Without I/O overlap the processor-load rows hold the bound at
+        # 4.0 over a wide plateau while the root dive's incumbent is 7.
+        # Popping the ties shallowest first searches that plateau level by
+        # level and still holds makespan 7 after 2,000 nodes.
+        built = SosModelBuilder(
+            example1(), example1_library(),
+            FormulationOptions(io_overlap=False, cost_cap=13.9999),
+        ).build()
+        solution = BozoSolver(SolverOptions(node_limit=2000)).solve(built.model)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == pytest.approx(4.0)
 
 
 class TestRoundedIntegralPoints:

@@ -87,20 +87,16 @@ class TestPackaging:
             assert command in result.stdout
 
     def test_subpackage_all_exports_resolve(self):
-        import repro.analysis
-        import repro.baselines
-        import repro.core
-        import repro.milp
-        import repro.schedule
-        import repro.sim
-        import repro.solvers
-        import repro.synthesis
-        import repro.system
-        import repro.taskgraph
-
-        for module in (repro.analysis, repro.baselines, repro.core, repro.milp,
-                       repro.schedule, repro.sim, repro.solvers, repro.synthesis,
-                       repro.system, repro.taskgraph):
+        subpackages = [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        exporting = [module for module in subpackages if hasattr(module, "__all__")]
+        assert {"repro.milp", "repro.obs", "repro.service"} <= {
+            module.__name__ for module in exporting
+        }
+        for module in exporting:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
