@@ -54,7 +54,12 @@ from repro.milp.solution import Solution, SolveStats, SolveStatus, root_gap_clos
 from repro.obs.progress import ProgressReporter
 from repro.obs.sinks import Tracer, make_tracer
 from repro.solvers.base import Solver, SolverOptions
-from repro.solvers.cuts import CutPool, separate_cover, separate_gomory
+from repro.solvers.cuts import (
+    CutPool,
+    cover_knapsacks,
+    separate_cover,
+    separate_gomory,
+)
 from repro.solvers.revised import (
     Basis,
     RevisedResult,
@@ -89,6 +94,11 @@ CUT_STALL_EPS = 1e-6
 #: Maximum root separation rounds (``0`` disables the cut loop).  Five
 #: was the fastest budget on the serial Table II sweep.
 CUT_ROUNDS = 5
+
+
+def _integrality_distance(values: np.ndarray) -> np.ndarray:
+    """Distance of each value to its nearest integer."""
+    return np.minimum(values - np.floor(values), np.ceil(values) - values)
 
 
 @dataclass
@@ -370,8 +380,7 @@ class _TreeSearch:
                 continue
 
             xi = result.x[self.integral]
-            dist = np.minimum(xi - np.floor(xi), np.ceil(xi) - xi)
-            frac_mask = dist > tol
+            frac_mask = _integrality_distance(xi) > tol
             fractional = list(zip(
                 self.integral[frac_mask].tolist(),
                 (xi[frac_mask] - np.floor(xi[frac_mask] + tol)).tolist(),
@@ -506,14 +515,12 @@ class _TreeSearch:
         total_gomory = 0
         total_cover = 0
         progressed = False  # some round closed >= CUT_STALL_EPS of gap
+        knapsacks = None  # the form's cover knapsacks, built on first use
         for round_index in range(1, CUT_ROUNDS + 1):
             x = result.x
             if result.status is not RevisedStatus.OPTIMAL:
                 break
-            if not any(
-                min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j]) > tol
-                for j in self.integral
-            ):
+            if not np.any(_integrality_distance(x[self.integral]) > tol):
                 break  # integral: the tree search will finish at this node
             threshold = self.incumbent_obj - options.gap_tolerance * max(
                 1.0, abs(self.incumbent_obj)
@@ -521,7 +528,9 @@ class _TreeSearch:
             if result.objective >= threshold:
                 break  # root already pruned by the incumbent: cuts are moot
             gomory = separate_gomory(sf, result.basis, x, self.integral)
-            cover = separate_cover(self.form, x)
+            if knapsacks is None:
+                knapsacks = cover_knapsacks(self.form)
+            cover = separate_cover(self.form, x, knapsacks=knapsacks)
             pool.add(gomory + cover)
             chosen = pool.select(x)
             if not chosen:
@@ -650,18 +659,13 @@ class _TreeSearch:
         ub = ub.copy()
         current = x
         for _ in range(integral.shape[0]):
-            fractional = [
-                (j, current[j]) for j in integral
-                if min(current[j] - math.floor(current[j]),
-                       math.ceil(current[j]) - current[j]) > tol
-            ]
-            if not fractional:
+            dist = _integrality_distance(current[integral])
+            fractional = np.flatnonzero(dist > tol)
+            if fractional.size == 0:
                 return self._integral_point(lb, ub, current, basis)
-            j, value = min(
-                fractional,
-                key=lambda item: min(item[1] - math.floor(item[1]),
-                                     math.ceil(item[1]) - item[1]),
-            )
+            # The most nearly integral candidate; ties to the first.
+            j = int(integral[fractional[np.argmin(dist[fractional])]])
+            value = current[j]
             nearest = float(round(value))
             other = float(math.floor(value) if nearest > value else math.ceil(value))
             result = None

@@ -91,7 +91,7 @@ def _finish_cut(coeffs: np.ndarray, rhs: float, kind: str) -> Optional[Cut]:
         return None
     if float(nonzero.max()) / float(nonzero.min()) > MAX_DYNAMISM:
         return None
-    norm = float(np.linalg.norm(coeffs))
+    norm = math.sqrt(coeffs @ coeffs)  # np.linalg.norm's own formula
     if not math.isfinite(norm) or norm < COEF_EPS:
         return None
     return Cut(coeffs, float(rhs), kind, norm=norm)
@@ -116,12 +116,16 @@ def separate_gomory(
     n = sf.n
     integral_mask = np.zeros(n, dtype=bool)
     integral_mask[integral] = True
-    rows_wanted = [
-        i for i in range(sf.m)
-        if basis.basic[i] < n
-        and integral_mask[basis.basic[i]]
-        and MIN_FRACTIONALITY < (x[basis.basic[i]] % 1.0) < 1.0 - MIN_FRACTIONALITY
-    ]
+    basic = basis.basic
+    structural = basic < n
+    fraction = np.zeros(sf.m)
+    fraction[structural] = x[basic[structural]] % 1.0
+    rows_wanted = np.flatnonzero(
+        structural
+        & integral_mask[np.where(structural, basic, 0)]
+        & (fraction > MIN_FRACTIONALITY)
+        & (fraction < 1.0 - MIN_FRACTIONALITY)
+    ).tolist()
     if not rows_wanted:
         return []
     tableau = TableauAccess(sf, basis)
@@ -129,21 +133,23 @@ def separate_gomory(
         return []
     fixed = np.isfinite(sf.lo) & np.isfinite(sf.up) & (sf.up - sf.lo <= 1e-9)
     status = basis.status
+    nonbasic = (status != BASIC) & ~fixed
+    free = status == AT_FREE
+    has_free = bool(free.any())
+    b = sf.b.tolist()
     cuts: List[Cut] = []
     for i in rows_wanted:
         if len(cuts) >= max_cuts:
             break
-        j_basic = int(basis.basic[i])
-        f0 = float(x[j_basic] % 1.0)
+        f0 = float(fraction[i])
         alpha = tableau.row(i)
         # Shifted-space coefficients a_j: +alpha at a lower bound, -alpha
         # at an upper bound; fixed columns contribute nothing; a free
         # nonbasic with real weight invalidates the derivation.
-        nonbasic = (status != BASIC) & ~fixed
         active = nonbasic & (np.abs(alpha) > COEF_EPS)
-        if np.any(active & (status == AT_FREE)):
+        if has_free and (active & free).any():
             continue
-        idx = np.nonzero(active)[0]
+        idx = active.nonzero()[0]
         if idx.size == 0:
             continue
         at_ub = status[idx] == AT_UB
@@ -169,10 +175,11 @@ def separate_gomory(
         # exact because the logical block is the identity.
         w = pi[:n].copy()
         w0 = pi0
-        for r in np.nonzero(pi[n:])[0]:
-            weight = pi[n + int(r)]
-            w -= weight * sf.a[int(r), :n]
-            w0 -= weight * sf.b[int(r)]
+        logical = pi[n:]
+        rows = logical.nonzero()[0]
+        for r, weight in zip(rows.tolist(), logical[rows].tolist()):
+            w -= weight * sf.a[r, :n]
+            w0 -= weight * b[r]
         # pi . x >= pi0 becomes the <= row -w . x <= -w0.
         cut = _finish_cut(-w, -w0, "gomory")
         if cut is not None:
@@ -180,60 +187,114 @@ def separate_gomory(
     return cuts
 
 
-def separate_cover(
-    form: MatrixForm, x: np.ndarray, max_cuts: int = 50
-) -> List[Cut]:
-    """Greedy knapsack cover cuts from the form's ``<=`` rows.
+@dataclass(frozen=True)
+class Knapsack:
+    """One ``<=`` row of the form as a 0/1 knapsack over its binaries.
 
-    Negative-coefficient binaries are complemented (``y = 1 - x``), other
-    variables are relaxed away by their minimum contribution, and a cover
-    is grown greedily in decreasing LP-value order until the capacity
-    overflows.  The cover inequality is emitted only when the fractional
-    point violates it.
+    Attributes:
+        columns: The binary columns with a nonzero coefficient.
+        complemented: Per column, whether it is complemented
+            (``y = 1 - x``) because its coefficient is negative.
+        weights: The absolute coefficients, as Python floats.
+        capacity: The right-hand side after relaxing the non-binary terms
+            by their smallest contribution and complementing.
+    """
+
+    columns: np.ndarray
+    complemented: np.ndarray
+    weights: List[float]
+    capacity: float
+
+
+def cover_knapsacks(form: MatrixForm) -> List[Knapsack]:
+    """The knapsacks of the form's ``<=`` rows that can hold a cover.
+
+    Negative-coefficient binaries are complemented (``y = 1 - x``) and
+    other variables are relaxed away by their minimum contribution.  Rows
+    with fewer than two binaries, an unbounded relaxation, or a knapsack
+    that is empty or never binding have no cover and are left out.  The
+    knapsacks depend on the form only, so :func:`separate_cover` takes
+    them from a caller separating several rounds on one form.
     """
     if not form.a_ub.size:
         return []
-    n = form.c.shape[0]
     binary = (
         np.asarray(form.integrality, dtype=bool)
         & (form.lb >= -1e-9) & (form.lb <= 1e-9)
         & (form.ub >= 1.0 - 1e-9) & (form.ub <= 1.0 + 1e-9)
     )
+    a_ub = form.a_ub
+    nonzero = np.abs(a_ub) > COEF_EPS
+    # Every row's binary and other nonzero columns, in one pass each
+    # (np.nonzero is row-major, so each row's columns come out ascending).
+    bin_rows, bin_cols = np.nonzero(nonzero & binary)
+    rest_rows, rest_cols = np.nonzero(nonzero & ~binary)
+    bin_ptr = np.searchsorted(bin_rows, np.arange(a_ub.shape[0] + 1)).tolist()
+    rest_ptr = np.searchsorted(rest_rows, np.arange(a_ub.shape[0] + 1)).tolist()
+    coef = a_ub[bin_rows, bin_cols]
+    with np.errstate(invalid="ignore"):
+        rest_coef = a_ub[rest_rows, rest_cols]
+        # Relax non-binary terms by their smallest possible contribution.
+        lows = np.minimum(rest_coef * form.lb[rest_cols], rest_coef * form.ub[rest_cols])
+    finite = np.isfinite(lows).tolist()
+    lows = lows.tolist()
+    b_ub = form.b_ub.tolist()
+    knapsacks: List[Knapsack] = []
+    for r in range(a_ub.shape[0]):
+        lo, hi = bin_ptr[r], bin_ptr[r + 1]
+        if hi - lo < 2:
+            continue  # fewer than two binaries hold no cover
+        rest = range(rest_ptr[r], rest_ptr[r + 1])
+        if not all(finite[k] for k in rest):
+            continue
+        rhs = b_ub[r]
+        for k in rest:
+            rhs -= lows[k]
+        # Complement negatives so every knapsack weight is positive.
+        row = coef[lo:hi]
+        flip = row < 0.0
+        weights = np.abs(row)
+        rhs_k = rhs - float(row[flip].sum())
+        if rhs_k <= COEF_EPS or float(weights.sum()) <= rhs_k + 1e-9:
+            continue  # empty or never-binding knapsack: no cover exists
+        knapsacks.append(Knapsack(bin_cols[lo:hi], flip, weights.tolist(), rhs_k))
+    return knapsacks
+
+
+def separate_cover(
+    form: MatrixForm,
+    x: np.ndarray,
+    max_cuts: int = 50,
+    knapsacks: Optional[List[Knapsack]] = None,
+) -> List[Cut]:
+    """Greedy knapsack cover cuts from the form's ``<=`` rows.
+
+    A cover is grown greedily over each of :func:`cover_knapsacks`'s
+    knapsacks in decreasing LP-value order until the capacity overflows.
+    The cover inequality is emitted only when the fractional point
+    violates it.  ``knapsacks`` are the form's, built here when omitted.
+    """
+    if knapsacks is None:
+        knapsacks = cover_knapsacks(form)
+    n = form.c.shape[0]
     cuts: List[Cut] = []
-    for r in range(form.a_ub.shape[0]):
+    for knapsack in knapsacks:
         if len(cuts) >= max_cuts:
             break
-        row = form.a_ub[r]
-        rhs = float(form.b_ub[r])
-        cand = np.nonzero((np.abs(row) > COEF_EPS) & binary)[0]
-        if cand.size < 2:
-            continue
-        rest = np.nonzero((np.abs(row) > COEF_EPS) & ~binary)[0]
-        # Relax non-binary terms by their smallest possible contribution.
-        ok = True
-        for j in rest:
-            low = min(row[j] * form.lb[j], row[j] * form.ub[j])
-            if not math.isfinite(low):
-                ok = False
-                break
-            rhs -= low
-        if not ok:
-            continue
-        # Complement negatives so every knapsack weight is positive.
-        flip = row[cand] < 0.0
-        weights = np.abs(row[cand])
-        rhs_k = rhs - float(np.sum(row[cand][flip]))
-        if rhs_k <= COEF_EPS or float(np.sum(weights)) <= rhs_k + 1e-9:
-            continue  # empty or never-binding knapsack: no cover exists
-        y = np.where(flip, 1.0 - x[cand], x[cand])
+        cand = knapsack.columns
+        flip = knapsack.complemented
+        values = x[cand]
+        y = np.where(flip, 1.0 - values, values)
         # Greedy cover: most-set items first (ties to the lowest index).
-        order = sorted(range(cand.size), key=lambda k: (-y[k], cand[k]))
+        order = np.lexsort((cand, -y)).tolist()
+        weights = knapsack.weights
+        capacity = knapsack.capacity + 1e-9
         total = 0.0
         cover: List[int] = []
         for k in order:
             cover.append(k)
-            total += float(weights[k])
-            if total > rhs_k + 1e-9:
+            total += weights[k]
+            if total > capacity:
                 break
         else:
             continue  # never overflowed: not a cover
@@ -280,7 +341,7 @@ class CutPool:
             key = (
                 cut.kind,
                 round(cut.rhs / cut.norm, 9),
-                tuple(np.round(cut.coeffs / cut.norm, 9)),
+                tuple(np.round(cut.coeffs / cut.norm, 9).tolist()),
             )
             if key in self._seen:
                 continue

@@ -77,12 +77,12 @@ import dataclasses
 import enum
 import math
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from scipy.sparse import csc_matrix as _csc_matrix
-from scipy.sparse.linalg import splu as _splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from repro.milp.model import MatrixForm
 
@@ -123,6 +123,11 @@ ETA_FILL_FACTOR = 6
 DRIFT_TOL = 1e-7
 #: Devex weights above this trigger a reference-framework reset.
 DEVEX_RESET_LIMIT = 1e8
+
+#: ``scipy.sparse.linalg.splu``'s own defaults, as it hands them to SuperLU.
+_SPLU_OPTIONS = {
+    "DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None,
+}
 
 #: Nonbasic at lower bound.
 AT_LB = 0
@@ -280,28 +285,86 @@ class StandardFormLP:
         )
         self.cost = np.concatenate([c, np.zeros(m)])
         self.c0 = float(c0)
-        self._adopt_csc(None)
+        self._matrix_changed()
 
-    def _adopt_csc(self, a_csc) -> None:
-        """Install the CSC matrix with an empty factor cache.
+    def _matrix_changed(self) -> None:
+        """Drop everything derived from ``a``: its CSC arrays, the factor
+        cache and the structural block of :meth:`row_product`.
 
         The cache of verified basis factors (see :class:`_SparseLUFactor`)
-        lives and dies with the matrix it factorized: every assignment of
-        ``_a_csc`` goes through here, so no factor outlives its matrix.
+        lives and dies with the matrix it factorized: every change of
+        ``a`` goes through here, so no factor outlives its matrix.
         """
-        self._a_csc = a_csc
+        self._csc: Optional[_CSCArrays] = None
         self._factors: Dict[bytes, object] = {}
+        self._block: Optional[np.ndarray] = None
+        width = -(-self.n // 48) * 48
+        self._block_width = (
+            width if self.m >= self.n + 8 and width <= self.ncols else 0
+        )
+
+    def csc_arrays(self) -> "_CSCArrays":
+        """The CSC arrays of the full constraint matrix, built once.
+
+        They are the arrays ``scipy.sparse.csc_matrix(a)`` holds (column
+        by column, rows ascending, zeros dropped, ``intc`` indices), taken
+        with two NumPy passes instead of scipy's COO round trip.  The
+        sparse LU kernel assembles basis columns from them; everything
+        row-oriented (pricing products) stays on the dense ``a``, which
+        profiling shows is faster at SOS model sizes.
+        """
+        if self._csc is None:
+            cols, rows = np.nonzero(self.a.T)
+            indptr = np.zeros(self.ncols + 1, dtype=np.intc)
+            np.cumsum(np.bincount(cols, minlength=self.ncols), out=indptr[1:])
+            self._csc = _CSCArrays(
+                self.a[rows, cols], rows.astype(np.intc), indptr, self.a.shape
+            )
+        return self._csc
 
     def a_csc(self):
-        """CSC view of the full constraint matrix, built once and cached.
+        """The constraint matrix as a ``scipy.sparse.csc_matrix`` over
+        :meth:`csc_arrays`."""
+        csc = self.csc_arrays()
+        return _csc_matrix((csc.data, csc.indices, csc.indptr), shape=csc.shape)
 
-        The sparse LU kernel assembles basis columns from its arrays;
-        everything row-oriented (pricing products) stays on the dense
-        ``a``, which profiling shows is faster at SOS model sizes.
+    def row_product(self, y: np.ndarray, sparse: bool = True) -> np.ndarray:
+        """``y @ a`` over every column, bit for bit as the full product.
+
+        The logical block of ``a`` is the identity, so the product's
+        logical part is ``y`` itself and only the structural block needs
+        a matrix product: on SOS bases that is under half of the multiply.
+        ``sparse`` selects :func:`_row_times_matrix`'s nonzero-rows
+        product, otherwise the dense one.
+
+        The structural entries must match the full product's to the last
+        bit.  BLAS ``gemv`` sums every output in one order, except the
+        last ``width mod 4`` outputs of each thread's share of the output,
+        which take a scalar loop with another association.  The block is
+        therefore zero-padded to a multiple of 48 columns, which leaves no
+        such tail in it for up to four threads (and six), and it is used
+        only while the logical block is wide enough (``m >= n + 8``) that
+        the full product's tails fall on logical columns too, single
+        threaded or split in two; otherwise this is the full product.
+        Only the sign of a zero in the logical part can differ, and no
+        comparison or ratio the engine takes can see that.
         """
-        if self._a_csc is None:
-            self._adopt_csc(_csc_matrix(self.a))
-        return self._a_csc
+        width = self._block_width
+        if not width:
+            return _row_times_matrix(y, self.a) if sparse else y @ self.a
+        block = self._block
+        if block is None:
+            block = self._block = np.zeros((self.m, width))
+            block[:, : self.n] = self.a[:, : self.n]
+        out = np.empty(self.ncols)
+        head = out[:width]
+        nz = y.nonzero()[0] if sparse else None
+        if nz is not None and nz.size * 4 <= y.shape[0]:
+            np.matmul(y[nz], block[nz], out=head)
+        else:
+            np.matmul(y, block, out=head)
+        out[self.n:] = y
+        return out
 
     @classmethod
     def from_matrix_form(cls, form: MatrixForm) -> "StandardFormLP":
@@ -341,7 +404,7 @@ class StandardFormLP:
         self.cost = np.concatenate([self.cost, np.zeros(k)])
         self.m += k
         self.ncols = old_cols + k
-        self._adopt_csc(None)
+        self._matrix_changed()
 
     def set_objective(self, c: np.ndarray, c0: float = 0.0) -> None:
         """Replace the structural objective in place (logicals stay at 0)."""
@@ -410,7 +473,7 @@ def _row_times_matrix(y: np.ndarray, a: np.ndarray) -> np.ndarray:
     quarter of the entries are nonzero, restricting the product to those
     rows beats the full dense GEMV.
     """
-    nz = np.flatnonzero(y)
+    nz = y.nonzero()[0]
     if nz.size * 4 <= y.shape[0]:
         return y[nz] @ a[nz]
     return y @ a
@@ -471,31 +534,57 @@ class _DenseFactor:
         return self.updates >= REFACTOR_EVERY
 
 
-def _basis_csc(csc, basic: np.ndarray):
+class _CSCArrays(NamedTuple):
+    """A matrix as the canonical CSC arrays SuperLU factorizes."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
+
+
+def _basis_csc(csc, basic: np.ndarray) -> _CSCArrays:
     """The basis matrix ``A[:, basic]`` gathered straight from CSC arrays.
 
     Yields the same ``indptr``/``indices``/``data`` as scipy's column
     fancy indexing (hence the same LU) without its ``__getitem__``
-    overhead.
+    overhead or a ``csc_matrix`` to validate.
     """
     starts = csc.indptr[basic]
     lengths = csc.indptr[basic + 1] - starts
     indptr = np.zeros(basic.size + 1, dtype=csc.indptr.dtype)
     np.cumsum(lengths, out=indptr[1:])
     take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return _csc_matrix(
-        (csc.data[take], csc.indices[take], indptr),
-        shape=(csc.shape[0], basic.size),
+    return _CSCArrays(
+        csc.data[take], csc.indices[take], indptr, (csc.shape[0], basic.size)
+    )
+
+
+def _splu(basis: _CSCArrays):
+    """``scipy.sparse.linalg.splu`` of a gathered basis, minus its wrapper.
+
+    Calls SuperLU's ``gstrf`` exactly as ``splu`` does with its default
+    options.  ``splu`` would first validate a ``csc_matrix``, sum
+    duplicates and cast the indices to ``intc``; the gathered arrays are
+    canonical with ``intc`` indices already, so the factor is the one
+    ``splu`` returns, bit for bit.  Raises ``RuntimeError`` on an exactly
+    singular basis, as ``splu`` does.
+    """
+    return _superlu.gstrf(
+        basis.shape[1], basis.data.size, basis.data, basis.indices,
+        basis.indptr, csc_construct_func=_csc_matrix, ilu=False,
+        options=dict(_SPLU_OPTIONS),
     )
 
 
 class _SparseLUFactor:
-    """Sparse-LU basis kernel: ``splu`` of the CSC basis plus an eta file.
+    """Sparse-LU basis kernel: SuperLU of the CSC basis plus an eta file.
 
     A refactorization gathers the basic columns from the form's cached
-    CSC matrix and LU-factorizes them, unless the form's factor cache
-    already holds a verified factor of the same ordered basis: ``splu``
-    is deterministic, so reusing it returns bit-identical solves.  The
+    CSC arrays and LU-factorizes them (:func:`_splu`), unless the form's
+    factor cache already holds a verified factor of the same ordered
+    basis: the factorization is deterministic, so reusing it returns
+    bit-identical solves.  The
     cache holds at most :data:`FACTOR_CACHE_SIZE` factors (least recently
     used goes first) and never a singular or non-finite one.  Each pivot
     appends one eta vector stored on its nonzero support — ``(row,
@@ -514,6 +603,7 @@ class _SparseLUFactor:
         self.lu = None
         self.etas: List[Tuple[int, np.ndarray, np.ndarray, float]] = []
         self.fill = 0
+        self._csc: Optional[_CSCArrays] = None
         self._rhs_scratch = np.zeros(sf.m)
 
     def refactor(self, basic: np.ndarray) -> bool:
@@ -521,16 +611,17 @@ class _SparseLUFactor:
         clear the eta file; ``False`` means singular."""
         self.etas.clear()
         self.fill = 0
-        csc = self.sf.a_csc()  # may build the matrix, emptying the cache
-        cache = self.sf._factors
+        sf = self.sf
+        self._csc = sf.csc_arrays()
+        cache = sf._factors
         key = basic.tobytes()
         lu = cache.pop(key, None)
         if lu is None:
             try:
-                lu = _splu(_basis_csc(csc, basic))
+                lu = _splu(_basis_csc(self._csc, basic))
             except RuntimeError:  # "Factor is exactly singular"
                 return False
-            if not np.all(np.isfinite(lu.solve(np.ones(self.sf.m)))):
+            if not np.all(np.isfinite(lu.solve(np.ones(sf.m)))):
                 return False
         cache[key] = lu  # most recently used last
         if len(cache) > FACTOR_CACHE_SIZE:
@@ -538,15 +629,18 @@ class _SparseLUFactor:
         self.lu = lu
         return True
 
-    def ftran(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``B x = rhs`` through the LU factors, then the eta file."""
-        x = self.lu.solve(np.asarray(rhs, dtype=float))
+    def _apply_etas(self, x: np.ndarray) -> np.ndarray:
+        """Bring an LU solve up to date: the eta file oldest-first."""
         for row, support, values, w_row in self.etas:
             pivot = x[row] / w_row
             if pivot != 0.0:
                 x[support] -= values * pivot
                 x[row] = pivot
         return x
+
+    def ftran(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``B x = rhs`` through the LU factors, then the eta file."""
+        return self._apply_etas(self.lu.solve(np.asarray(rhs, dtype=float)))
 
     def ftran_column(self, j: int) -> np.ndarray:
         """Solve ``B x = A[:, j]`` from the CSC column, allocation-light.
@@ -555,42 +649,37 @@ class _SparseLUFactor:
         (zeroed on its previous support), so fetching a column never
         materializes a dense slice of ``A``.
         """
-        csc = self.sf.a_csc()
+        csc = self._csc
         start, stop = csc.indptr[j], csc.indptr[j + 1]
         rows = csc.indices[start:stop]
         scratch = self._rhs_scratch
         scratch[rows] = csc.data[start:stop]
         x = self.lu.solve(scratch)
         scratch[rows] = 0.0
-        for row, support, values, w_row in self.etas:
-            pivot = x[row] / w_row
-            if pivot != 0.0:
-                x[support] -= values * pivot
-                x[row] = pivot
-        return x
+        return self._apply_etas(x)
+
+    def _transposed_solve(self, u: np.ndarray) -> np.ndarray:
+        """``y B = u`` for a writable ``u``: eta file newest-first, then
+        ``L U`` transposed."""
+        for row, support, values, w_row in reversed(self.etas):
+            u[row] += (u[row] - u[support] @ values) / w_row
+        return self.lu.solve(u, trans="T")
 
     def btran(self, u: np.ndarray) -> np.ndarray:
-        """Solve ``y B = u``: eta file newest-first, then ``L U`` transposed."""
-        u = np.array(u, dtype=float)
-        for row, support, values, w_row in reversed(self.etas):
-            u[row] += (u[row] - u[support] @ values) / w_row
-        return self.lu.solve(u, trans="T")
+        """Solve ``y B = u``."""
+        return self._transposed_solve(np.array(u, dtype=float))
 
     def btran_unit(self, i: int) -> np.ndarray:
-        """Solve ``y B = e_i`` through a scattered unit scratch vector."""
-        scratch = self._rhs_scratch
-        scratch[i] = 1.0
-        u = scratch.copy()
-        scratch[i] = 0.0
-        for row, support, values, w_row in reversed(self.etas):
-            u[row] += (u[row] - u[support] @ values) / w_row
-        return self.lu.solve(u, trans="T")
+        """Solve ``y B = e_i``."""
+        u = np.zeros(self.sf.m)
+        u[i] = 1.0
+        return self._transposed_solve(u)
 
     def update(self, row: int, w: np.ndarray) -> None:
         """Append one eta vector (on its nonzero support) for the pivot of
         ``w`` into ``row``."""
-        support = np.flatnonzero(w)
-        self.etas.append((row, support, w[support].copy(), float(w[row])))
+        support = w.nonzero()[0]
+        self.etas.append((row, support, w[support], float(w[row])))
         self.fill += support.size
 
     def should_refactor(self) -> bool:
@@ -608,7 +697,7 @@ class TableauAccess:
     The Gomory separator needs the tableau row of each fractional basic
     variable.  This refactorizes the basis once (reusing the engine's
     dense/sparse kernels) and answers each row with one unit-vector BTRAN
-    plus a sparsity-aware pricing product — no simplex state is touched,
+    plus :meth:`StandardFormLP.row_product` — no simplex state is touched,
     and every row in a cut round rides the same factorization.
     """
 
@@ -620,7 +709,7 @@ class TableauAccess:
 
     def row(self, i: int) -> np.ndarray:
         """Tableau row ``i`` over all columns: ``(B^{-1} A)[i, :]``."""
-        return _row_times_matrix(self.factor.btran_unit(i), self.sf.a)
+        return self.sf.row_product(self.factor.btran_unit(i))
 
 
 def solve_revised(
@@ -671,7 +760,16 @@ def solve_with_fallback(
 
 
 class _Engine:
-    """One revised-simplex solve: state, pivots, and the pivot rules."""
+    """One revised-simplex solve: state, pivots, and the pivot rules.
+
+    Besides the basis, the engine keeps what every pivot would otherwise
+    gather again from it: the boxes of the basic variables (``lo_b``,
+    ``up_b``) and each column's ratio-test sign (``sign``: ``+1`` for a
+    movable column at its lower bound, ``-1`` at its upper bound, ``0``
+    for basic, fixed and free columns).  Boxes do not change during a
+    solve, so both are updated in place at each status change
+    (:meth:`_set_status`, :meth:`_swap`) and always equal a fresh gather.
+    """
 
     def __init__(
         self,
@@ -696,15 +794,26 @@ class _Engine:
         # starts run long enough for the framework to pay off.
         self.devex_rows = sf.m > DENSE_KERNEL_MAX
         self.x_basic: Optional[np.ndarray] = None
+        self.span = sf.up - sf.lo
         # Columns that can never move: fixed boxes (includes eq artificials).
-        self.fixed = np.isfinite(sf.lo) & np.isfinite(sf.up) & (sf.up - sf.lo <= FEAS_TOL)
+        self.fixed = np.isfinite(sf.lo) & np.isfinite(sf.up) & (self.span <= FEAS_TOL)
+        self.lo_b = sf.lo[self.basic]
+        self.up_b = sf.up[self.basic]
+        status = self.status
+        self.sign = np.where(
+            self.fixed, 0.0,
+            np.where(status == AT_LB, 1.0, np.where(status == AT_UB, -1.0, 0.0)),
+        )
+        #: Whether some column may be nonbasic free (checked apart from
+        #: ``sign``, since a free column is eligible in both directions).
+        self.free = bool(np.any(status == AT_FREE))
         width = sf.ncols if sf.ncols <= PRICING_SINGLE_BLOCK else PRICING_BLOCK
         self._blocks = [
             (start, min(start + width, sf.ncols))
             for start in range(0, sf.ncols, width)
         ]
         self._pblock = 0  # rotating pointer: block where phase 1 prices first
-        # Preallocated scratch: the per-pivot ratio test and devex weights
+        # Preallocated scratch: the primal ratio test and devex weights
         # reuse these for the life of the solve.
         self._steps = np.empty(sf.m)
         self._row_weights = np.ones(sf.m)
@@ -733,7 +842,7 @@ class _Engine:
     def reduced_costs(self) -> np.ndarray:
         """d = c - c_B B^{-1} A over all columns."""
         y = self.factor.btran(self.sf.cost[self.basic])
-        return self.sf.cost - _row_times_matrix(y, self.sf.a)
+        return self.sf.cost - self.sf.row_product(y)
 
     def entering_column(self, j: int) -> np.ndarray:
         """FTRAN of column ``j``, tracking the hypersparsity counter."""
@@ -741,6 +850,32 @@ class _Engine:
         if 2 * np.count_nonzero(w) <= self.sf.m:
             self.counters.ftran_sparsity += 1
         return w
+
+    # -- basis bookkeeping --------------------------------------------------
+    def _set_status(self, j: int, value: int) -> None:
+        """Park nonbasic column ``j`` at ``value`` and update its sign."""
+        self.status[j] = value
+        if self.fixed[j]:
+            self.sign[j] = 0.0
+        elif value == AT_LB:
+            self.sign[j] = 1.0
+        elif value == AT_UB:
+            self.sign[j] = -1.0
+        else:
+            self.sign[j] = 0.0
+            self.free = True
+
+    def _swap(self, row: int, entering: int, leave_status: int, w: np.ndarray) -> None:
+        """Pivot ``entering`` into ``row`` (``w`` its FTRAN); the column
+        basic there leaves at ``leave_status``."""
+        self._set_status(int(self.basic[row]), leave_status)
+        self.status[entering] = BASIC
+        self.sign[entering] = 0.0
+        self.basic[row] = entering
+        self.lo_b[row] = self.sf.lo[entering]
+        self.up_b[row] = self.sf.up[entering]
+        self.factor.update(row, w)
+        self.iterations += 1
 
     # -- pricing ------------------------------------------------------------
     def _price(
@@ -766,15 +901,11 @@ class _Engine:
             order = [(self._pblock + i) % nblocks for i in range(nblocks)]
         for bi in order:
             start, stop = self._blocks[bi]
-            d = -(y @ sf.a[:, start:stop])
-            stat = self.status[start:stop]
-            movable = ~self.fixed[start:stop] & (stat != BASIC)
-            improving = movable & (
-                ((stat == AT_LB) & (d < -DUAL_TOL))
-                | ((stat == AT_UB) & (d > DUAL_TOL))
-                | ((stat == AT_FREE) & (np.abs(d) > DUAL_TOL))
-            )
-            indices = np.nonzero(improving)[0]
+            if nblocks == 1:
+                d = -sf.row_product(y, sparse=False)
+            else:
+                d = -(y @ sf.a[:, start:stop])
+            indices = self._improving_mask(d, start, stop).nonzero()[0]
             if indices.size == 0:
                 continue
             if use_bland:
@@ -785,14 +916,16 @@ class _Engine:
             return start + local, float(d[local])
         return None
 
-    def _improving_mask(self, d: np.ndarray) -> np.ndarray:
-        """Columns whose reduced cost improves the objective (full scan)."""
-        stat = self.status
-        return ~self.fixed & (
-            ((stat == AT_LB) & (d < -DUAL_TOL))
-            | ((stat == AT_UB) & (d > DUAL_TOL))
-            | ((stat == AT_FREE) & (np.abs(d) > DUAL_TOL))
-        )
+    def _improving_mask(
+        self, d: np.ndarray, start: int = 0, stop: Optional[int] = None
+    ) -> np.ndarray:
+        """Columns ``start:stop`` whose reduced cost (``d``, over those
+        columns) improves the objective: ``d < 0`` at a lower bound,
+        ``d > 0`` at an upper bound, ``d != 0`` free."""
+        improving = self.sign[start:stop] * d < -DUAL_TOL
+        if self.free:
+            improving |= (self.status[start:stop] == AT_FREE) & (np.abs(d) > DUAL_TOL)
+        return improving
 
     def reset_col_weights(self) -> None:
         """Start a fresh devex reference framework over the columns."""
@@ -802,25 +935,13 @@ class _Engine:
     # -- feasibility checks -------------------------------------------------
     def primal_violations(self) -> np.ndarray:
         """Signed bound violation of each basic variable (0 when feasible)."""
-        lo_b = self.sf.lo[self.basic]
-        up_b = self.sf.up[self.basic]
-        below = np.minimum(self.x_basic - lo_b, 0.0)
-        above = np.maximum(self.x_basic - up_b, 0.0)
+        below = np.minimum(self.x_basic - self.lo_b, 0.0)
+        above = np.maximum(self.x_basic - self.up_b, 0.0)
         return below + above
 
     def dual_feasible(self, d: np.ndarray) -> bool:
         """Check sign conditions of reduced costs against statuses."""
-        movable = ~self.fixed
-        at_lb = (self.status == AT_LB) & movable
-        at_ub = (self.status == AT_UB) & movable
-        at_free = self.status == AT_FREE
-        if np.any(d[at_lb] < -DUAL_TOL):
-            return False
-        if np.any(d[at_ub] > DUAL_TOL):
-            return False
-        if np.any(np.abs(d[at_free]) > DUAL_TOL):
-            return False
-        return True
+        return not self._improving_mask(d).any()
 
     # -- driver -------------------------------------------------------------
     def run(self) -> RevisedResult:
@@ -867,6 +988,13 @@ class _Engine:
         """The give-up result: the engine cannot finish this LP reliably."""
         return RevisedResult(
             RevisedStatus.NEEDS_FALLBACK, None, math.nan, self.iterations, None,
+            counters=self.counters,
+        )
+
+    def _infeasible(self) -> RevisedResult:
+        """The INFEASIBLE verdict."""
+        return RevisedResult(
+            RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None,
             counters=self.counters,
         )
 
@@ -918,78 +1046,69 @@ class _Engine:
         """
         sf = self.sf
         counters = self.counters
+        factor = self.factor
+        status = self.status
+        sign = self.sign
+        span = self.span
         weights = self._row_weights
         if self.devex_rows:
             weights.fill(1.0)
             counters.devex_resets += 1
         budget = self.iterations + min(self.max_iterations, max(sf.m // 2, 100))
         while True:
-            lo_b = sf.lo[self.basic]
-            up_b = sf.up[self.basic]
-            violations = (
-                np.minimum(self.x_basic - lo_b, 0.0)
-                + np.maximum(self.x_basic - up_b, 0.0)
-            )
+            violations = self.primal_violations()
             absviol = np.abs(violations)
             if self.devex_rows:
                 score = np.where(absviol > FEAS_TOL, absviol * absviol / weights, -1.0)
-                row = int(np.argmax(score))
+                row = int(score.argmax())
             else:
-                row = int(np.argmax(absviol))
-            if absviol[row] <= FEAS_TOL:
+                row = int(absviol.argmax())
+            slope = absviol.item(row)
+            if slope <= FEAS_TOL:
                 return None
             if self.iterations >= self.max_iterations:
                 return self._bail()
             if self.iterations >= budget:
                 return None  # crawling — hand the basis to phase 1
 
-            leaving = self.basic[row]
-            below = violations[row] < 0  # leaving variable returns to its lb
-            alpha = _row_times_matrix(self.factor.btran_unit(row), sf.a)
-            # Entering candidates must keep d sign-feasible after the pivot.
-            direction = -alpha if below else alpha
-            eligible = ~self.fixed & (self.status != BASIC) & (
-                ((self.status == AT_LB) & (direction > PIVOT_TOL))
-                | ((self.status == AT_UB) & (direction < -PIVOT_TOL))
-                | ((self.status == AT_FREE) & (np.abs(direction) > PIVOT_TOL))
-            )
-            idx = np.nonzero(eligible)[0]
+            below = violations.item(row) < 0  # leaving variable returns to its lb
+            alpha = sf.row_product(factor.btran_unit(row))
+            # Entering candidates must keep d sign-feasible after the
+            # pivot: the direction (-alpha when the leaving variable
+            # returns to its lb, else alpha) must point away from each
+            # column's bound, which ``sign`` folds into one comparison.
+            signed = alpha * sign
+            idx = (signed < -PIVOT_TOL if below else signed > PIVOT_TOL).nonzero()[0]
+            if self.free:
+                idx = np.union1d(idx, np.flatnonzero(
+                    (status == AT_FREE) & (np.abs(alpha) > PIVOT_TOL)
+                ))
             if idx.size == 0:
-                return RevisedResult(
-                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None,
-                    counters=self.counters,
-                )
-            dir_idx = direction[idx]
-            ratios = np.abs(d[idx]) / np.abs(dir_idx)
+                return self._infeasible()
+            abs_dir = np.abs(alpha[idx])
+            ratios = np.abs(d[idx]) / abs_dir
 
             # Bound-flipping ratio test: walk breakpoints in ratio order,
             # flipping boxed candidates while the dual slope stays
             # positive; the first blocking candidate enters.
-            order = np.argsort(ratios, kind="stable")
-            slope = float(absviol[row])
-            flips: List[int] = []
-            entering = -1
-            for k in order:
-                j = int(idx[k])
-                span = sf.up[j] - sf.lo[j]
-                gain = abs(float(dir_idx[k])) * span
-                if math.isfinite(gain) and slope - gain > FEAS_TOL:
-                    flips.append(j)
-                    slope -= gain
-                else:
-                    entering = j
+            order = ratios.argsort(kind="stable")
+            breakpoints = idx[order]
+            flips = 0
+            for gain in (abs_dir[order] * span[breakpoints]).tolist():
+                if not (math.isfinite(gain) and slope - gain > FEAS_TOL):
                     break
-            if entering == -1:
+                slope -= gain
+                flips += 1
+            else:
                 # Every breakpoint flipped and the slope never hit zero:
                 # the dual is unbounded, so the primal is infeasible.
-                return RevisedResult(
-                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None,
-                    counters=self.counters,
-                )
+                return self._infeasible()
+            entering = int(breakpoints[flips])
 
             w = self.entering_column(entering)
-            alpha_q = float(alpha[entering])
-            if abs(w[row]) < PIVOT_TOL or abs(w[row] - alpha_q) > DRIFT_TOL * (
+            alpha_q = alpha.item(entering)
+            w_row = w.item(row)
+            if abs(w_row) < PIVOT_TOL or abs(w_row - alpha_q) > DRIFT_TOL * (
                 1.0 + abs(alpha_q)
             ):
                 # Tiny or drifting pivot: rebuild and retry the iteration
@@ -999,41 +1118,38 @@ class _Engine:
                 self.recompute_basics()
                 d = self.reduced_costs()
                 w = self.entering_column(entering)
-                if abs(w[row]) < PIVOT_TOL:
+                w_row = w.item(row)
+                if abs(w_row) < PIVOT_TOL:
                     return self._bail()
 
             # Apply the accumulated bound flips: statuses swap and the
             # basic values absorb one aggregated FTRAN of the shifted
             # right-hand side.
             if flips:
-                shift = np.empty(len(flips))
-                for t, j in enumerate(flips):
-                    span_j = sf.up[j] - sf.lo[j]
-                    if self.status[j] == AT_LB:
-                        self.status[j] = AT_UB
-                        shift[t] = span_j
-                    else:
-                        self.status[j] = AT_LB
-                        shift[t] = -span_j
-                self.x_basic -= self.factor.ftran(sf.a[:, flips] @ shift)
-                counters.bound_flips += len(flips)
+                flipped = breakpoints[:flips]
+                to_ub = status[flipped] == AT_LB
+                shift = np.where(to_ub, span[flipped], -span[flipped])
+                status[flipped] = np.where(to_ub, AT_UB, AT_LB)
+                sign[flipped] = -sign[flipped]
+                self.x_basic -= factor.ftran(sf.a[:, flipped] @ shift)
+                counters.bound_flips += flips
 
             # Dual step: one AXPY keeps d current (d[leaving] lands on
             # -theta automatically since the leaving column's tableau row
             # entry is 1).
-            theta = float(d[entering]) / w[row]
+            theta = d.item(entering) / w_row
             if theta != 0.0:
                 d -= theta * alpha
             d[entering] = 0.0
 
             # Primal step: the leaving variable travels to its violated
             # bound; every other basic moves along the entering column.
-            target = lo_b[row] if below else up_b[row]
+            target = self.lo_b.item(row) if below else self.up_b.item(row)
             v_entering = (
-                sf.up[entering] if self.status[entering] == AT_UB else
-                0.0 if self.status[entering] == AT_FREE else sf.lo[entering]
+                sf.up.item(entering) if status[entering] == AT_UB else
+                0.0 if status[entering] == AT_FREE else sf.lo.item(entering)
             )
-            t_primal = (float(self.x_basic[row]) - target) / w[row]
+            t_primal = (self.x_basic.item(row) - target) / w_row
             if t_primal != 0.0:
                 self.x_basic -= w * t_primal
             self.x_basic[row] = v_entering + t_primal
@@ -1041,20 +1157,16 @@ class _Engine:
             if self.devex_rows:
                 # Reference-framework update from the entering column the
                 # pivot already computed: w_i/w_r is the tableau ratio.
-                gamma_r = float(weights[row])
-                ratio2 = (w / w[row]) ** 2
+                gamma_r = weights.item(row)
+                ratio2 = (w / w_row) ** 2
                 np.maximum(weights, ratio2 * gamma_r, out=weights)
-                weights[row] = max(gamma_r / (w[row] * w[row]), 1.0)
+                weights[row] = max(gamma_r / (w_row * w_row), 1.0)
                 if float(weights.max()) > DEVEX_RESET_LIMIT:
                     weights.fill(1.0)
                     counters.devex_resets += 1
 
-            self.status[entering] = BASIC
-            self.status[leaving] = AT_LB if below else AT_UB
-            self.basic[row] = entering
-            self.factor.update(row, w)
-            self.iterations += 1
-            if self.factor.should_refactor():
+            self._swap(row, entering, AT_LB if below else AT_UB, w)
+            if factor.should_refactor():
                 if not self.refactor():
                     return self._bail()
                 self.recompute_basics()
@@ -1089,9 +1201,10 @@ class _Engine:
             violations = self.primal_violations()
             below = violations < -FEAS_TOL
             above = violations > FEAS_TOL
-            infeas = float(np.sum(np.abs(violations[below | above])))
-            if not below.any() and not above.any():
+            infeasible = below | above
+            if not infeasible.any():
                 return None
+            infeas = float(np.abs(violations[infeasible]).sum())
             if self.iterations >= self.max_iterations:
                 return self._bail()
 
@@ -1107,10 +1220,7 @@ class _Engine:
                 # infeasibility.  Confirm it free of update error before
                 # certifying.
                 if fresh:
-                    return RevisedResult(
-                        RevisedStatus.INFEASIBLE, None, math.nan,
-                        self.iterations, None, counters=self.counters,
-                    )
+                    return self._infeasible()
                 if not self.refactor():
                     return self._bail()
                 self.recompute_basics()
@@ -1127,27 +1237,23 @@ class _Engine:
 
             w = self.entering_column(entering)
             delta = sign * w  # basic variables move by -delta per unit step
-            lo_b = sf.lo[self.basic]
-            up_b = sf.up[self.basic]
-            inside = ~below & ~above
             xv = self.x_basic
-            steps = self._steps
-            steps.fill(np.inf)
+            inside = ~infeasible
             dec = delta > PIVOT_TOL  # basic decreases as the step grows
             inc = delta < -PIVOT_TOL  # basic increases
             # Breakpoints: a feasible basic blocks at the bound it would
             # cross; an infeasible one blocks where it regains feasibility.
-            mask = dec & above
-            steps[mask] = (xv[mask] - up_b[mask]) / delta[mask]
-            mask = dec & inside
-            steps[mask] = (xv[mask] - lo_b[mask]) / delta[mask]
-            mask = inc & below
-            steps[mask] = (xv[mask] - lo_b[mask]) / delta[mask]
-            mask = inc & inside
-            steps[mask] = (xv[mask] - up_b[mask]) / delta[mask]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.where(
+                    (dec & above) | (inc & inside), (xv - self.up_b) / delta,
+                    np.where(
+                        (dec & inside) | (inc & below), (xv - self.lo_b) / delta,
+                        np.inf,
+                    ),
+                )
             steps[~np.isfinite(steps)] = np.inf
-            span = sf.up[entering] - sf.lo[entering]
-            limit = float(np.min(steps)) if sf.m else math.inf
+            span = self.span[entering]
+            limit = float(steps.min()) if sf.m else math.inf
             step = min(limit, span)
             if not math.isfinite(step):
                 return self._bail()
@@ -1155,7 +1261,7 @@ class _Engine:
 
             if span <= limit:
                 self.x_basic = self.x_basic - delta * step
-                self.status[entering] = AT_UB if sign > 0 else AT_LB
+                self._set_status(entering, AT_UB if sign > 0 else AT_LB)
                 self.iterations += 1
                 self.counters.bound_flips += 1
             else:
@@ -1164,7 +1270,6 @@ class _Engine:
                     row = int(min(blocking, key=lambda i: self.basic[i]))
                 else:
                     row = int(blocking[np.argmax(np.abs(delta[blocking]))])
-                leaving = self.basic[row]
                 if abs(w[row]) < PIVOT_TOL:
                     if not self.refactor():
                         return self._bail()
@@ -1181,11 +1286,7 @@ class _Engine:
                     leave_status = AT_LB if below[row] else AT_UB
                 self.x_basic = self.x_basic - delta * step
                 self.x_basic[row] = entering_value
-                self.status[entering] = BASIC
-                self.status[leaving] = leave_status
-                self.basic[row] = entering
-                self.factor.update(row, w)
-                self.iterations += 1
+                self._swap(row, entering, leave_status, w)
                 if self.factor.should_refactor():
                     if not self.refactor():
                         return self._bail()
@@ -1221,7 +1322,7 @@ class _Engine:
         while True:
             if self.iterations >= self.max_iterations:
                 return self._bail()
-            improving = np.nonzero(self._improving_mask(d))[0]
+            improving = self._improving_mask(d).nonzero()[0]
             if improving.size == 0:
                 return None
             if use_bland:
@@ -1243,17 +1344,16 @@ class _Engine:
 
             w = self.entering_column(entering)
             delta = sign * w  # basic variables move by -delta per unit step
-            lo_b = sf.lo[self.basic]
-            up_b = sf.up[self.basic]
+            xv = self.x_basic
             # Blocking step for each basic variable.
             steps = self._steps
             steps.fill(np.inf)
             decreasing = delta > PIVOT_TOL
             increasing = delta < -PIVOT_TOL
-            steps[decreasing] = (self.x_basic[decreasing] - lo_b[decreasing]) / delta[decreasing]
-            steps[increasing] = (self.x_basic[increasing] - up_b[increasing]) / delta[increasing]
-            span = sf.up[entering] - sf.lo[entering]
-            limit = float(np.min(steps)) if sf.m else math.inf
+            steps[decreasing] = (xv[decreasing] - self.lo_b[decreasing]) / delta[decreasing]
+            steps[increasing] = (xv[increasing] - self.up_b[increasing]) / delta[increasing]
+            span = self.span[entering]
+            limit = float(steps.min()) if sf.m else math.inf
             step = min(limit, span)
             if not math.isfinite(step):
                 return RevisedResult(
@@ -1266,7 +1366,7 @@ class _Engine:
                 # Bound flip: the entering variable crosses its whole box
                 # — no basis change, so d and the weights are untouched.
                 self.x_basic = self.x_basic - delta * step
-                self.status[entering] = AT_UB if sign > 0 else AT_LB
+                self._set_status(entering, AT_UB if sign > 0 else AT_LB)
                 self.iterations += 1
                 self.counters.bound_flips += 1
             else:
@@ -1275,7 +1375,7 @@ class _Engine:
                     row = int(min(blocking, key=lambda i: self.basic[i]))
                 else:
                     row = int(blocking[np.argmax(np.abs(delta[blocking]))])
-                leaving = self.basic[row]
+                leaving = int(self.basic[row])
                 if abs(w[row]) < PIVOT_TOL:
                     if not self.refactor():
                         return self._bail()
@@ -1287,9 +1387,9 @@ class _Engine:
                      0.0 if self.status[entering] == AT_FREE else sf.lo[entering])
                     + sign * step
                 )
-                # One unit BTRAN + sparsity-aware product per pivot
-                # keeps d current and feeds the weight update.
-                alpha_r = _row_times_matrix(self.factor.btran_unit(row), sf.a)
+                # One unit BTRAN + structural row product per pivot keeps
+                # d current and feeds the weight update.
+                alpha_r = sf.row_product(self.factor.btran_unit(row))
                 alpha_rq = float(alpha_r[entering])
                 if abs(alpha_rq - w[row]) > DRIFT_TOL * (1.0 + abs(w[row])):
                     if not self.refactor():
@@ -1309,13 +1409,11 @@ class _Engine:
                     self.reset_col_weights()
                 self.x_basic = self.x_basic - delta * step
                 self.x_basic[row] = entering_value
-                self.status[entering] = BASIC
-                self.status[leaving] = AT_LB if delta[row] > 0 else AT_UB
                 if not math.isfinite(sf.lo[leaving]) and not math.isfinite(sf.up[leaving]):
-                    self.status[leaving] = AT_FREE
-                self.basic[row] = entering
-                self.factor.update(row, w)
-                self.iterations += 1
+                    leave_status = AT_FREE
+                else:
+                    leave_status = AT_LB if delta[row] > 0 else AT_UB
+                self._swap(row, entering, leave_status, w)
                 if self.factor.should_refactor():
                     if not self.refactor():
                         return self._bail()

@@ -89,6 +89,7 @@ def test_random_instance_full_chain(seed):
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 10_000))
+@example(seed=5503)  # HiGHS presolve once answered 5.328, optimum 5.303
 def test_bozo_and_highs_agree_on_random_instances(seed):
     """Both solver backends find the same optimal makespan."""
     graph = layered_random(5, 2, seed=seed)
@@ -104,6 +105,7 @@ def test_bozo_and_highs_agree_on_random_instances(seed):
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000))
+@example(seed=7750)  # HiGHS presolve once answered p2p 9.375, optimum 7.396
 def test_bus_never_faster_than_p2p(seed):
     """The shared bus can only serialize transfers, never accelerate them."""
     graph = layered_random(6, 3, seed=seed)

@@ -12,7 +12,7 @@ point-to-point (it only forbids mappings).
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.synthesis.synthesizer import Synthesizer
 from repro.system.generators import random_library
@@ -67,6 +67,7 @@ def test_style_makespan_ordering(seed):
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 5000))
+@example(seed=183)  # HiGHS once returned status 4 on the ring model
 def test_uniprocessor_design_is_style_independent(seed):
     """Capping to 1 processor removes all communication: styles agree."""
     from repro.core.designer import DesignerConstraints
