@@ -232,10 +232,9 @@ def cover_knapsacks(form: MatrixForm) -> List[Knapsack]:
     bin_ptr = np.searchsorted(bin_rows, np.arange(a_ub.shape[0] + 1)).tolist()
     rest_ptr = np.searchsorted(rest_rows, np.arange(a_ub.shape[0] + 1)).tolist()
     coef = a_ub[bin_rows, bin_cols]
-    with np.errstate(invalid="ignore"):
-        rest_coef = a_ub[rest_rows, rest_cols]
-        # Relax non-binary terms by their smallest possible contribution.
-        lows = np.minimum(rest_coef * form.lb[rest_cols], rest_coef * form.ub[rest_cols])
+    rest_coef = a_ub[rest_rows, rest_cols]
+    # Relax non-binary terms by their smallest possible contribution.
+    lows = np.minimum(rest_coef * form.lb[rest_cols], rest_coef * form.ub[rest_cols])
     finite = np.isfinite(lows).tolist()
     lows = lows.tolist()
     b_ub = form.b_ub.tolist()

@@ -35,9 +35,10 @@ in-place mutations:
   tableau :func:`repro.solvers.simplex.solve_lp` is not a runtime path;
   it stays as the oracle the engine is tested against.
 * **Two basis kernels** — bases above :data:`DENSE_KERNEL_MAX` rows are
-  factorized with ``scipy.sparse.linalg.splu`` on the CSC form of the
-  constraint matrix and kept current between refactorizations by an eta
-  file of pivot updates whose vectors are stored on their nonzero support
+  factorized by SuperLU, called as ``scipy.sparse.linalg.splu`` calls it,
+  on columns gathered from the CSC arrays of the constraint matrix, and
+  kept current between refactorizations by an eta file of pivot updates
+  whose vectors are stored on their nonzero support
   (:class:`_SparseLUFactor`).  Small bases — the few-row LPs that
   dominate branch-and-bound node throughput — use the explicit dense
   inverse (:class:`_DenseFactor`), which both factorizes and solves
@@ -52,6 +53,14 @@ in-place mutations:
   drifts — a direct numerical-error signal.  A sparse refactorization
   of an ordered basis the form has factorized recently reuses that
   verified factor (:data:`FACTOR_CACHE_SIZE`), bit for bit.
+* **Bit-identical shortcuts** — branch and bound on the SOS models
+  changes its tree under any last-bit change in an LP answer, so every
+  shortcut here reproduces the arithmetic of the plain call it replaces:
+  the direct SuperLU call (:func:`_splu`), the CSC arrays taken straight
+  from the dense matrix (:meth:`StandardFormLP.csc_arrays`), tableau rows
+  over the structural block only (:meth:`StandardFormLP.row_product`),
+  and ratio-test signs and basic bounds kept up to date per pivot
+  instead of gathered again (:class:`_Engine`).
 * **Pricing** — devex reference-framework pricing: the dual loop picks
   the leaving row by weighted violation and the primal loop maintains
   the full reduced-cost vector incrementally, choosing the entering
