@@ -247,6 +247,15 @@ class RevisedResult:
     counters: Optional[PivotCounters] = None
 
 
+class _CSCArrays(NamedTuple):
+    """A matrix as the canonical CSC arrays SuperLU factorizes."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
+
+
 class StandardFormLP:
     """A computational standard form built once per MILP.
 
@@ -312,7 +321,7 @@ class StandardFormLP:
             width if self.m >= self.n + 8 and width <= self.ncols else 0
         )
 
-    def csc_arrays(self) -> "_CSCArrays":
+    def csc_arrays(self) -> _CSCArrays:
         """The CSC arrays of the full constraint matrix, built once.
 
         They are the arrays ``scipy.sparse.csc_matrix(a)`` holds (column
@@ -543,15 +552,6 @@ class _DenseFactor:
         return self.updates >= REFACTOR_EVERY
 
 
-class _CSCArrays(NamedTuple):
-    """A matrix as the canonical CSC arrays SuperLU factorizes."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: Tuple[int, int]
-
-
 def _basis_csc(csc, basic: np.ndarray) -> _CSCArrays:
     """The basis matrix ``A[:, basic]`` gathered straight from CSC arrays.
 
@@ -582,7 +582,7 @@ def _splu(basis: _CSCArrays):
     return _superlu.gstrf(
         basis.shape[1], basis.data.size, basis.data, basis.indices,
         basis.indptr, csc_construct_func=_csc_matrix, ilu=False,
-        options=dict(_SPLU_OPTIONS),
+        options=_SPLU_OPTIONS,
     )
 
 
