@@ -862,17 +862,14 @@ class _Engine:
 
     # -- basis bookkeeping --------------------------------------------------
     def _set_status(self, j: int, value: int) -> None:
-        """Park nonbasic column ``j`` at ``value`` and update its sign."""
+        """Park column ``j`` at nonbasic ``value`` and update its sign."""
         self.status[j] = value
-        if self.fixed[j]:
-            self.sign[j] = 0.0
-        elif value == AT_LB:
-            self.sign[j] = 1.0
-        elif value == AT_UB:
-            self.sign[j] = -1.0
-        else:
-            self.sign[j] = 0.0
+        if value == AT_FREE:
             self.free = True
+        if value == AT_FREE or self.fixed[j]:
+            self.sign[j] = 0.0
+        else:
+            self.sign[j] = 1.0 if value == AT_LB else -1.0
 
     def _swap(self, row: int, entering: int, leave_status: int, w: np.ndarray) -> None:
         """Pivot ``entering`` into ``row`` (``w`` its FTRAN); the column
