@@ -263,18 +263,16 @@ def cover_knapsacks(form: MatrixForm) -> List[Knapsack]:
 def separate_cover(
     form: MatrixForm,
     x: np.ndarray,
+    knapsacks: List[Knapsack],
     max_cuts: int = 50,
-    knapsacks: Optional[List[Knapsack]] = None,
 ) -> List[Cut]:
     """Greedy knapsack cover cuts from the form's ``<=`` rows.
 
-    A cover is grown greedily over each of :func:`cover_knapsacks`'s
-    knapsacks in decreasing LP-value order until the capacity overflows.
-    The cover inequality is emitted only when the fractional point
-    violates it.  ``knapsacks`` are the form's, built here when omitted.
+    A cover is grown greedily over each of ``knapsacks`` (the form's
+    :func:`cover_knapsacks`) in decreasing LP-value order until the
+    capacity overflows.  The cover inequality is emitted only when the
+    fractional point violates it.
     """
-    if knapsacks is None:
-        knapsacks = cover_knapsacks(form)
     n = form.c.shape[0]
     cuts: List[Cut] = []
     for knapsack in knapsacks:

@@ -91,7 +91,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from scipy.sparse import csc_matrix as _csc_matrix
-from scipy.sparse.linalg._dsolve import _superlu
+from scipy.sparse.linalg import splu as _public_splu
 
 from repro.milp.model import MatrixForm
 
@@ -137,6 +137,27 @@ DEVEX_RESET_LIMIT = 1e8
 _SPLU_OPTIONS = {
     "DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None,
 }
+
+
+def _private_gstrf():
+    """SuperLU's ``gstrf`` from SciPy's private module, or ``None`` when
+    this SciPy does not accept the call ``splu`` makes (the module moved
+    or the signature changed): :func:`_splu` then calls ``splu`` itself."""
+    try:
+        from scipy.sparse.linalg._dsolve._superlu import gstrf
+
+        one = np.ones(1)
+        gstrf(
+            1, 1, one, np.zeros(1, dtype=np.intc), np.arange(2, dtype=np.intc),
+            csc_construct_func=_csc_matrix, ilu=False, options=_SPLU_OPTIONS,
+        ).solve(one)
+    except Exception:  # any failure of the probe means "do not use it"
+        return None
+    return gstrf
+
+
+#: The ``gstrf`` :func:`_splu` calls, ``None`` to go through ``splu``.
+_GSTRF = _private_gstrf()
 
 #: Nonbasic at lower bound.
 AT_LB = 0
@@ -307,7 +328,7 @@ class StandardFormLP:
 
     def _matrix_changed(self) -> None:
         """Drop everything derived from ``a``: its CSC arrays, the factor
-        cache and the structural block of :meth:`row_product`.
+        cache and the structural width of :meth:`row_product`.
 
         The cache of verified basis factors (see :class:`_SparseLUFactor`)
         lives and dies with the matrix it factorized: every change of
@@ -315,7 +336,6 @@ class StandardFormLP:
         """
         self._csc: Optional[_CSCArrays] = None
         self._factors: Dict[bytes, object] = {}
-        self._block: Optional[np.ndarray] = None
         width = -(-self.n // 48) * 48
         self._block_width = (
             width if self.m >= self.n + 8 and width <= self.ncols else 0
@@ -358,29 +378,27 @@ class StandardFormLP:
         The structural entries must match the full product's to the last
         bit.  BLAS ``gemv`` sums every output in one order, except the
         last ``width mod 4`` outputs of each thread's share of the output,
-        which take a scalar loop with another association.  The block is
-        therefore zero-padded to a multiple of 48 columns, which leaves no
-        such tail in it for up to four threads (and six), and it is used
-        only while the logical block is wide enough (``m >= n + 8``) that
-        the full product's tails fall on logical columns too, single
-        threaded or split in two; otherwise this is the full product.
-        Only the sign of a zero in the logical part can differ, and no
-        comparison or ratio the engine takes can see that.
+        which take a scalar loop with another association.  The product
+        therefore runs over the first ``n`` columns rounded up to a
+        multiple of 48, which leaves no such tail among them for up to
+        four threads (and six), and only while the logical block is wide
+        enough (``m >= n + 8``) that the full product's tails fall on
+        logical columns too, single threaded or split in two; otherwise
+        this is the full product.  The logical columns the rounding takes
+        in are overwritten by ``y``.  Only the sign of a zero in the
+        logical part can differ, and no comparison or ratio the engine
+        takes can see that.
         """
         width = self._block_width
         if not width:
             return _row_times_matrix(y, self.a) if sparse else y @ self.a
-        block = self._block
-        if block is None:
-            block = self._block = np.zeros((self.m, width))
-            block[:, : self.n] = self.a[:, : self.n]
         out = np.empty(self.ncols)
         head = out[:width]
         nz = y.nonzero()[0] if sparse else None
         if nz is not None and nz.size * 4 <= y.shape[0]:
-            np.matmul(y[nz], block[nz], out=head)
+            np.matmul(y[nz], self.a[nz, :width], out=head)
         else:
-            np.matmul(y, block, out=head)
+            np.matmul(y, self.a[:, :width], out=head)
         out[self.n:] = y
         return out
 
@@ -576,10 +594,15 @@ def _splu(basis: _CSCArrays):
     options.  ``splu`` would first validate a ``csc_matrix``, sum
     duplicates and cast the indices to ``intc``; the gathered arrays are
     canonical with ``intc`` indices already, so the factor is the one
-    ``splu`` returns, bit for bit.  Raises ``RuntimeError`` on an exactly
-    singular basis, as ``splu`` does.
+    ``splu`` returns, bit for bit.  Where SciPy does not expose ``gstrf``
+    that way (:func:`_private_gstrf`) this is ``splu`` itself.  Raises
+    ``RuntimeError`` on an exactly singular basis, as ``splu`` does.
     """
-    return _superlu.gstrf(
+    if _GSTRF is None:
+        return _public_splu(
+            _csc_matrix((basis.data, basis.indices, basis.indptr), shape=basis.shape)
+        )
+    return _GSTRF(
         basis.shape[1], basis.data.size, basis.data, basis.indices,
         basis.indptr, csc_construct_func=_csc_matrix, ilu=False,
         options=_SPLU_OPTIONS,

@@ -11,7 +11,9 @@ BTRAN vectors recorded from a bozo solve of example 1.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -73,6 +75,17 @@ def test_direct_gstrf_solves_bitwise_as_splu(recorded):
             )
 
 
+def test_public_splu_path_factors_the_same(recorded, monkeypatch):
+    bases, _ = recorded
+    direct = [revised._splu(revised._basis_csc(csc, basic)) for _, csc, basic in bases[:5]]
+    monkeypatch.setattr(revised, "_GSTRF", None)
+    for (_, csc, basic), lu in zip(bases[:5], direct):
+        public = revised._splu(revised._basis_csc(csc, basic))
+        rhs = np.arange(1.0, basic.size + 1)
+        assert _bits(public.solve(rhs)) == _bits(lu.solve(rhs))
+        assert _bits(public.solve(rhs, trans="T")) == _bits(lu.solve(rhs, trans="T"))
+
+
 def test_csc_arrays_are_scipys(recorded):
     bases, _ = recorded
     for a, csc, _ in bases[:5]:
@@ -92,6 +105,9 @@ def test_singular_basis_still_returns_false():
     with pytest.raises(RuntimeError):
         revised._splu(revised._basis_csc(sf.csc_arrays(), singular))
     assert not _SparseLUFactor(sf).refactor(singular)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(revised, "_GSTRF", None)
+        assert not _SparseLUFactor(sf).refactor(singular)
 
 
 def _blas_threads() -> int:
@@ -106,6 +122,34 @@ def _blas_threads() -> int:
     return cpus
 
 
+def _openblas_core() -> str:
+    """The kernel family NumPy's bundled OpenBLAS chose on this CPU, or
+    ``""`` when NumPy's BLAS is not a bundled OpenBLAS."""
+    numpy_dir = pathlib.Path(np.__file__).parent
+    for lib in sorted(numpy_dir.parent.glob("numpy.libs/*openblas*")) + sorted(
+        numpy_dir.glob(".dylibs/*openblas*")
+    ):
+        blas = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(blas, name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return ""
+
+
+#: OpenBLAS kernel families whose ``dgemv`` splits its output as
+#: :meth:`StandardFormLP.row_product` assumes: worked out for Haswell's
+#: ``dgemv_t`` (4-wide tails, output split evenly), checked on SkylakeX.
+ROW_PRODUCT_CORES = ("Haswell", "SkylakeX")
+
+
+@pytest.mark.skipif(
+    _openblas_core() not in ROW_PRODUCT_CORES,
+    reason="the structural row product's column padding is worked out for "
+    "OpenBLAS's Haswell and SkylakeX dgemv kernels; other BLAS kernels "
+    "may split the full product's columns elsewhere",
+)
 @pytest.mark.skipif(
     _blas_threads() > 2,
     reason="with more than two BLAS threads the full product may sum some "
