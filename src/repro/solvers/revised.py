@@ -90,6 +90,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from scipy.linalg import qr as _qr
 from scipy.sparse import csc_matrix as _csc_matrix
 from scipy.sparse.linalg import splu as _public_splu
 
@@ -130,6 +131,9 @@ FACTOR_CACHE_SIZE = 2
 ETA_FILL_FACTOR = 6
 #: Relative row-vs-column pivot disagreement that forces a refactorization.
 DRIFT_TOL = 1e-7
+#: Dual simplex: times in a row an iteration whose pivot is still tiny on
+#: fresh factors is priced again before the engine gives up.
+DRIFT_RESTARTS = 3
 #: Devex weights above this trigger a reference-framework reset.
 DEVEX_RESET_LIMIT = 1e8
 
@@ -857,6 +861,52 @@ class _Engine:
         self.counters.refactorizations += 1
         return self.factor.refactor(self.basic)
 
+    def refactor_or_repair(self) -> bool:
+        """Refactorize; a singular basis is repaired first (:meth:`repair_basis`)."""
+        return self.refactor() or self.repair_basis()
+
+    def repair_basis(self) -> bool:
+        """Swap the dependent columns of a singular basis for logicals.
+
+        A column-pivoted QR of the basis matrix keeps a largest set of
+        independent basic columns (diagonal of ``R`` above
+        :data:`PIVOT_TOL` relative to its first entry); a second one, of
+        those columns' rows, finds the rows they pivot on.  The logical
+        of every other row takes the place of one dropped column, which
+        leaves at a finite bound (lower first), as HiGHS and CLP repair a
+        singular basis.  The kept columns on their pivot rows plus the
+        identity on the other rows are nonsingular, so the new basis
+        refactorizes; the basic values must then be recomputed, and they
+        need not be feasible.  Returns whether the refactorization
+        succeeded.
+        """
+        sf = self.sf
+        matrix = sf.a[:, self.basic]
+        r, cols = _qr(matrix, mode="r", pivoting=True)
+        diag = np.abs(np.diag(r))
+        rank = int(np.count_nonzero(diag > PIVOT_TOL * diag[0])) if diag.size else 0
+        if rank == sf.m:
+            return False  # no dependent column to drop
+        if rank:
+            _, rows = _qr(matrix[:, cols[:rank]].T, mode="r", pivoting=True)
+        else:
+            rows = np.arange(sf.m)
+        for position, row in zip(cols[rank:].tolist(), rows[rank:].tolist()):
+            leaving = int(self.basic[position])
+            if math.isfinite(sf.lo[leaving]):
+                self._set_status(leaving, AT_LB)
+            elif math.isfinite(sf.up[leaving]):
+                self._set_status(leaving, AT_UB)
+            else:
+                self._set_status(leaving, AT_FREE)
+            logical = sf.n + row
+            self.status[logical] = BASIC
+            self.sign[logical] = 0.0
+            self.basic[position] = logical
+            self.lo_b[position] = sf.lo[logical]
+            self.up_b[position] = sf.up[logical]
+        return self.refactor()
+
     def nonbasic_point(self) -> np.ndarray:
         """Full-length x with every nonbasic column at its status value."""
         sf = self.sf
@@ -984,7 +1034,7 @@ class _Engine:
         which reaches feasibility in few pivots on the deeply infeasible
         starts that make dual pivoting crawl.
         """
-        if not self.refactor():
+        if not self.refactor_or_repair():
             return self._bail()
         self.recompute_basics()
         violations = self.primal_violations()
@@ -1019,6 +1069,15 @@ class _Engine:
             RevisedStatus.NEEDS_FALLBACK, None, math.nan, self.iterations, None,
             counters=self.counters,
         )
+
+    def _leave_repaired(self) -> Optional[RevisedResult]:
+        """Dual loop exit on a singular refactorization: repair the basis
+        and hand it to phase 1 (the repair keeps neither kind of
+        feasibility), or give up when even the repaired basis is singular."""
+        if not self.repair_basis():
+            return self._bail()
+        self.recompute_basics()
+        return None
 
     def _infeasible(self) -> RevisedResult:
         """The INFEASIBLE verdict."""
@@ -1084,6 +1143,7 @@ class _Engine:
             weights.fill(1.0)
             counters.devex_resets += 1
         budget = self.iterations + min(self.max_iterations, max(sf.m // 2, 100))
+        restarts = 0  # consecutive iterations re-priced after a refactorization
         while True:
             violations = self.primal_violations()
             absviol = np.abs(violations)
@@ -1143,13 +1203,18 @@ class _Engine:
                 # Tiny or drifting pivot: rebuild and retry the iteration
                 # from refreshed state.
                 if not self.refactor():
-                    return self._bail()
+                    return self._leave_repaired()
                 self.recompute_basics()
                 d = self.reduced_costs()
                 w = self.entering_column(entering)
                 w_row = w.item(row)
                 if abs(w_row) < PIVOT_TOL:
-                    return self._bail()
+                    # The row and the entering column were priced on the
+                    # stale factors: price them again on the fresh ones.
+                    restarts += 1
+                    if restarts > DRIFT_RESTARTS:
+                        return self._bail()
+                    continue
 
             # Apply the accumulated bound flips: statuses swap and the
             # basic values absorb one aggregated FTRAN of the shifted
@@ -1195,9 +1260,10 @@ class _Engine:
                     counters.devex_resets += 1
 
             self._swap(row, entering, AT_LB if below else AT_UB, w)
+            restarts = 0
             if factor.should_refactor():
                 if not self.refactor():
-                    return self._bail()
+                    return self._leave_repaired()
                 self.recompute_basics()
                 d = self.reduced_costs()
 
@@ -1250,7 +1316,7 @@ class _Engine:
                 # certifying.
                 if fresh:
                     return self._infeasible()
-                if not self.refactor():
+                if not self.refactor_or_repair():
                     return self._bail()
                 self.recompute_basics()
                 fresh = True
@@ -1300,7 +1366,7 @@ class _Engine:
                 else:
                     row = int(blocking[np.argmax(np.abs(delta[blocking]))])
                 if abs(w[row]) < PIVOT_TOL:
-                    if not self.refactor():
+                    if not self.refactor_or_repair():
                         return self._bail()
                     self.recompute_basics()
                     continue
@@ -1317,7 +1383,7 @@ class _Engine:
                 self.x_basic[row] = entering_value
                 self._swap(row, entering, leave_status, w)
                 if self.factor.should_refactor():
-                    if not self.refactor():
+                    if not self.refactor_or_repair():
                         return self._bail()
                     self.recompute_basics()
 

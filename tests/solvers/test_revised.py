@@ -370,3 +370,122 @@ class TestKernelCounters:
         assert sum(s.stats.refactorizations for s in solutions) == calls
         runs = split_runs(sink.events)
         assert [replay_stats(run) for run in runs] == [s.stats for s in solutions]
+
+
+class TestEngineRecovery:
+    """The engine recovers from numerical trouble instead of giving up."""
+
+    @staticmethod
+    def tightened_warm_start():
+        """A solved LP whose basic ``x2`` the new box cuts off: the warm
+        re-solve starts dual feasible and repairs in the dual loop.
+
+        min -x1 - x2 s.t. x1 + x2 <= 1.5 on [0, 1]^2 (optimum -1.5), then
+        ``x2 <= 0.2`` (optimum -1.2).
+        """
+        c = np.array([-1.0, -1.0])
+        a_ub, b_ub = np.array([[1.0, 1.0]]), np.array([1.5])
+        sf = StandardFormLP(c, a_ub, b_ub, np.zeros((0, 2)), np.zeros(0),
+                            np.zeros(2), np.ones(2))
+        root = solve_revised(sf)
+        assert root.status is RevisedStatus.OPTIMAL
+        lb, ub = np.zeros(2), np.array([1.0, 0.2])
+        sf.set_bounds(lb, ub)
+        oracle = solve_lp(c, a_ub, b_ub, np.zeros((0, 2)), np.zeros(0), lb, ub)
+        return sf, root.basis, oracle
+
+    def test_dual_loop_reprices_after_a_tiny_post_refactor_pivot(self, monkeypatch):
+        """The entering column of a dual iteration is picked from a row
+        priced on the current factors.  When its FTRAN pivot is tiny, the
+        engine refactorizes; if the pivot is still tiny on the fresh
+        factors, the iteration is priced again from the refreshed state
+        rather than abandoned.  Injected here: the first two entering
+        FTRANs of the dual loop come back scaled to nothing."""
+        from repro.solvers import revised
+
+        dual_loop = revised._Engine.dual_loop
+        entering_column = revised._Engine.entering_column
+        injected = []
+
+        def dual_loop_with_tiny_pivots(engine, d):
+            engine.tiny_ftrans = 2
+            return dual_loop(engine, d)
+
+        def faulty_entering_column(engine, j):
+            w = entering_column(engine, j)
+            if getattr(engine, "tiny_ftrans", 0):
+                engine.tiny_ftrans -= 1
+                injected.append(j)
+                return w * 1e-12
+            return w
+
+        monkeypatch.setattr(revised._Engine, "dual_loop", dual_loop_with_tiny_pivots)
+        monkeypatch.setattr(revised._Engine, "entering_column", faulty_entering_column)
+        sf, basis, oracle = self.tightened_warm_start()
+        warm = solve_revised(sf, basis)
+        assert len(injected) == 2
+        assert warm.status is RevisedStatus.OPTIMAL
+        assert_matches_oracle(warm, oracle)
+        assert warm.counters.dual_pivots >= 1
+        assert warm.counters.refactorizations == 2  # the start, then the drift
+
+    def test_dual_loop_gives_up_on_pivots_tiny_on_every_factorization(self, monkeypatch):
+        """The re-pricing is capped: a pivot that stays tiny however often
+        the basis is refactorized still ends the solve."""
+        from repro.solvers import revised
+
+        sf, basis, _ = self.tightened_warm_start()
+        entering_column = revised._Engine.entering_column
+        monkeypatch.setattr(
+            revised._Engine, "entering_column",
+            lambda engine, j: entering_column(engine, j) * 1e-12,
+        )
+        warm = solve_revised(sf, basis)
+        assert warm.status is RevisedStatus.NEEDS_FALLBACK
+
+    def test_singular_start_basis_is_repaired(self):
+        """Two equal basic columns make the start basis singular; the
+        engine swaps one for a logical and solves the LP."""
+        c = np.array([-1.0, -2.0])
+        a_ub, b_ub = np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 3.0])
+        lb, ub = np.zeros(2), np.ones(2)
+        sf = StandardFormLP(c, a_ub, b_ub, np.zeros((0, 2)), np.zeros(0), lb, ub)
+        status = np.array([BASIC, BASIC, AT_LB, AT_LB], dtype=np.int8)
+        singular = Basis(np.array([0, 1]), status)
+        result = solve_revised(sf, singular)
+        oracle = solve_lp(c, a_ub, b_ub, np.zeros((0, 2)), np.zeros(0), lb, ub)
+        assert result.status is RevisedStatus.OPTIMAL
+        assert_matches_oracle(result, oracle)
+
+    def test_singular_refactorization_in_phase1_is_repaired(self):
+        """Capping example1's cost at 6.9999 and raising ``T_F``'s lower
+        bound to 4 leads a warm phase 1 onto a singular basis (the eta
+        file accepted it; the refactorization does not).  The engine
+        repairs the basis and bozo finds the optimum HiGHS finds."""
+        from repro.core.options import FormulationOptions
+        from repro.solvers import revised
+        from repro.solvers.bozo import BozoSolver
+        from repro.solvers.highs import HighsSolver
+
+        built = SosModelBuilder(
+            example1(), example1_library(), FormulationOptions(cost_cap=6.9999)
+        ).build()
+        built.variables.t_f.lb = 4.0
+        refactor = revised._Engine.refactor
+        singular = []
+
+        def recording_refactor(engine):
+            ok = refactor(engine)
+            if not ok:
+                singular.append(engine.iterations)
+            return ok
+
+        highs = HighsSolver().solve(built.model)
+        try:
+            revised._Engine.refactor = recording_refactor
+            bozo = BozoSolver().solve(built.model)
+        finally:
+            revised._Engine.refactor = refactor
+        assert singular  # the repair ran
+        assert highs.objective == pytest.approx(7.0)
+        assert bozo.objective == pytest.approx(highs.objective, abs=1e-6)
