@@ -6,14 +6,14 @@ deadline slack.  This module canonicalizes a solution: with every binary
 variable fixed to its solved value, the remaining problem is a pure LP, and
 minimizing the *sum of all timing variables* yields the unique earliest
 ("left-shifted") schedule for the chosen configuration.  The LP is solved
-with HiGHS through :func:`scipy.optimize.linprog`.  The result is
+with HiGHS through :func:`scipy.optimize.milp`.  The result is
 deterministic, epsilon-free, and matches how the paper draws Figure 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.formulation import SosModel
 from repro.errors import SolverError
@@ -58,7 +58,7 @@ def left_shift(built: SosModel, solution: Solution) -> Solution:
         c[j] = 1.0
 
     x = _solve_polish_lp(c, form, lb, ub)
-    values = {var: float(x[j]) for j, var in enumerate(variables)}
+    values = dict(zip(variables, x.tolist()))
     polished = Solution(
         status=solution.status,
         objective=built.model.objective_value(values),
@@ -73,15 +73,12 @@ def left_shift(built: SosModel, solution: Solution) -> Solution:
 
 
 def _solve_polish_lp(c: np.ndarray, form, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Solve the polish LP with HiGHS."""
-    result = linprog(
+    """Solve the polish LP with HiGHS, on the form's shared sparse rows."""
+    matrix, lower, upper = form.stacked_rows()
+    result = milp(
         c,
-        A_ub=form.a_ub if form.a_ub.size else None,
-        b_ub=form.b_ub if form.b_ub.size else None,
-        A_eq=form.a_eq if form.a_eq.size else None,
-        b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=list(zip(lb, ub)),
-        method="highs",
+        constraints=LinearConstraint(matrix, lower, upper) if matrix.shape[0] else None,
+        bounds=Bounds(lb, ub),
     )
     if result.status != 0:
         raise SolverError(f"left-shift LP failed: scipy status {result.status}")

@@ -8,11 +8,13 @@ nothing about *how* to solve itself; solver backends (see
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ModelError
 from repro.milp.constraint import Constraint, Sense, validate_constraint
@@ -50,6 +52,9 @@ class MatrixForm:
     column ``j``'s branching class (:attr:`Var.branch_priority`); it
     defaults to all zeros, so a hand-built form branches on every
     fractional column alike.
+
+    :meth:`stacked_rows` gives both row blocks as one sparse matrix for
+    the HiGHS calls; it is built once per form and shared by every caller.
     """
 
     c: np.ndarray
@@ -64,9 +69,158 @@ class MatrixForm:
     variables: Tuple[Var, ...]
     branch_priority: Optional[np.ndarray] = None
 
+    #: The row encoding :meth:`Model.to_matrices` exported from, if any.
+    _rows: Optional["_Rows"] = field(default=None, init=False, repr=False, compare=False)
+    _stacked: Optional[Tuple[sparse.csc_array, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     def __post_init__(self) -> None:
         if self.branch_priority is None:
             self.branch_priority = np.zeros(self.c.shape[0], dtype=int)
+
+    def stacked_rows(self) -> Tuple[sparse.csc_array, np.ndarray, np.ndarray]:
+        """``(A, lower, upper)``: ``a_ub`` over ``a_eq`` as one CSC matrix.
+
+        The rows read ``lower <= A @ x <= upper``, with ``lower = -inf`` on
+        the ``a_ub`` rows.  ``A`` holds the same arrays SciPy derives from
+        the dense blocks (explicit zeros dropped, row indices sorted within
+        each column).  Computed on first use and kept; the arrays are
+        read-only.
+        """
+        if self._stacked is None:
+            if self._rows is not None:
+                matrix = self._rows.stacked(self.c.shape[0])
+            else:
+                matrix = sparse.csc_array(np.vstack((self.a_ub, self.a_eq)))
+            lower = np.concatenate((np.full(self.b_ub.shape[0], -np.inf), self.b_eq))
+            upper = np.concatenate((self.b_ub, self.b_eq))
+            for array in (matrix.data, matrix.indices, matrix.indptr, lower, upper):
+                array.flags.writeable = False
+            self._stacked = (matrix, lower, upper)
+        return self._stacked
+
+
+#: Row edits an export splices in; past this many it re-reads every row.
+_MAX_ROW_EDITS = 16
+
+_LE, _GE, _EQ = 0, 1, 2
+_SENSE_CODES = {Sense.LE: _LE, Sense.GE: _GE, Sense.EQ: _EQ}
+
+
+class _Rows:
+    """Every constraint's terms as flat arrays, in model row order.
+
+    Row ``i`` owns ``counts[i]`` consecutive entries of ``cols``/``vals``,
+    in its expression's term order, with coefficients as written (``GE``
+    rows are negated only when the blocks are made).  A row edit splices
+    one row in or out, so an export after a few edits re-reads no other
+    constraint.
+    """
+
+    __slots__ = ("counts", "cols", "vals", "senses", "rhs", "_matrix")
+
+    def __init__(self, counts, cols, vals, senses, rhs) -> None:
+        self.counts = counts
+        self.cols = cols
+        self.vals = vals
+        self.senses = senses
+        self.rhs = rhs
+        self._matrix: Optional[sparse.csc_array] = None
+
+    @classmethod
+    def of(cls, constraints: Sequence[Constraint]) -> "_Rows":
+        terms = [constraint.expr.coeffs for constraint in constraints]
+        counts = np.fromiter(map(len, terms), dtype=np.intp, count=len(terms))
+        nonzeros = int(counts.sum())
+        return cls(
+            counts,
+            np.fromiter((var.index for row in terms for var in row), dtype=np.intp,
+                        count=nonzeros),
+            np.fromiter((a for row in terms for a in row.values()), dtype=float,
+                        count=nonzeros),
+            np.fromiter((_SENSE_CODES[constraint.sense] for constraint in constraints),
+                        dtype=np.int8, count=len(terms)),
+            np.fromiter((constraint.rhs for constraint in constraints), dtype=float,
+                        count=len(terms)),
+        )
+
+    def insert(self, row: int, constraint: Constraint) -> "_Rows":
+        """The rows with ``constraint`` inserted before row ``row``."""
+        new = _Rows.of((constraint,))
+        start = int(self.counts[:row].sum())
+        return _Rows(
+            np.insert(self.counts, row, new.counts),
+            np.concatenate((self.cols[:start], new.cols, self.cols[start:])),
+            np.concatenate((self.vals[:start], new.vals, self.vals[start:])),
+            np.insert(self.senses, row, new.senses),
+            np.insert(self.rhs, row, new.rhs),
+        )
+
+    def delete(self, row: int) -> "_Rows":
+        """The rows without row ``row``."""
+        start = int(self.counts[:row].sum())
+        stop = start + int(self.counts[row])
+        return _Rows(
+            np.delete(self.counts, row),
+            np.concatenate((self.cols[:start], self.cols[stop:])),
+            np.concatenate((self.vals[:start], self.vals[stop:])),
+            np.delete(self.senses, row),
+            np.delete(self.rhs, row),
+        )
+
+    def _layout(self):
+        """Each entry's row and its ``GE``-negated value, which rows are
+        equalities, and each row's index in its block."""
+        eq = self.senses == _EQ
+        block_row = np.empty(eq.shape[0], dtype=np.intp)
+        block_row[~eq] = np.arange(eq.shape[0] - int(eq.sum()))
+        block_row[eq] = np.arange(int(eq.sum()))
+        entry_row = np.repeat(np.arange(eq.shape[0]), self.counts)
+        values = np.where(self.senses[entry_row] == _GE, -self.vals, self.vals)
+        return entry_row, values, eq, block_row
+
+    def blocks(self, n: int):
+        """``(a_ub, b_ub, a_eq, b_eq)``, with ``GE`` rows negated into ``a_ub``."""
+        entry_row, values, eq, block_row = self._layout()
+        ge = self.senses == _GE
+        rhs = np.where(ge, -self.rhs, self.rhs)
+        entry_eq = eq[entry_row]
+        blocks = []
+        for rows, entries in ((~eq, ~entry_eq), (eq, entry_eq)):
+            a = np.empty((int(rows.sum()), n))
+            # A GE row is negated whole, so its zeros are -0.0 like its
+            # terms' signs: the bytes do not depend on how rows are gathered.
+            a[...] = np.where(ge[rows], -0.0, 0.0)[:, None]
+            a[block_row[entry_row[entries]], self.cols[entries]] = values[entries]
+            blocks += (a, rhs[rows])
+        return tuple(blocks)
+
+    def stacked(self, n: int) -> sparse.csc_array:
+        """The nonzeros of ``a_ub`` over ``a_eq`` as a CSC matrix, made
+        once and shared by every form of these rows.
+
+        The rows are laid out as CSR, ``a_ub`` rows then ``a_eq`` rows, and
+        SciPy's CSR-to-CSC conversion leaves each column's row indices
+        sorted, as its conversion of the dense blocks does.
+        """
+        if self._matrix is None:
+            entry_row, values, eq, _ = self._layout()
+            counts, cols = self.counts, self.cols
+            keep = values != 0.0
+            if not keep.all():  # explicit zeros are not stored
+                values, cols = values[keep], cols[keep]
+                counts = np.bincount(entry_row[keep], minlength=eq.shape[0])
+            order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+            starts = np.cumsum(counts) - counts
+            stacked_counts = counts[order]
+            indptr = np.zeros(eq.shape[0] + 1, dtype=np.int32)
+            np.cumsum(stacked_counts, out=indptr[1:])
+            take = np.repeat(starts[order] - indptr[:-1], stacked_counts) + np.arange(indptr[-1])
+            self._matrix = sparse.csr_array(
+                (values[take], cols[take].astype(np.int32), indptr), shape=(eq.shape[0], n)
+            ).tocsc()
+        return self._matrix
 
 
 class Model:
@@ -89,9 +243,26 @@ class Model:
         self._constraint_counter = 0
         #: The last :meth:`to_matrices` export; dropped on every change.
         self._form: Optional[MatrixForm] = None
+        #: The rows and columns of the last export, kept across row and
+        #: objective changes, and the row edits made since.
+        self._exported: Optional[MatrixForm] = None
+        self._row_edits: List[Tuple[int, Optional[Constraint]]] = []
 
     def _changed(self) -> None:
+        """Drop the export and everything kept from it."""
         self._form = None
+        self._exported = None
+        self._row_edits = []
+
+    def _row_edited(self, row: int, constraint: Optional[Constraint]) -> None:
+        """Note an insert (``constraint`` before ``row``) or a delete (``None``)."""
+        self._form = None
+        if self._exported is None:
+            return
+        if len(self._row_edits) >= _MAX_ROW_EDITS:
+            self._changed()
+            return
+        self._row_edits.append((row, constraint))
 
     # -- variables ------------------------------------------------------------
     def add_var(
@@ -152,8 +323,11 @@ class Model:
         The row is appended, or inserted before row ``position`` when given.
         """
         constraint = validate_constraint(constraint)
-        for var in constraint.expr.variables():
-            if var.index < 0 or var.index >= len(self._variables) or self._variables[var.index] is not var:
+        variables = self._variables
+        count = len(variables)
+        for var in constraint.expr.coeffs:
+            index = var.index
+            if not 0 <= index < count or variables[index] is not var:
                 raise ModelError(
                     f"constraint uses variable {var.name!r} that does not belong to model {self.name!r}"
                 )
@@ -161,18 +335,20 @@ class Model:
             name = f"c{self._constraint_counter}"
         self._constraint_counter += 1
         constraint.name = name
-        self._changed()
+        rows = len(self._constraints)
         if position is None:
-            self._constraints.append(constraint)
-        else:
-            self._constraints.insert(position, constraint)
+            row = rows
+        else:  # where list.insert puts it
+            row = min(position if position >= 0 else max(position + rows, 0), rows)
+        self._row_edited(row, constraint)
+        self._constraints.insert(row, constraint)
         return constraint
 
     def remove(self, constraint: Constraint) -> None:
         """Delete a constraint this model holds (matched by identity)."""
         for row, held in enumerate(self._constraints):
             if held is constraint:
-                self._changed()
+                self._row_edited(row, None)
                 del self._constraints[row]
                 return
         raise ModelError(
@@ -194,12 +370,12 @@ class Model:
     # -- objective ------------------------------------------------------------
     def minimize(self, expr: LinExpr | Var | Number) -> None:
         """Set a minimization objective."""
-        self._changed()
+        self._form = None
         self._objective = LinExpr() + expr
 
     def maximize(self, expr: LinExpr | Var | Number) -> None:
         """Set a maximization objective (stored negated; models always minimize)."""
-        self._changed()
+        self._form = None
         self._objective = -(LinExpr() + expr)
 
     @property
@@ -265,9 +441,12 @@ class Model:
         The export is kept until the model changes through one of its own
         methods (``add_var``, ``add``, ``remove``, ``minimize``,
         ``maximize``), so a backend and the polish LP after it share one
-        form.  Its arrays are read-only for that reason.  Editing a
-        :class:`Var`'s bounds or a :class:`Constraint`'s ``rhs`` in place
-        after an export is not seen by the next export.
+        form.  Its arrays are read-only for that reason.  After a change
+        the next export re-reads only what changed: the objective after
+        ``minimize``/``maximize``, the inserted rows after ``add`` or
+        ``remove`` (a few at a time), everything after ``add_var``.  So
+        editing a :class:`Var`'s bounds or a :class:`Constraint`'s terms
+        or ``rhs`` in place after an export is not seen by later exports.
         """
         if self._form is not None:
             return self._form
@@ -276,60 +455,35 @@ class Model:
         for var, coeff in self._objective.coeffs.items():
             c[self._column(var)] = coeff
 
-        # One pass over the rows gathers (row, column, value) triplets;
-        # each block is then filled by a single scatter.
-        ub_rows: List[int] = []
-        ub_cols: List[int] = []
-        ub_vals: List[float] = []
-        ub_rhs: List[float] = []
-        ge_rows: List[int] = []
-        eq_rows: List[int] = []
-        eq_cols: List[int] = []
-        eq_vals: List[float] = []
-        eq_rhs: List[float] = []
-        for constraint in self._constraints:
-            coeffs = constraint.expr.coeffs
-            if constraint.sense is Sense.EQ:
-                rows, cols, vals, rhs = eq_rows, eq_cols, eq_vals, eq_rhs
-                rhs.append(constraint.rhs)
-            else:
-                rows, cols, vals, rhs = ub_rows, ub_cols, ub_vals, ub_rhs
-                if constraint.sense is Sense.GE:
-                    ge_rows.append(len(rhs))
-                    rhs.append(-constraint.rhs)
-                else:
-                    rhs.append(constraint.rhs)
-            rows.extend([len(rhs) - 1] * len(coeffs))
-            cols.extend([var.index for var in coeffs])
-            vals.extend(coeffs.values())
-
-        a_ub = np.zeros((len(ub_rhs), n))
-        a_ub[ub_rows, ub_cols] = ub_vals
-        # Negate whole rows, so a GE row's zeros are -0.0 like its terms'
-        # signs: the bytes do not depend on how the rows were gathered.
-        a_ub[ge_rows] = -a_ub[ge_rows]
-        a_eq = np.zeros((len(eq_rhs), n))
-        a_eq[eq_rows, eq_cols] = eq_vals
-
-        form = MatrixForm(
-            c=c,
-            c0=self._objective.constant,
-            a_ub=a_ub,
-            b_ub=np.asarray(ub_rhs, dtype=float),
-            a_eq=a_eq,
-            b_eq=np.asarray(eq_rhs, dtype=float),
-            lb=np.asarray([v.lb for v in self._variables], dtype=float),
-            ub=np.asarray([v.ub for v in self._variables], dtype=float),
-            integrality=np.asarray([v.is_integral for v in self._variables], dtype=bool),
-            variables=self.variables,
-            branch_priority=np.asarray(
-                [v.branch_priority for v in self._variables], dtype=int
-            ),
-        )
+        previous = self._exported
+        if previous is None:
+            rows = _Rows.of(self._constraints)
+            form = MatrixForm(
+                c, self._objective.constant, *rows.blocks(n),
+                lb=np.asarray([v.lb for v in self._variables], dtype=float),
+                ub=np.asarray([v.ub for v in self._variables], dtype=float),
+                integrality=np.asarray([v.is_integral for v in self._variables], dtype=bool),
+                variables=self.variables,
+                branch_priority=np.asarray(
+                    [v.branch_priority for v in self._variables], dtype=int
+                ),
+            )
+        elif self._row_edits:
+            rows = previous._rows
+            for row, constraint in self._row_edits:
+                rows = rows.delete(row) if constraint is None else rows.insert(row, constraint)
+            a_ub, b_ub, a_eq, b_eq = rows.blocks(n)
+            form = dataclasses.replace(previous, c=c, c0=self._objective.constant,
+                                       a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        else:
+            rows = previous._rows
+            form = dataclasses.replace(previous, c=c, c0=self._objective.constant)
+        form._rows = rows
         for array in (form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
                       form.lb, form.ub, form.integrality, form.branch_priority):
             array.flags.writeable = False
-        self._form = form
+        self._row_edits = []
+        self._exported = self._form = form
         return form
 
     def _column(self, var: Var) -> int:

@@ -16,7 +16,7 @@ import time
 from typing import Dict
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStats, SolveStatus
@@ -42,19 +42,12 @@ class HighsSolver(Solver):
         if tracer is not None:
             tracer.emit("solve_started", solver=self.name)
         form = model.to_matrices()
-        n = form.c.shape[0]
-
-        constraints = []
-        if form.a_ub.size:
-            constraints.append(
-                optimize.LinearConstraint(sparse.csr_matrix(form.a_ub), -np.inf, form.b_ub)
-            )
-        if form.a_eq.size:
-            constraints.append(
-                optimize.LinearConstraint(sparse.csr_matrix(form.a_eq), form.b_eq, form.b_eq)
-            )
+        # One sparse matrix for both row blocks, shared with the polish LP.
+        matrix, lower, upper = form.stacked_rows()
+        constraints = (
+            optimize.LinearConstraint(matrix, lower, upper) if matrix.shape[0] else None
+        )
         bounds = optimize.Bounds(form.lb, form.ub)
-        integrality = form.integrality.astype(int)
 
         options: Dict[str, object] = {"mip_rel_gap": self.options.gap_tolerance}
         if math.isfinite(self.options.time_limit):
@@ -64,9 +57,9 @@ class HighsSolver(Solver):
 
         result = optimize.milp(
             c=form.c,
-            constraints=constraints or None,
+            constraints=constraints,
             bounds=bounds,
-            integrality=integrality,
+            integrality=form.integrality,
             options=options,
         )
         if result.status not in (0, 1, 2, 3) and result.x is None:
@@ -84,9 +77,9 @@ class HighsSolver(Solver):
             if remaining > 0:
                 result = optimize.milp(
                     c=form.c,
-                    constraints=constraints or None,
+                    constraints=constraints,
                     bounds=bounds,
-                    integrality=integrality,
+                    integrality=form.integrality,
                     options=retry_options,
                 )
         elapsed = time.monotonic() - start
@@ -105,7 +98,7 @@ class HighsSolver(Solver):
         if result.x is not None:
             x = np.asarray(result.x, dtype=float)
             x[form.integrality] = np.round(x[form.integrality])
-            values = {var: float(x[j]) for j, var in enumerate(form.variables)}
+            values = dict(zip(form.variables, x.tolist()))
             objective = float(form.c @ x) + form.c0
 
         bound = objective

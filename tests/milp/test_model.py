@@ -278,3 +278,119 @@ class TestRowEditing:
         assert [c.name for c in model.constraints] == ["c1"]
         with pytest.raises(ModelError, match="not in model"):
             model.remove(cap)
+
+
+def fresh_export(model):
+    """The export of a copy of ``model`` that was never exported before."""
+    return model.copy().to_matrices()
+
+
+FORM_ARRAYS = ("c", "a_ub", "b_ub", "a_eq", "b_eq", "lb", "ub", "integrality",
+               "branch_priority")
+
+
+def assert_same_export(got, want):
+    for name in FORM_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.c0 == want.c0
+    for a, b in zip(got.stacked_rows(), want.stacked_rows()):
+        if hasattr(a, "indptr"):
+            for name in ("indptr", "indices", "data"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        else:
+            assert a.tobytes() == b.tobytes()
+
+
+class TestSplicedExport:
+    """An export after row and objective edits re-reads only the edited
+    rows, and gives the bytes a never-exported copy gives."""
+
+    def test_random_edit_sequences_match_a_fresh_export(self):
+        rng = np.random.default_rng(5)
+        model = Model()
+        xs = [model.add_var(f"x{j}", vtype=VarType.BINARY if j % 3 == 0 else
+                            VarType.CONTINUOUS, ub=5.0) for j in range(6)]
+
+        def random_row():
+            terms = rng.choice(6, size=int(rng.integers(1, 4)), replace=False)
+            expr = sum(float(rng.integers(-3, 4) or 1) * xs[int(j)] for j in terms)
+            rhs = float(rng.integers(-2, 6))
+            return [expr <= rhs, expr >= rhs, expr == rhs][int(rng.integers(0, 3))]
+
+        for _ in range(8):
+            model.add(random_row())
+        model.minimize(xs[0] + 2 * xs[1])
+        model.to_matrices()
+        for step in range(60):
+            for _ in range(int(rng.integers(1, 4))):
+                draw = rng.random()
+                rows = model.constraints
+                if draw < 0.4 and rows:
+                    model.remove(rows[int(rng.integers(0, len(rows)))])
+                elif draw < 0.8:
+                    model.add(random_row(), position=int(rng.integers(0, len(rows) + 1)))
+                else:
+                    model.minimize(float(rng.integers(-2, 3)) * xs[int(rng.integers(0, 6))] + step)
+            assert_same_export(model.to_matrices(), fresh_export(model))
+
+    def test_many_edits_reread_every_row(self, simple_model, monkeypatch):
+        from repro.milp import model as model_module
+
+        model, x, _ = simple_model
+        model.to_matrices()
+        for bound in range(model_module._MAX_ROW_EDITS + 1):
+            model.add(x <= 10.0 + bound)
+        encoded = []
+        of = model_module._Rows.of
+        monkeypatch.setattr(model_module._Rows, "of", classmethod(
+            lambda cls, constraints: encoded.append(len(constraints)) or of(constraints)
+        ))
+        assert_same_export(model.to_matrices(), fresh_export(model))
+        assert encoded[0] == len(model.constraints)
+
+    def test_new_variable_rereads_every_row(self, simple_model):
+        model, x, _ = simple_model
+        model.to_matrices()
+        z = model.add_var("z", ub=2.0)
+        model.add(x + z <= 3.0)
+        form = model.to_matrices()
+        assert form.a_ub.shape == (3, 3) and form.ub.tolist() == [4.0, 1.0, 2.0]
+        assert_same_export(form, fresh_export(model))
+
+    def test_objective_change_shares_the_rows(self, simple_model):
+        model, x, _ = simple_model
+        first = model.to_matrices()
+        model.minimize(x)
+        second = model.to_matrices()
+        assert second.c.tolist() == [1.0, 0.0]
+        assert second.a_ub is first.a_ub
+        assert second.stacked_rows()[0] is first.stacked_rows()[0]
+
+    def test_retargeted_follow_up_reads_only_the_designer_row(self, monkeypatch):
+        """The two solves of a design differ in the designer rows and the
+        objective only, so the second export encodes just the new row."""
+        from repro.core.formulation import SosModelBuilder
+        from repro.core.options import FormulationOptions, Objective
+        from repro.milp import model as model_module
+        from repro.system.examples import example1_library
+        from repro.taskgraph.examples import example1
+
+        built = SosModelBuilder(
+            example1(), example1_library(), FormulationOptions(cost_cap=7.0)
+        ).build()
+        built.model.to_matrices()
+        encoded = []
+        of = model_module._Rows.of
+        monkeypatch.setattr(model_module._Rows, "of", classmethod(
+            lambda cls, constraints: encoded.append(len(constraints)) or of(constraints)
+        ))
+        built.retarget(cost_cap=7.0, deadline=4.0, objective=Objective.MIN_COST)
+        follow_up = built.model.to_matrices()
+        assert encoded == [1]
+        fresh = SosModelBuilder(
+            example1(), example1_library(),
+            FormulationOptions(cost_cap=7.0, deadline=4.0, objective=Objective.MIN_COST),
+        ).build()
+        assert_same_export(follow_up, fresh.model.to_matrices())
